@@ -42,6 +42,23 @@ chain; the geometric skip uses inversion
 with the serial samplers in distribution but not bitwise (the test
 suite cross-validates statistically).
 
+**Per-column inputs and padding.**  Initial counts, zealots, ``n`` and
+the interaction budget may differ per column, so the replicates of
+several cells run as one batch (``Engine.sweep`` packs a serial sweep's
+``usd`` or ``zealots`` cells this way, paying the per-pass overhead once
+instead of once per cell).  The batch's ``k`` is the largest of its
+cells; a narrower cell's columns carry zero-count padding opinions.
+Padding is exact, not approximate: every weight is an integer product
+of counts and every cumulative sum is at most ``n^2``, and while
+``n^2 < 2^53`` (enforced per column) all of them are exact float64
+integers whatever the summation order.  A zero bin therefore adds
+nothing to any cumulative sum, and since the event uniform times the
+total weight stays strictly below the total, the ``cum <= v`` count
+only shifts past the padded adoption bins — every event lands on the
+same real opinion as in an unpadded run, and a padded opinion stays at
+zero.  Each column still draws only from its own generator, so packed
+results are bit-identical to per-cell runs.
+
 Budget and absorption detection share one comparison: an absorbed
 replicate has total weight ``W = 0``, which drives the skip inversion
 to ``±inf``/``NaN`` and therefore fails the ``t + wait <= budget``
@@ -172,29 +189,42 @@ def get_default_stream_buffer() -> int:
 def lockstep_batch(
     initial_counts,
     zealots,
-    n: int,
+    n,
     *,
     rngs: list,
-    max_interactions: int,
+    max_interactions,
     event_block: int | None = None,
     stream_buffer: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance ``len(rngs)`` independent jump chains in lockstep.
 
+    Every input is per column (one column = one replicate), and a shared
+    value broadcasts: a length ``k + 1`` histogram, a length ``k``
+    zealot vector and scalar ``n`` / ``max_interactions`` apply to every
+    replicate, exactly as before columns could differ.  Columns of
+    different cells run in one call by padding the narrower ones with
+    zero-count opinions up to the batch's largest ``k`` (see the module
+    docstring for why that is exact).
+
     Parameters
     ----------
     initial_counts:
-        Length ``k + 1`` histogram shared by every replicate (index 0 =
+        ``(k + 1,)`` or ``(R, k + 1)`` initial histograms (index 0 =
         undecided); for the zealot chain these are the *flexible* agents.
     zealots:
-        Length ``k`` per-opinion stubborn counts (all zero = plain USD).
+        ``(k,)`` or ``(R, k)`` per-opinion stubborn counts (all zero =
+        plain USD).
     n:
-        Total population including zealots.
+        Total population including zealots, scalar or ``(R,)``.  Every
+        column must satisfy ``n * n < 2**53``: weights and their
+        cumulative sums (at most ``n^2``) are float64 and exact only in
+        that range.
     rngs:
         One generator per replicate; each replicate's trajectory is a
         function of its generator alone.
     max_interactions:
-        Interaction budget per replicate (no-op skips included).
+        Interaction budget per replicate (no-op skips included), scalar
+        or ``(R,)``; each must lie in ``[0, 2**53)``.
     event_block:
         Productive events applied per numpy pass; defaults to
         :func:`get_default_event_block`.
@@ -209,10 +239,15 @@ def lockstep_batch(
         ``(R, k + 1)`` int64 final histograms, ``(R,)`` int64 interaction
         counts (budget-capped), and an ``(R,)`` boolean budget-exhaustion
         mask, in replicate order.
+
+    Raises
+    ------
+    ValueError
+        When a column's ``n * n`` or budget reaches ``2**53``, a budget
+        is negative, or the inputs do not broadcast to ``R`` columns.
     """
     counts0 = np.asarray(initial_counts, dtype=np.int64)
-    k = counts0.shape[0] - 1
-    z = np.asarray(zealots, dtype=np.int64)
+    k = counts0.shape[-1] - 1
     replicates = len(rngs)
     if replicates == 0:
         empty = np.empty((0, k + 1), dtype=np.int64)
@@ -226,21 +261,38 @@ def lockstep_batch(
     buffer = max(buffer, 2 * block)
     if buffer % 2:
         buffer += 1
-    if max_interactions >= 2**53:
+    # Per-column inputs (shared values broadcast).  Integers below 2^53
+    # convert to float64 exactly, so the float comparisons are exact too.
+    counts0 = np.broadcast_to(counts0, (replicates, k + 1))
+    z = np.broadcast_to(np.asarray(zealots, dtype=np.int64), (replicates, k))
+    nf = np.broadcast_to(np.asarray(n, dtype=np.float64), (replicates,)).copy()
+    budget = np.broadcast_to(
+        np.asarray(max_interactions, dtype=np.float64), (replicates,)
+    ).copy()
+    # Written so that NaN (a budget of None) fails the checks too.
+    if not (budget < 2.0**53).all():
         raise ValueError(
             f"max_interactions must stay below 2^53 (exact float64 range), "
-            f"got {max_interactions}"
+            f"got {max_interactions!r}"
         )
-    neg_n_sq = -float(n) * float(n)
-    budget = float(max_interactions)
+    if not (budget >= 0).all():
+        raise ValueError(
+            f"max_interactions must be non-negative, got {max_interactions!r}"
+        )
+    if not (nf * nf < 2.0**53).all():
+        raise ValueError(
+            f"n * n must stay below 2^53 (exact float64 weights), got n = {n!r}"
+        )
+    budgets = budget.astype(np.int64)
+    neg_n_sq = -nf * nf
     has_z = bool(z.any())
-    zf = z.astype(np.float64)[:, None]
+    zf = np.ascontiguousarray(z.T, dtype=np.float64)
 
     # Replicate-major live state; column j of every array belongs to the
     # same replicate, `origin` maps it home and `gen_index` selects its
     # generator (an index array — the generator list itself is never
     # rebuilt on compaction).
-    counts = np.repeat(counts0.astype(np.float64)[:, None], replicates, axis=1)
+    counts = np.ascontiguousarray(counts0.T, dtype=np.float64)
     interactions = np.zeros(replicates, dtype=np.float64)
     origin = np.arange(replicates)
     gen_index = np.arange(replicates)
@@ -321,7 +373,7 @@ def lockstep_batch(
                 else:
                     visible = supports
                 np.multiply(u[None, :], visible, out=w[:k])
-                np.subtract(float(n), u, out=dt)
+                np.subtract(nf, u, out=dt)
                 np.subtract(dt[None, :], visible, out=w[k:])
                 np.multiply(supports, w[k:], out=w[k:])
                 np.matmul(tri, w, out=cum)
@@ -388,7 +440,7 @@ def lockstep_batch(
                 targets = origin[dead]
                 final_counts[targets] = counts[:, dead].T
                 final_interactions[targets] = np.where(
-                    ran_out, max_interactions, inter[dead]
+                    ran_out, budgets[targets], inter[dead]
                 ).astype(np.int64)
                 exhausted[targets] = ran_out
                 keep = np.flatnonzero(alive) if n_alive else np.empty(0, np.int64)
@@ -398,6 +450,10 @@ def lockstep_batch(
                     interactions = interactions[keep]
                     comb = comb[keep]
                     cursor = cursor[keep]
+                    nf = nf[keep]
+                    neg_n_sq = neg_n_sq[keep]
+                    budget = budget[keep]
+                    zf = np.ascontiguousarray(zf[:, keep])
                     origin = origin[keep]
                     gen_index = gen_index[keep]
     return final_counts, final_interactions, exhausted

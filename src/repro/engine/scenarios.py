@@ -75,13 +75,16 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core.config import Configuration
-from ..core.simulator import RunResult
+from ..core.lockstep import lockstep_batch
+from ..core.simulator import RunResult, default_interaction_budget
 from ..faults.noise import NoisyRunResult, simulate_noise_batch, simulate_with_noise
 from ..faults.zealots import (
     ZealotRunResult,
+    default_zealot_budget,
     simulate_with_zealots,
     simulate_zealots_batch,
     validate_zealot_counts,
+    zealot_results,
 )
 from ..gossip.engine import GossipResult, run_gossip, run_gossip_batch
 from ..gossip.usd import usd_gossip_round, usd_gossip_round_batch
@@ -95,6 +98,7 @@ RECORD_FLAG_OBSERVER = 4
 
 __all__ = [
     "ScenarioSpec",
+    "PackedChunk",
     "Scenario",
     "available_scenarios",
     "coerce_spec",
@@ -222,6 +226,21 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 # Scenario protocol
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class PackedChunk:
+    """Replicates of several cells run as one lockstep kernel call.
+
+    Passed to :meth:`Scenario.run_chunk` in place of a spec, with the
+    flat generator list of every segment in order; the results come
+    back flat in the same order.  Each segment is ``(spec, replicates,
+    max_interactions)``: consecutive columns of one cell, with that
+    cell's own budget (``None`` = the scenario's default for the cell).
+    Only scenarios whose :meth:`Scenario.packs` says so accept one.
+    """
+
+    segments: tuple[tuple[ScenarioSpec, int, int | None], ...]
+
+
 class Scenario:
     """One registered dynamics family the engine knows how to execute.
 
@@ -324,6 +343,10 @@ class Scenario:
         self, variant: str, backend: str | Backend | None = None
     ) -> None:
         """Raise if ``variant`` cannot be re-resolved inside a pool worker."""
+
+    def packs(self, runner) -> bool:
+        """Whether :meth:`run_chunk` takes a :class:`PackedChunk` for ``runner``."""
+        return False
 
     # -- fixed-width result records (shared-memory transport) ----------
     #: Whether this scenario's results round-trip through the
@@ -473,9 +496,78 @@ def coerce_spec(workload: Configuration | ScenarioSpec) -> ScenarioSpec:
 
 
 # ----------------------------------------------------------------------
+# Packed chunks for the scenarios whose batched variant is lockstep_batch
+# ----------------------------------------------------------------------
+class LockstepScenario(Scenario):
+    """A scenario whose batched variant is :func:`lockstep_batch`.
+
+    Such cells run together: :meth:`run_packed` gives every column its
+    own initial counts, zealots, ``n`` and budget, and zero-pads the
+    narrower cells to the widest ``k`` — exact, per
+    :mod:`repro.core.lockstep`, so each replicate's result is
+    bit-identical to a per-cell run.
+    """
+
+    def packs(self, runner) -> bool:
+        return runner == "batched"
+
+    def lockstep_column(self, spec: ScenarioSpec, max_interactions: int | None):
+        """``(counts, zealots, n, budget)`` of one column of ``spec``."""
+        raise NotImplementedError
+
+    def lockstep_results(self, spec: ScenarioSpec, final, interactions, exhausted):
+        """Per-replicate results of ``spec`` from kernel output rows."""
+        raise NotImplementedError
+
+    def run_chunk(self, spec, variant, rngs, max_interactions):
+        if isinstance(spec, PackedChunk):
+            return self.run_packed(spec, rngs)
+        return super().run_chunk(spec, variant, rngs, max_interactions)
+
+    def run_packed(self, packed: PackedChunk, rngs) -> list:
+        segments = packed.segments
+        columns = [
+            self.lockstep_column(spec, budget) for spec, _, budget in segments
+        ]
+        width = 1 + max(spec.config.k for spec, _, _ in segments)
+        counts = np.zeros((len(segments), width), dtype=np.int64)
+        zealots = np.zeros((len(segments), width - 1), dtype=np.int64)
+        for row, (initial, stubborn, _, _) in enumerate(columns):
+            counts[row, : initial.size] = initial
+            zealots[row, : stubborn.size] = stubborn
+        repeats = [replicates for _, replicates, _ in segments]
+        final, interactions, exhausted = lockstep_batch(
+            np.repeat(counts, repeats, axis=0),
+            np.repeat(zealots, repeats, axis=0),
+            np.repeat([column[2] for column in columns], repeats),
+            rngs=rngs,
+            max_interactions=np.repeat([column[3] for column in columns], repeats),
+        )
+        results: list = []
+        stop = 0
+        for spec, replicates, _ in segments:
+            start, stop = stop, stop + replicates
+            k = spec.config.k
+            if final[start:stop, k + 1 :].any():
+                raise RuntimeError(
+                    f"a packed {self.name!r} column ended with a non-zero "
+                    "padded opinion; packing must never change a result"
+                )
+            results.extend(
+                self.lockstep_results(
+                    spec,
+                    final[start:stop, : k + 1],
+                    interactions[start:stop],
+                    exhausted[start:stop],
+                )
+            )
+        return results
+
+
+# ----------------------------------------------------------------------
 # Built-in scenario: plain USD through the backend registry
 # ----------------------------------------------------------------------
-class UsdScenario(Scenario):
+class UsdScenario(LockstepScenario):
     """Plain USD on the complete graph; delegates to the backend registry."""
 
     name = "usd"
@@ -543,7 +635,29 @@ class UsdScenario(Scenario):
             spec.config, rng=rng, max_interactions=max_interactions
         )
 
+    def packs(self, runner) -> bool:
+        # Only the built-in batched backend is known to be lockstep_batch;
+        # a passed instance or a replacement registered as "batched"
+        # runs per cell through its own simulate_batch.
+        from .batched import BatchedBackend
+
+        return runner == "batched" and type(get_backend(runner)) is BatchedBackend
+
+    def lockstep_column(self, spec, max_interactions):
+        config = spec.config
+        if max_interactions is None:
+            max_interactions = default_interaction_budget(config.n, config.k)
+        zealots = np.zeros(config.k, dtype=np.int64)
+        return config.counts, zealots, config.n, max_interactions
+
+    def lockstep_results(self, spec, final, interactions, exhausted):
+        from .batched import _results_from_arrays
+
+        return _results_from_arrays(spec.config, final, interactions, exhausted)
+
     def run_chunk(self, spec, variant, rngs, max_interactions):
+        if isinstance(spec, PackedChunk):
+            return self.run_packed(spec, rngs)
         backend = get_backend(variant)
         if supports_batch(backend):
             return backend.simulate_batch(
@@ -702,7 +816,7 @@ class GraphScenario(Scenario):
 # ----------------------------------------------------------------------
 # Built-in scenario: zealots
 # ----------------------------------------------------------------------
-class ZealotScenario(Scenario):
+class ZealotScenario(LockstepScenario):
     """USD with a fixed stubborn background (jump chain + batched variant)."""
 
     name = "zealots"
@@ -750,6 +864,19 @@ class ZealotScenario(Scenario):
             rngs=rngs,
             max_interactions=max_interactions,
             kernel=lockstep_batch_compiled,
+        )
+
+    def lockstep_column(self, spec, max_interactions):
+        config = spec.config
+        zealots = validate_zealot_counts(self._zealots(spec), config.k)
+        n = int(config.n + zealots.sum())
+        if max_interactions is None:
+            max_interactions = default_zealot_budget(n, config.k)
+        return config.counts, zealots, n, max_interactions
+
+    def lockstep_results(self, spec, final, interactions, exhausted):
+        return zealot_results(
+            spec.config, self._zealots(spec), final, interactions, exhausted
         )
 
 

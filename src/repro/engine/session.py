@@ -55,6 +55,7 @@ replicates are seeded or executed.
 from __future__ import annotations
 
 import atexit
+import itertools
 import multiprocessing
 import os
 import pickle
@@ -90,7 +91,7 @@ from .remote import (
     decode_result_block,
     make_server_tls_context,
 )
-from .scenarios import ScenarioSpec, coerce_spec, get_scenario
+from .scenarios import PackedChunk, ScenarioSpec, coerce_spec, get_scenario
 
 __all__ = ["Engine", "engine", "current_engine"]
 
@@ -1034,6 +1035,84 @@ class Engine:
             return results
 
     # -- sweeps --------------------------------------------------------
+    def _run_serial_sweep(
+        self, cells, pending, scenarios, variants, seeds, backend,
+        batch_size, results_by_cell,
+    ) -> list[dict]:
+        """Run a serial sweep's pending cells; return per-cell chunk stats.
+
+        Cells one lockstep kernel can run together (every ``usd``, or
+        every ``zealots``, cell on the built-in batched variant) form one
+        group, and each ``batch_size`` chunk of the group's replicate
+        queue is ONE :class:`PackedChunk` kernel call, so the kernel's
+        per-pass overhead is paid once per chunk instead of once per
+        cell.  Every other cell is a group of its own.  Results are
+        bit-identical either way: each replicate draws only from its own
+        seed, derived per cell before chunking.  A chunk's wall time is
+        split across its cells in proportion to their interactions, so
+        the scheduler report and the cost model stay per cell.
+        """
+        opts = self._options
+        runners = {
+            i: scenarios[i].prepare_runner(variants[i], backend) for i in pending
+        }
+        groups: dict = {}
+        for i in pending:
+            packs = scenarios[i].packs(runners[i])
+            groups.setdefault(scenarios[i].name if packs else i, []).append(i)
+            results_by_cell[i] = []
+        chunk_stats: list[dict] = []
+        for group in groups.values():
+            first = group[0]
+            scenario = scenarios[first]
+            packed = scenario.packs(runners[first])
+            queue = [
+                (i, s)
+                for i in group
+                for s in replicate_seeds(seeds[i], cells[i].trials)
+            ]
+            for chunk in _chunked(queue, batch_size):
+                rngs = [np.random.default_rng(s) for _, s in chunk]
+                segments = [
+                    (i, len(list(run)))
+                    for i, run in itertools.groupby(chunk, key=lambda item: item[0])
+                ]
+                if packed:
+                    work = PackedChunk(
+                        tuple(
+                            (cells[i].spec, width, cells[i].max_interactions)
+                            for i, width in segments
+                        )
+                    )
+                    budget = None
+                else:
+                    work, budget = cells[first].spec, cells[first].max_interactions
+                started = time.perf_counter()
+                results = scenario.run_chunk(work, runners[first], rngs, budget)
+                seconds = time.perf_counter() - started
+                parts = []
+                stop = 0
+                for i, width in segments:
+                    start, stop = stop, stop + width
+                    parts.append(results[start:stop])
+                    results_by_cell[i].extend(parts[-1])
+                weights = [1]
+                if packed:
+                    weights = [sum(r.interactions for r in part) for part in parts]
+                    if not sum(weights):
+                        weights = [width for _, width in segments]
+                for (i, width), weight in zip(segments, weights):
+                    chunk_stats.append(
+                        {
+                            "cell": i,
+                            "replicates": width,
+                            "event_block": opts.event_block,
+                            "stream_buffer": opts.stream_buffer,
+                            "seconds": seconds * weight / sum(weights),
+                        }
+                    )
+        return chunk_stats
+
     def sweep(
         self,
         spec,
@@ -1051,16 +1130,22 @@ class Engine:
         """Run every cell of a sweep through one flattened work queue.
 
         Semantics match the historical free function
-        (:func:`repro.engine.run_sweep`) bit for bit at fixed seeds —
-        same flattened cross-cell scheduling, same per-cell caching
-        under a sweep-level index — with two session upgrades: the
-        process executor reuses the session's persistent pool, and
-        (``result_transport="shared"``, the default) sweep chunks return
-        as fixed-width records through one sweep-wide shared-memory
-        block instead of pickles, with automatic pickle fallback.
-        ``executor="remote"`` drains the same flattened longest-first
-        chunk queue through socket-connected ``repro worker`` processes,
-        bit-identical to every local executor at fixed seeds.
+        (:func:`repro.engine.run_sweep`) bit for bit at fixed seeds, with
+        per-cell caching under a sweep-level index.  The process
+        executor cuts each cell into its own chunks and drains them from
+        one shared queue on the session's persistent pool
+        (``result_transport="shared"``, the default, returns them as
+        fixed-width records through one sweep-wide shared-memory block,
+        with automatic pickle fallback); ``executor="remote"`` drains the
+        same longest-first chunk queue through socket-connected ``repro
+        worker`` processes.  The serial executor packs instead: every
+        pending ``usd`` cell on the built-in batched backend, and every
+        ``zealots`` cell on its batched variant, shares one replicate
+        queue per scenario, and each ``batch_size`` chunk of it is ONE
+        zero-padded lockstep kernel call across cells (see
+        :meth:`_run_serial_sweep`).  Results are bit-identical across
+        all of them: replicate seeds are derived per cell before any
+        chunking or packing.
         """
         # Imported here: the sweep module's free function wraps this
         # method, so a top-level import would be circular.
@@ -1173,34 +1258,10 @@ class Engine:
                 event_block = opts.event_block
                 stream_buffer = opts.stream_buffer
                 if executor == "serial":
-                    runners = {
-                        i: scenarios[i].prepare_runner(variants[i], backend)
-                        for i in pending
-                    }
-                    for i in pending:
-                        results_by_cell[i] = []
-                    for i in pending:
-                        cell = cells[i]
-                        for chunk in _chunked(
-                            replicate_seeds(seeds[i], cell.trials), batch_size
-                        ):
-                            rngs = [np.random.default_rng(s) for s in chunk]
-                            started = time.perf_counter()
-                            results_by_cell[i].extend(
-                                scenarios[i].run_chunk(
-                                    cell.spec, runners[i], rngs,
-                                    cell.max_interactions,
-                                )
-                            )
-                            chunk_stats.append(
-                                {
-                                    "cell": i,
-                                    "replicates": len(chunk),
-                                    "event_block": event_block,
-                                    "stream_buffer": stream_buffer,
-                                    "seconds": time.perf_counter() - started,
-                                }
-                            )
+                    chunk_stats.extend(self._run_serial_sweep(
+                        cells, pending, scenarios, variants, seeds, backend,
+                        batch_size, results_by_cell,
+                    ))
                 else:
                     # Every cell's chunks land in ONE shared queue, so
                     # there is no per-cell barrier: workers drain chunks

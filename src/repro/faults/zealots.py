@@ -40,6 +40,7 @@ __all__ = [
     "simulate_zealots_batch",
     "validate_zealot_counts",
     "default_zealot_budget",
+    "zealot_results",
 ]
 
 
@@ -230,9 +231,20 @@ def simulate_zealots_batch(
         event_block=event_block,
     )
 
+    return zealot_results(config, zealots, flexible, interactions, exhausted)
+
+
+def zealot_results(
+    config: Configuration,
+    zealots: np.ndarray,
+    flexible: np.ndarray,
+    interactions: np.ndarray,
+    exhausted: np.ndarray,
+) -> list[ZealotRunResult]:
+    """Per-replicate results from the lockstep kernel's output arrays."""
     zealot_opinions = set((np.flatnonzero(zealots) + 1).tolist())
     results: list[ZealotRunResult] = []
-    for r in range(replicates):
+    for r in range(flexible.shape[0]):
         final = Configuration(flexible[r])
         camps = set((np.flatnonzero(flexible[r, 1:]) + 1).tolist()) | zealot_opinions
         converged = flexible[r, 0] == 0 and len(camps) <= 1

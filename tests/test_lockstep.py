@@ -211,6 +211,117 @@ class TestEventBlockInvariance:
             simulate_batch(self.CONFIG, rngs=rngs_for(1, 2), event_block=0)
 
 
+class TestPackedColumns:
+    """Per-column inputs: several cells in one call, zero-padded to max k."""
+
+    # (flexible counts, zealots, budget, seed, replicates); n includes
+    # the zealots.  The 1_500 budget runs out mid-run (and mid-block)
+    # while the other columns keep going.
+    CELLS = (
+        (Configuration.from_supports([70, 50]).counts, [0, 0], 10**7, 1, 3),
+        (uniform_configuration(300, 3).counts, [0, 0, 0], 10**7, 2, 4),
+        (uniform_configuration(120, 8).counts, [0] * 8, 10**7, 3, 3),
+        (uniform_configuration(200, 3).counts, [0, 0, 0], 1_500, 4, 2),
+        (Configuration.from_supports([40, 30, 20]).counts, [0, 4, 1], 60_000, 5, 3),
+        (Configuration.from_supports([50, 30]).counts, [3, 0], 40_000, 6, 2),
+    )
+
+    def per_cell(self, block=None):
+        return [
+            lockstep_batch(
+                counts, zealots, int(counts.sum() + sum(zealots)),
+                rngs=rngs_for(seed, width), max_interactions=budget,
+                event_block=block,
+            )
+            for counts, zealots, budget, seed, width in self.CELLS
+        ]
+
+    def packed(self, block=None):
+        K = max(len(zealots) for _, zealots, *_ in self.CELLS)
+        counts, zealots, ns, budgets, rngs = [], [], [], [], []
+        for cell_counts, cell_zealots, budget, seed, width in self.CELLS:
+            k = len(cell_zealots)
+            for _ in range(width):
+                counts.append(np.pad(cell_counts, (0, K - k)))
+                zealots.append(np.pad(cell_zealots, (0, K - k)))
+                ns.append(int(cell_counts.sum() + sum(cell_zealots)))
+                budgets.append(budget)
+            rngs.extend(rngs_for(seed, width))
+        return lockstep_batch(
+            np.array(counts), np.array(zealots), np.array(ns),
+            rngs=rngs, max_interactions=np.array(budgets), event_block=block,
+        )
+
+    @pytest.mark.parametrize("block", [1, 16])
+    def test_packed_bit_identical_to_per_cell(self, block):
+        final, interactions, exhausted = self.packed(block)
+        start = 0
+        for (counts, *_), (want_final, want_inter, want_exh) in zip(
+            self.CELLS, self.per_cell(block)
+        ):
+            stop = start + len(want_inter)
+            k = counts.size - 1
+            assert np.array_equal(final[start:stop, : k + 1], want_final)
+            assert not final[start:stop, k + 1 :].any()
+            assert np.array_equal(interactions[start:stop], want_inter)
+            assert np.array_equal(exhausted[start:stop], want_exh)
+            start = stop
+        # The mix really exercises both retirements side by side.
+        assert exhausted.any() and not exhausted.all()
+        assert exhausted[10:12].all() and (interactions[10:12] == 1_500).all()
+
+    def test_n_squared_bound_rejected(self):
+        # 94_906_265^2 < 2^53 <= 94_906_266^2.  A zero budget retires
+        # every column at once, so the in-range call returns immediately.
+        edge = 94_906_265
+        counts = np.array([0, edge - 1, 1])
+        final, interactions, exhausted = lockstep_batch(
+            counts, [0, 0], edge, rngs=rngs_for(1, 1), max_interactions=0
+        )
+        assert interactions[0] == 0 and exhausted[0]
+        with pytest.raises(ValueError, match="2\\^53"):
+            lockstep_batch(
+                counts + [0, 1, 0], [0, 0], edge + 1,
+                rngs=rngs_for(1, 1), max_interactions=0,
+            )
+        # One offending column is enough.
+        with pytest.raises(ValueError, match="2\\^53"):
+            lockstep_batch(
+                np.array([[0, 5, 5], [0, edge, 1]]), [0, 0], [10, edge + 1],
+                rngs=rngs_for(1, 2), max_interactions=0,
+            )
+
+    def test_budget_bounds_rejected_per_column(self):
+        counts = uniform_configuration(40, 2).counts
+        for budget in ([10, -1], [10, 2**53]):
+            with pytest.raises(ValueError, match="max_interactions"):
+                lockstep_batch(
+                    counts, [0, 0], 40, rngs=rngs_for(1, 2),
+                    max_interactions=np.array(budget),
+                )
+
+    def test_packed_chunk_demux_rejects_nonzero_padding(self, monkeypatch):
+        from repro.engine import scenarios
+        from repro.engine.scenarios import PackedChunk
+
+        def corrupted(*args, **kwargs):
+            final, interactions, exhausted = lockstep_batch(*args, **kwargs)
+            final[:, -1] = 1
+            return final, interactions, exhausted
+
+        packed = PackedChunk(
+            (
+                (usd_spec(uniform_configuration(60, 2)), 2, None),
+                (usd_spec(uniform_configuration(60, 3)), 1, None),
+            )
+        )
+        usd = get_scenario("usd")
+        assert len(usd.run_chunk(packed, "batched", rngs_for(1, 3), None)) == 3
+        monkeypatch.setattr(scenarios, "lockstep_batch", corrupted)
+        with pytest.raises(RuntimeError, match="padded opinion"):
+            usd.run_chunk(packed, "batched", rngs_for(1, 3), None)
+
+
 class TestGraphBatched:
     N = 48
     K = 3

@@ -25,11 +25,13 @@ from repro.engine import (
     current_engine,
     engine,
     get_backend,
+    get_scenario,
     get_default_backend,
     get_default_jobs,
     replicate_seeds,
     run_ensemble,
     run_sweep,
+    usd_spec,
     zealot_spec,
 )
 from repro.workloads import uniform_configuration
@@ -579,6 +581,151 @@ class TestSchedulerStats:
             assert cell["prediction_source"] in ("seeded", "observed")
         summary = snap["scheduler"]["cost_model"]
         assert summary["signatures"] >= 1
+
+
+class TestPackedSweep:
+    """A serial sweep runs each lockstep scenario's cells as one kernel call.
+
+    Mixed k (2, 3, 8) and n, per-cell budgets (one runs out), and zealot
+    cells; 12 usd replicates at ``batch_size=5`` make three chunks that
+    straddle cell boundaries.
+    """
+
+    CELLS = (
+        SweepCell(spec=usd_spec(uniform_configuration(90, 2)), trials=3),
+        SweepCell(
+            spec=usd_spec(uniform_configuration(150, 3)),
+            trials=4,
+            max_interactions=600,
+        ),
+        SweepCell(
+            spec=zealot_spec(Configuration.from_supports([40, 30, 20]), [0, 4, 1]),
+            trials=3,
+            max_interactions=30_000,
+        ),
+        SweepCell(spec=usd_spec(uniform_configuration(120, 8)), trials=5),
+        SweepCell(
+            spec=zealot_spec(uniform_configuration(60, 2), [3, 0]),
+            trials=2,
+            max_interactions=20_000,
+        ),
+    )
+
+    @staticmethod
+    def record_kernel_calls(monkeypatch):
+        calls = []
+        for name in ("usd", "zealots"):
+            scenario_type = type(get_scenario(name))
+            original = scenario_type.run_chunk
+
+            def recording(self, spec, variant, rngs, budget, _run=original):
+                calls.append((self.name, type(spec).__name__, len(rngs)))
+                return _run(self, spec, variant, rngs, budget)
+
+            monkeypatch.setattr(scenario_type, "run_chunk", recording)
+        return calls
+
+    def test_packed_equals_process_equals_per_cell(self, tmp_path, monkeypatch):
+        spec = SweepSpec(cells=self.CELLS)
+        with Engine(backend="batched") as eng:
+            process = eng.sweep(spec, seed=7, executor="process", jobs=2)
+        store = EnsembleCache(tmp_path)
+        calls = self.record_kernel_calls(monkeypatch)
+        with Engine(backend="batched") as eng:
+            serial = eng.sweep(
+                spec, seed=7, executor="serial", batch_size=5, cache=store
+            )
+            assert calls == [
+                ("usd", "PackedChunk", 5),
+                ("usd", "PackedChunk", 5),
+                ("usd", "PackedChunk", 2),
+                ("zealots", "PackedChunk", 5),
+            ]
+            assert any(r.budget_exhausted for r in serial.cells[1].results)
+            per_cell = [
+                eng.ensemble(
+                    run.cell.spec, run.cell.trials, seed=run.seed,
+                    max_interactions=run.cell.max_interactions, cache=False,
+                )
+                for run in serial
+            ]
+            assert sweep_key(serial) == sweep_key(process)
+            assert sweep_key(serial) == [results_key(r) for r in per_cell]
+
+            # A second identical sweep, and the same cells as single
+            # ensembles, are served from the entries the packed sweep
+            # stored: the cache keys did not change.
+            simulated = eng.stats()["replicates_simulated"]
+            del calls[:]
+            again = eng.sweep(
+                spec, seed=7, executor="serial", batch_size=5, cache=store
+            )
+            for run in serial:
+                eng.ensemble(
+                    run.cell.spec, run.cell.trials, seed=run.seed,
+                    max_interactions=run.cell.max_interactions, cache=store,
+                )
+            assert calls == []
+            assert eng.stats()["replicates_simulated"] == simulated
+        assert all(run.cached for run in again)
+        assert sweep_key(again) == sweep_key(serial)
+
+    def test_custom_batched_backends_run_per_cell(self, monkeypatch):
+        from repro.engine import backends
+        from repro.engine.batched import BatchedBackend
+
+        class Replacement(BatchedBackend):
+            pass
+
+        spec = SweepSpec(cells=self.CELLS[:2])
+        with Engine(backend="batched") as eng:
+            want = sweep_key(eng.sweep(spec, seed=3, executor="serial"))
+        calls = self.record_kernel_calls(monkeypatch)
+        with Engine() as eng:
+            got = eng.sweep(spec, seed=3, backend=BatchedBackend())
+            monkeypatch.setitem(backends._REGISTRY, "batched", Replacement())
+            replaced = eng.sweep(spec, seed=3, backend="batched")
+        assert sweep_key(got) == sweep_key(replaced) == want
+        assert calls == [("usd", "ScenarioSpec", 3), ("usd", "ScenarioSpec", 4)] * 2
+
+    def test_chunk_seconds_split_by_interactions(self, monkeypatch):
+        import itertools
+        import types
+
+        from repro.engine import session
+        from repro.engine.costmodel import CostModel
+
+        # Every chunk takes exactly 3 s on this clock.
+        ticks = itertools.count(0.0, 3.0)
+        monkeypatch.setattr(
+            session, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+        observed = []
+        monkeypatch.setattr(
+            CostModel,
+            "observe",
+            lambda self, signature, replicates, seconds: observed.append(
+                (signature, replicates, seconds)
+            ),
+        )
+        spec = SweepSpec(cells=self.CELLS)
+        with Engine(backend="batched") as eng:
+            run = eng.sweep(spec, seed=5, executor="serial")
+            report = eng.stats()["scheduler"]["last_sweep"]
+        cells = report["cells"]
+        # The cost model sees one sample per cell, as the report does.
+        assert sorted(observed) == sorted(
+            (c["signature"], c["trials"], c["measured_seconds"]) for c in cells
+        )
+        # One packed chunk per scenario, split in proportion to interactions.
+        for group in ((0, 1, 3), (2, 4)):
+            assert sum(cells[i]["measured_seconds"] for i in group) == pytest.approx(3.0)
+            work = [sum(r.interactions for r in run.cells[i].results) for i in group]
+            for i, cell_work in zip(group, work):
+                assert cells[i]["measured_seconds"] == pytest.approx(
+                    3.0 * cell_work / sum(work)
+                )
+        assert report["measured_seconds"] == pytest.approx(6.0)
 
 
 class TestCliScheduler:
