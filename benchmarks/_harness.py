@@ -16,11 +16,10 @@ and archived under ``benchmarks/results/``.  :func:`run_engine_smoke`
 measures serial jump-chain vs batched ensemble throughput,
 :func:`run_scenario_smoke` times one ensemble per registered scenario,
 :func:`run_kernel_ablation` compares the single-event vs multi-event
-lockstep kernels, the batched graph/gossip kernels vs their serial
-references, and the pickle vs shared-memory result transports, and
-:func:`run_sweep_smoke` times one heterogeneous multi-cell sweep three
-ways — legacy per-cell ``run_ensemble`` barrier, static flattened
-queue, cost-model scheduler; all
+lockstep kernels and the batched graph/gossip kernels vs their serial
+references, and :func:`run_sweep_smoke` times one heterogeneous
+multi-cell sweep two ways — legacy per-cell ``run_ensemble`` barrier
+vs the cost-model scheduler's flattened queue; all
 write JSON artifacts (``BENCH_engine.json`` — engine smoke + ablation —
 / ``BENCH_scenarios.json`` / ``BENCH_sweeps.json``, used by
 ``engine_smoke.py`` / ``sweep_smoke.py`` and CI).
@@ -177,9 +176,6 @@ def run_kernel_ablation(
     graph_budget: int = 100_000,
     gossip_n: int = 96,
     gossip_replicates: int = 512,
-    transport_n: int = 500,
-    transport_trials: int = 2000,
-    jobs: int = 2,
     seed: int = 20230224,
     output: str | os.PathLike | None = None,
 ) -> dict:
@@ -196,8 +192,6 @@ def run_kernel_ablation(
       bit-identical.
     * **gossip** — per-replicate serial rounds vs the stacked-replicate
       round engine, asserted bit-identical.
-    * **transport** — the process executor at ``jobs`` workers with
-      pickled results vs shared-memory result records, asserted equal.
     * **compiled** — the numba-jitted tier against its numpy baseline on
       every axis that has one (lockstep, graph, gossip).  With numba the
       jitted kernels are timed and validated — bit-identical where the
@@ -454,34 +448,6 @@ def run_kernel_ablation(
         compiled["fallback_identical"] = True
     record["compiled"] = compiled
 
-    # ---- pickle vs shared-memory result transport -------------------
-    transport_config = uniform_configuration(transport_n, 3)
-    start = time.perf_counter()
-    via_pickle = run_ensemble(
-        transport_config, transport_trials, seed=seed, backend="batched",
-        executor="process", jobs=jobs, result_transport="pickle",
-    )
-    pickle_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    via_shared = run_ensemble(
-        transport_config, transport_trials, seed=seed, backend="batched",
-        executor="process", jobs=jobs, result_transport="shared",
-    )
-    shared_seconds = time.perf_counter() - start
-    assert via_pickle == via_shared, "transports returned different results"
-    record["transport"] = {
-        "workload": {
-            "n": transport_n,
-            "k": 3,
-            "replicates": transport_trials,
-            "jobs": jobs,
-        },
-        "pickle": {"seconds": pickle_seconds},
-        "shared": {"seconds": shared_seconds},
-        "ratio": shared_seconds / pickle_seconds,
-        "identical": True,
-    }
-
     if output is not None:
         Path(output).write_text(json.dumps(record, indent=2) + "\n")
     return record
@@ -498,32 +464,29 @@ def run_sweep_smoke(
     rounds: int = 3,
     output: str | os.PathLike | None = None,
 ) -> dict:
-    """Three-way scheduling ablation on one heterogeneous sweep grid.
+    """Scheduling ablation on one heterogeneous sweep grid.
 
     Times the identical ``ns x ks`` grid (per-replicate cost spans two
     orders of magnitude across cells — the phase-diagram shape sweeps
-    actually take) three ways on the multiprocessing executor with the
+    actually take) two ways on the multiprocessing executor with the
     same per-cell seeds:
 
     * **legacy_per_cell_barrier** — the pre-sweep, pre-session shape:
       one ``run_ensemble`` barrier per cell on a fresh one-cell
       ``Engine`` (fresh pool per cell, every cell stalls on its slowest
       replicate before the next may start);
-    * **static_flattened** — the PR 3 shape: one flattened work queue,
-      FIFO cell order, a fixed ``jobs * 4``-way split per cell
-      (``scheduler="static"``);
-    * **cost_scheduler** — the cost-model scheduler: cells ordered
-      longest-predicted-first and chunked into target wall-time slices
-      (``scheduler="cost"``), its model warmed by an untimed
-      calibration sweep at different seeds (the static side gets the
-      same untimed warm-up, so neither pays pool spawn in its window).
+    * **cost_scheduler** — one flattened work queue on a session pool:
+      cells ordered longest-predicted-first and chunked into target
+      wall-time slices, its cost model warmed by an untimed calibration
+      sweep at different seeds (which also spawns the pool, so the
+      timed window does not pay for it).
 
-    All three result sets are asserted bit-identical — scheduling moves
-    wall time, never bits — and the headline ``speedup`` is
-    legacy/cost (CI gates it at >= 1.3x).  The arms are interleaved for
-    ``rounds`` rounds and each reports its fastest round, so drift on a
-    shared or thermally-throttled runner hits all three alike instead
-    of whichever arm ran last.  Writes ``BENCH_sweeps.json`` when
+    Both result sets are asserted bit-identical — scheduling moves wall
+    time, never bits — and the headline ``speedup`` is legacy/cost (CI
+    gates it at >= 1.3x).  The arms are interleaved for ``rounds``
+    rounds and each reports its fastest round, so drift on a shared or
+    thermally-throttled runner hits both alike instead of whichever arm
+    ran last.  Writes ``BENCH_sweeps.json`` when
     ``output`` is given (the CI artifact).
     """
     ns = ns if ns is not None else [20, 30, 45, 60, 90, 120, 180, 240]
@@ -539,20 +502,15 @@ def run_sweep_smoke(
             for r in cell.results
         ]
 
-    # Untimed warm-up for both flattened arms: spawns the session pool
-    # and (cost side) seeds the online model with measured chunk times,
-    # so the timed windows isolate scheduling, not spawn or cold-start.
+    # Untimed warm-up: spawns the session pool and seeds the online
+    # model with measured chunk times, so the timed window isolates
+    # scheduling, not spawn or cold-start.
     calibration = SweepSpec.from_grid(grid, uniform_configuration, trials=2)
 
-    times: dict[str, list[float]] = {"legacy": [], "static": [], "cost": []}
+    times: dict[str, list[float]] = {"legacy": [], "cost": []}
     report = None
     reference_key = None
-    with Engine(jobs=jobs, scheduler="static") as static_eng, Engine(
-        jobs=jobs, scheduler="cost"
-    ) as cost_eng:
-        static_eng.sweep(
-            calibration, seed=seed - 1, executor="process", jobs=jobs
-        )
+    with Engine(jobs=jobs) as cost_eng:
         cost_eng.sweep(
             calibration, seed=seed - 1, executor="process", jobs=jobs
         )
@@ -580,19 +538,17 @@ def run_sweep_smoke(
                 reference_key = legacy_key
             assert legacy_key == reference_key
 
-            for arm, eng in (("static", static_eng), ("cost", cost_eng)):
-                start = time.perf_counter()
-                outcome = eng.sweep(
-                    spec, cell_seeds=cell_seeds, executor="process", jobs=jobs
-                )
-                times[arm].append(time.perf_counter() - start)
-                assert outcome_key(outcome) == reference_key, (
-                    f"{arm} scheduler diverged from the per-cell loop"
-                )
+            start = time.perf_counter()
+            outcome = cost_eng.sweep(
+                spec, cell_seeds=cell_seeds, executor="process", jobs=jobs
+            )
+            times["cost"].append(time.perf_counter() - start)
+            assert outcome_key(outcome) == reference_key, (
+                "cost scheduler diverged from the per-cell loop"
+            )
         report = cost_eng.stats()["scheduler"]["last_sweep"]
 
     legacy_seconds = min(times["legacy"])
-    static_seconds = min(times["static"])
     cost_seconds = min(times["cost"])
     replicates = spec.total_trials
     record = {
@@ -611,11 +567,6 @@ def run_sweep_smoke(
             "round_seconds": times["legacy"],
             "replicates_per_second": replicates / legacy_seconds,
         },
-        "static_flattened": {
-            "seconds": static_seconds,
-            "round_seconds": times["static"],
-            "replicates_per_second": replicates / static_seconds,
-        },
         "cost_scheduler": {
             "seconds": cost_seconds,
             "round_seconds": times["cost"],
@@ -625,7 +576,6 @@ def run_sweep_smoke(
             "prediction_error": report["prediction_error"],
         },
         "speedup": legacy_seconds / cost_seconds,
-        "static_speedup": legacy_seconds / static_seconds,
         "bit_identical": True,
     }
     if output is not None:
@@ -884,9 +834,9 @@ def run_remote_smoke(
 
     # Kill-and-requeue: a flaky in-process worker (deterministic
     # mid-chunk death on its second dispatch) beside one healthy
-    # subprocess worker; static small chunks guarantee the flaky worker
+    # subprocess worker; batch_size=2 chunks guarantee the flaky worker
     # is dispatched that fatal second chunk.
-    with Engine(executor="remote", scheduler="static") as eng:
+    with Engine(executor="remote") as eng:
         pool = eng.worker_pool()
         flaky = threading.Thread(
             target=lambda: serve_worker(

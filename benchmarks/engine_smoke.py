@@ -6,8 +6,7 @@ vectorized ``"batched"`` backend on the acceptance workload (n=10^4,
 k=5, 1000 replicates by default), an ``"ablation"`` section covering
 the kernel axes introduced with the multi-event overhaul — single-event
 vs multi-event lockstep blocks, batched graph/gossip kernels vs their
-serial references, pickle vs shared-memory result transport, and the
-numba-compiled tier vs the numpy kernels (numpy-fallback identity is
+serial references, and the numba-compiled tier vs the numpy kernels (numpy-fallback identity is
 verified instead when numba is absent) — plus a
 ``BENCH_scenarios.json`` artifact timing one ensemble per registered
 scenario (usd, graph, zealots, noise, gossip) through ``run_ensemble``.
@@ -22,7 +21,7 @@ Usage::
         [--scenarios-output BENCH_scenarios.json] [--min-speedup 3] \
         [--no-ablation] [--min-multi-event-speedup 1.5] \
         [--min-graph-speedup 3] [--min-gossip-speedup 3] \
-        [--min-compiled-speedup 2] [--max-transport-ratio 1.15]
+        [--min-compiled-speedup 2]
 
 Exits non-zero when any measured figure falls outside its threshold
 (pass ``0`` thresholds to record without gating); pass
@@ -53,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="run the kernel ablation (lockstep blocks, graph/gossip "
-        "batch kernels, result transport) into the same artifact",
+        "batch kernels, compiled tier) into the same artifact",
     )
     parser.add_argument(
         "--ablation-output",
@@ -70,13 +69,6 @@ def main(argv: list[str] | None = None) -> int:
         help="compiled lockstep tier must beat the numpy multi-event "
         "kernel by this factor; skipped (never failed) when numba is "
         "unavailable, 0 records without gating",
-    )
-    parser.add_argument(
-        "--max-transport-ratio",
-        type=float,
-        default=1.15,
-        help="shared-memory wall time must stay within this factor of "
-        "the pickle transport (1.15 tolerates timer noise around parity)",
     )
     args = parser.parse_args(argv)
 
@@ -128,10 +120,6 @@ def main(argv: list[str] | None = None) -> int:
             f"gossip:       batched {ablation['gossip']['speedup']:.1f}x serial "
             f"(bit-identical)"
         )
-        print(
-            f"transport:    shared/pickle wall-time ratio "
-            f"{ablation['transport']['ratio']:.2f} (results identical)"
-        )
         compiled = ablation.get("compiled", {})
         if compiled.get("available"):
             validation = (
@@ -174,15 +162,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"gossip speedup {ablation['gossip']['speedup']:.2f} below "
                 f"{args.min_gossip_speedup}"
-            )
-        if (
-            args.max_transport_ratio > 0
-            and ablation["transport"]["ratio"] > args.max_transport_ratio
-        ):
-            failures.append(
-                f"shared-memory transport ratio "
-                f"{ablation['transport']['ratio']:.2f} above "
-                f"{args.max_transport_ratio}"
             )
 
     if args.output:

@@ -29,10 +29,9 @@ The JSON output is a diagnostic artifact (not tracked in CI) recording
 the full timing grid for the machine it ran on.  ``--emit-cost-table``
 re-emits the measurements in the sweep scheduler's ``costmodel.json``
 format (see :mod:`repro.engine.costmodel`) so an offline tuning run can
-warm-start the online scheduler's cost predictions, event-block and
-stream-buffer choices — under the ``batched`` signature always, and
-additionally under the ``compiled`` signature when the compiled arm
-ran.
+warm-start the online scheduler's cost predictions — the best grid
+point's time under the ``batched`` signature always, and additionally
+under the ``compiled`` signature when the compiled arm ran.
 """
 
 from __future__ import annotations
@@ -78,10 +77,10 @@ def main(argv: list[str] | None = None) -> int:
         "--emit-cost-table",
         default=None,
         metavar="PATH",
-        help="additionally write the measured grid as a cost table in the "
+        help="additionally write the best grid point as a cost table in the "
         "engine's costmodel.json format (drop it into a cache directory "
-        "to warm-start the sweep scheduler's predictions and event-block "
-        "choice for this workload's signature)",
+        "to warm-start the sweep scheduler's predictions for this "
+        "workload's signature)",
     )
     args = parser.parse_args(argv)
 
@@ -193,34 +192,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.emit_cost_table:
         from repro.engine.costmodel import CostModel, cost_signature
 
-        def fold_arm(model, variant, arm_grid, arm_best):
-            arm_block, arm_buffer, arm_seconds = arm_best
+        model = CostModel()
+        arms = [("batched", best)]
+        if compiled_best is not None:
+            arms.append(("compiled", compiled_best))
+        emitted = []
+        for variant, (_, _, arm_seconds) in arms:
             signature = cost_signature("usd", variant, args.n)
             model.observe(signature, args.trials, arm_seconds)
-            # Blocks along the best buffer's row, buffers along the best
-            # block's column — each knob measured with the other held at
-            # its optimum, matching how the online autotuner converges.
-            for block_str, block_seconds in arm_grid[str(arm_buffer)].items():
-                model.observe_block(
-                    signature, int(block_str), args.trials, block_seconds
-                )
-            for buffer_str, row in arm_grid.items():
-                model.observe_buffer(
-                    signature, int(buffer_str), args.trials,
-                    row[str(arm_block)],
-                )
-            return signature, arm_seconds
-
-        model = CostModel()
-        signature, best_seconds = fold_arm(model, "batched", grid, best)
-        emitted = f"{signature}: {best_seconds / args.trials:.4f}s/replicate"
-        if compiled_best is not None:
-            c_signature, c_seconds = fold_arm(
-                model, "compiled", compiled_grid, compiled_best
+            emitted.append(
+                f"{signature}: {arm_seconds / args.trials:.4f}s/replicate"
             )
-            emitted += (
-                f"; {c_signature}: {c_seconds / args.trials:.4f}s/replicate"
-            )
+        emitted = "; ".join(emitted)
         Path(args.emit_cost_table).write_text(
             json.dumps(model.to_payload(), indent=2, sort_keys=True) + "\n"
         )

@@ -4,14 +4,12 @@ Three measurements, merged into one ``BENCH_sweeps.json`` artifact:
 
 * **scheduling** — times one heterogeneous multi-cell sweep (an
   ``ns x ks`` phase-diagram grid whose per-replicate cost spans two
-  orders of magnitude) three ways on the multiprocessing executor with
+  orders of magnitude) two ways on the multiprocessing executor with
   identical per-cell seeds: the legacy way (one ``run_ensemble``
-  barrier + fresh pool per grid cell), the static flattened queue
-  (``scheduler="static"``: FIFO cell order, fixed ``jobs * 4``-way
-  split per cell), and the cost-model scheduler (``scheduler="cost"``:
-  longest-predicted-first ordering, target wall-time chunk slices).
-  All three result sets are asserted bit-identical; the headline
-  speedup is legacy/cost.
+  barrier + fresh pool per grid cell) and the cost-model scheduler's
+  flattened queue (longest-predicted-first ordering, target wall-time
+  chunk slices).  Both result sets are asserted bit-identical; the
+  headline speedup is legacy/cost.
 * **pool_reuse** — runs the same sequence of small sweeps twice on the
   process executor: a fresh ``Engine`` (fresh worker pool) per sweep vs
   ONE session whose persistent pool serves every sweep.  Results are
@@ -208,17 +206,11 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n")
 
     legacy = scheduling["legacy_per_cell_barrier"]
-    static = scheduling["static_flattened"]
     cost = scheduling["cost_scheduler"]
     print(
         f"legacy barrier: {scheduling['replicates']} replicates over "
         f"{scheduling['cells']} cells in {legacy['seconds']:.2f}s = "
         f"{legacy['replicates_per_second']:.2f} rep/s"
-    )
-    print(
-        f"static queue:   same grid flattened in {static['seconds']:.2f}s = "
-        f"{static['replicates_per_second']:.2f} rep/s "
-        f"({scheduling['static_speedup']:.2f}x legacy)"
     )
     error = cost["prediction_error"]
     error_note = f", {error:.0%} prediction error" if error is not None else ""

@@ -82,11 +82,8 @@ import numpy as np
 from .analysis.report import build_markdown_report
 from .core.phases import PhaseTracker
 from .engine import (
-    AUTOTUNE_MODES,
     EXECUTORS,
-    RESULT_TRANSPORTS,
     SEED_DERIVATIONS,
-    SWEEP_SCHEDULERS,
     Engine,
     EnsembleCache,
     SweepSpec,
@@ -197,33 +194,6 @@ def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
         help="uniforms each replicate pre-draws per refill in the "
         "lockstep kernels; never changes results (default: 256, or "
         "REPRO_ENGINE_STREAM_BUFFER)",
-    )
-    command.add_argument(
-        "--result-transport",
-        choices=RESULT_TRANSPORTS,
-        default=None,
-        help="how process-executor workers return results (default: "
-        "shared memory with pickle fallback, or "
-        "REPRO_ENGINE_RESULT_TRANSPORT)",
-    )
-    command.add_argument(
-        "--scheduler",
-        choices=SWEEP_SCHEDULERS,
-        default=None,
-        help="sweep scheduling policy: cost = longest-predicted-first "
-        "ordering with wall-time-sliced chunks from the session cost "
-        "model, static = fixed per-cell split in grid order; never "
-        "changes results (default: cost, or REPRO_ENGINE_SCHEDULER)",
-    )
-    command.add_argument(
-        "--autotune",
-        nargs="?",
-        const="on",
-        choices=AUTOTUNE_MODES,
-        default=None,
-        help="retune the lockstep kernels' event_block and stream_buffer "
-        "per sweep cell from measured throughput; never changes results "
-        "(default: off, or REPRO_ENGINE_AUTOTUNE; bare --autotune means on)",
     )
 
 
@@ -599,9 +569,6 @@ def _build_engine(args) -> Engine:
         cache_dir=args.cache_dir,
         event_block=args.event_block,
         stream_buffer=args.stream_buffer,
-        result_transport=args.result_transport,
-        scheduler=args.scheduler,
-        autotune=args.autotune,
     )
 
 
@@ -827,8 +794,7 @@ def _print_scheduler_summary(session_stats: dict) -> None:
     if not report:
         return
     line = (
-        f"scheduler:        {report['scheduler']} "
-        f"(autotune {report['autotune']}, {report['executor']} executor); "
+        f"scheduler:        {report['executor']} executor; "
         f"{report['replicates_scheduled']} replicates scheduled, "
         f"{report['replicates_from_cache']} from cache"
     )
@@ -842,15 +808,6 @@ def _print_scheduler_summary(session_stats: dict) -> None:
         if report["prediction_error"] is not None:
             line += f" ({report['prediction_error'] * 100:.0f}% error)"
     print(line)
-    blocks = sorted(
-        {
-            cell["event_block"]
-            for cell in report["cells"]
-            if not cell["cached"] and cell.get("event_block") is not None
-        }
-    )
-    if report["autotune"] == "on" and blocks:
-        print(f"event blocks:     {', '.join(str(b) for b in blocks)} (autotuned)")
     workers = report.get("workers")
     if workers:
         for name in sorted(workers):

@@ -69,9 +69,9 @@ ran out).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+from .env import env_int
 
 __all__ = [
     "DEFAULT_EVENT_BLOCK",
@@ -113,13 +113,7 @@ def _global_default_event_block() -> int:
     """Legacy layered resolution: override, environment, built-in."""
     if _EVENT_BLOCK_OVERRIDE is not None:
         return _EVENT_BLOCK_OVERRIDE
-    raw = os.environ.get("REPRO_ENGINE_EVENT_BLOCK")
-    if raw is None:
-        return DEFAULT_EVENT_BLOCK
-    block = int(raw)
-    if block < 1:
-        raise ValueError(f"REPRO_ENGINE_EVENT_BLOCK must be positive, got {raw}")
-    return block
+    return env_int("REPRO_ENGINE_EVENT_BLOCK", DEFAULT_EVENT_BLOCK, minimum=1)
 
 
 def get_default_event_block() -> int:
@@ -158,15 +152,7 @@ def _global_default_stream_buffer() -> int:
     """Legacy layered resolution: override, environment, built-in."""
     if _STREAM_BUFFER_OVERRIDE is not None:
         return _STREAM_BUFFER_OVERRIDE
-    raw = os.environ.get("REPRO_ENGINE_STREAM_BUFFER")
-    if raw is None:
-        return DEFAULT_STREAM_BUFFER
-    buffer = int(raw)
-    if buffer < 1:
-        raise ValueError(
-            f"REPRO_ENGINE_STREAM_BUFFER must be positive, got {raw}"
-        )
-    return buffer
+    return env_int("REPRO_ENGINE_STREAM_BUFFER", DEFAULT_STREAM_BUFFER, minimum=1)
 
 
 def get_default_stream_buffer() -> int:

@@ -34,8 +34,7 @@ call, and an open ensemble-cache handle —
 
 while the free functions above remain thin wrappers over a module-level
 default session (bit-identical results at fixed seeds).  Scoped
-configuration uses ``with engine(jobs=4): ...`` instead of global
-mutation (:func:`set_engine_defaults` is deprecated).
+configuration uses ``with engine(jobs=4): ...``.
 
 Backends are selected by name (``"agents"``, ``"jump"``, ``"batched"``,
 ``"compiled"`` — the numba-jitted tier, which transparently falls back
@@ -74,14 +73,10 @@ from .cache import EnsembleCache, ensemble_key, seed_token
 from .costmodel import CostModel, cost_signature
 from .executors import DEFAULT_BATCH_SIZE, EXECUTORS, replicate_seeds, run_ensemble
 from .options import (
-    AUTOTUNE_MODES,
     DEFAULT_BACKEND,
     DEFAULT_CACHE_DIR,
-    RESULT_TRANSPORTS,
-    SWEEP_SCHEDULERS,
     EngineOptions,
     engine_defaults,
-    get_default_autotune,
     get_default_backend,
     get_default_cache,
     get_default_cache_dir,
@@ -89,11 +84,8 @@ from .options import (
     get_default_event_block,
     get_default_executor,
     get_default_jobs,
-    get_default_result_transport,
-    get_default_scheduler,
     get_default_stream_buffer,
     get_default_workers,
-    set_engine_defaults,
 )
 from .remote import (
     DEFAULT_WORKER_TIMEOUT,
@@ -170,18 +162,14 @@ __all__ = [
     "legacy_cell_seed",
     "CostModel",
     "cost_signature",
-    "AUTOTUNE_MODES",
     "SEED_DERIVATIONS",
-    "SWEEP_SCHEDULERS",
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_BACKEND",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_EVENT_BLOCK",
     "DEFAULT_STREAM_BUFFER",
     "EXECUTORS",
-    "RESULT_TRANSPORTS",
     "engine_defaults",
-    "get_default_autotune",
     "get_default_backend",
     "get_default_cache",
     "get_default_cache_dir",
@@ -189,11 +177,8 @@ __all__ = [
     "get_default_event_block",
     "get_default_executor",
     "get_default_jobs",
-    "get_default_result_transport",
-    "get_default_scheduler",
     "get_default_stream_buffer",
     "get_default_workers",
-    "set_engine_defaults",
     "WorkerPool",
     "serve_worker",
     "parse_address",

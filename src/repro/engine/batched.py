@@ -11,7 +11,7 @@ per-event interpreter cost is shared by every live replicate.
 Since the multi-event overhaul, :func:`simulate_batch` delegates to the
 shared :func:`repro.core.lockstep.lockstep_batch` kernel, which applies
 a whole *block* of events per pass (``event_block``, see
-``REPRO_ENGINE_EVENT_BLOCK`` / ``set_engine_defaults(event_block=...)``)
+``REPRO_ENGINE_EVENT_BLOCK`` / ``Engine(event_block=...)``)
 on transposed ``(k + 1, R)`` state with BLAS cumulative weights.  The
 pre-overhaul kernel — one event per pass on ``(R, k + 1)`` state — is
 preserved verbatim as :func:`simulate_batch_single_event`: it is the
@@ -109,7 +109,7 @@ def simulate_batch(
     event_block:
         Productive events applied per numpy pass; defaults to the
         session default (``REPRO_ENGINE_EVENT_BLOCK`` /
-        ``set_engine_defaults(event_block=...)``).  Never changes
+        ``Engine(event_block=...)``).  Never changes
         results — only how much per-pass overhead is amortized.
     """
     n = config.n

@@ -14,15 +14,11 @@ cost that lets the session
   start immediately instead of queuing behind confetti), and
 * size every chunk as a target **wall-time slice** rather than a fixed
   replicate count — big-n cells split finer, tiny cells coalesce into
-  one chunk — bounding the tail a straggling chunk can add; and
-* retune the lockstep kernels' ``event_block`` and ``stream_buffer``
-  per cell from measured chunk throughput (opt-in; see
-  :class:`CostModel.plan_blocks` / :class:`CostModel.plan_buffers`).
+  one chunk — bounding the tail a straggling chunk can add.
 
 None of this can change results: replicate seeds are derived per cell
-*before* chunking, scenario kernels are batch-width invariant, and
-``event_block`` only affects how many events one numpy pass applies.
-The scheduler therefore moves only wall time, never bits — the same
+*before* chunking and scenario kernels are batch-width invariant.  The
+scheduler therefore moves only wall time, never bits — the same
 invariant the ensemble cache already relies on.
 
 Model shape
@@ -42,21 +38,20 @@ The table round-trips through JSON (:meth:`CostModel.to_payload` /
 ensemble cache (``costmodel.json``), so later sweeps — even in fresh
 processes — start warm.  ``benchmarks/kernel_tune.py
 --emit-cost-table`` writes the same format from its offline grid.
+Older tables may also carry ``event_blocks`` / ``stream_buffers``
+sections (per-signature kernel-knob timings); those sections are
+ignored, and the tables' ``cells`` and ``workers`` entries still load.
 """
 
 from __future__ import annotations
 
 import math
 
-from .options import AUTOTUNE_MODES, SWEEP_SCHEDULERS  # noqa: F401  (re-export)
-
 __all__ = [
     "CostModel",
     "cost_signature",
     "COST_TABLE_FORMAT",
     "DEFAULT_TARGET_CHUNK_SECONDS",
-    "EVENT_BLOCK_CANDIDATES",
-    "STREAM_BUFFER_CANDIDATES",
 ]
 
 #: Format tag of the persisted cost table; bumped on incompatible layout
@@ -67,19 +62,6 @@ COST_TABLE_FORMAT = 1
 #: straggling final chunk cannot idle the pool for long, large enough
 #: that per-chunk dispatch overhead stays negligible next to the work.
 DEFAULT_TARGET_CHUNK_SECONDS = 0.2
-
-#: ``event_block`` values the online autotuner explores.  The offline
-#: ``kernel_tune`` grids show the optimum moving across exactly this
-#: plateau as (n, k, dynamics) vary; values outside it were never
-#: competitive on any profiled workload.
-EVENT_BLOCK_CANDIDATES = (8, 16, 32, 64)
-
-#: ``stream_buffer`` values the online autotuner explores.  The buffer
-#: trades refill frequency against redraw waste when replicates finish
-#: early; the kernel_tune grids put the optimum inside this span for
-#: every profiled (n, k).  Like ``event_block``, the buffer can never
-#: change results — refills preserve unconsumed draws.
-STREAM_BUFFER_CANDIDATES = (64, 256, 1024)
 
 #: EWMA weight of a new observation (per replicate-weighted sample).
 EWMA_ALPHA = 0.3
@@ -146,8 +128,27 @@ def _seed_per_replicate(scenario: str, variant: str, n: int) -> float:
     return coeff * n * math.log2(n)
 
 
+def _clean_table(table) -> dict[str, dict]:
+    """The well-formed ``signature -> EWMA entry`` rows of a payload table."""
+    clean: dict[str, dict] = {}
+    if not isinstance(table, dict):
+        return clean
+    for signature, entry in table.items():
+        try:
+            seconds = float(entry["per_replicate_seconds"])
+            samples = int(entry.get("samples", 1))
+        except (KeyError, TypeError, ValueError):
+            continue
+        if seconds > 0 and samples > 0:
+            clean[str(signature)] = {
+                "per_replicate_seconds": seconds,
+                "samples": samples,
+            }
+    return clean
+
+
 class CostModel:
-    """EWMA cost table + event-block tuner behind the sweep scheduler.
+    """EWMA cost table behind the sweep scheduler.
 
     One instance lives on an :class:`~repro.engine.session.Engine` and
     is shared by every sweep of the session; when the session has an
@@ -162,12 +163,6 @@ class CostModel:
         #:                               "samples": int}} — the remote
         #: executor's heterogeneity model (see :meth:`observe_worker`).
         self._workers: dict[str, dict[str, dict]] = {}
-        #: signature -> {str(block): {"seconds_per_replicate": float,
-        #:                            "samples": int}}
-        self._blocks: dict[str, dict] = {}
-        #: signature -> {str(buffer): {"seconds_per_replicate": float,
-        #:                             "samples": int}}
-        self._buffers: dict[str, dict] = {}
 
     # -- persistence ---------------------------------------------------
     @classmethod
@@ -184,61 +179,11 @@ class CostModel:
             return model
         if payload.get("format") != COST_TABLE_FORMAT:
             return model
-        cells = payload.get("cells")
-        if isinstance(cells, dict):
-            for signature, entry in cells.items():
-                try:
-                    seconds = float(entry["per_replicate_seconds"])
-                    samples = int(entry.get("samples", 1))
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if seconds > 0 and samples > 0:
-                    model._cells[str(signature)] = {
-                        "per_replicate_seconds": seconds,
-                        "samples": samples,
-                    }
-        for section, target in (
-            ("event_blocks", model._blocks),
-            ("stream_buffers", model._buffers),
-        ):
-            table = payload.get(section)
-            if not isinstance(table, dict):
-                continue
-            for signature, per_value in table.items():
-                if not isinstance(per_value, dict):
-                    continue
-                clean = {}
-                for value, entry in per_value.items():
-                    try:
-                        int(value)
-                        seconds = float(entry["seconds_per_replicate"])
-                        samples = int(entry.get("samples", 1))
-                    except (KeyError, TypeError, ValueError):
-                        continue
-                    if seconds > 0 and samples > 0:
-                        clean[str(value)] = {
-                            "seconds_per_replicate": seconds,
-                            "samples": samples,
-                        }
-                if clean:
-                    target[str(signature)] = clean
+        model._cells = _clean_table(payload.get("cells"))
         workers = payload.get("workers")
         if isinstance(workers, dict):
             for worker, table in workers.items():
-                if not isinstance(table, dict):
-                    continue
-                clean_table = {}
-                for signature, entry in table.items():
-                    try:
-                        seconds = float(entry["per_replicate_seconds"])
-                        samples = int(entry.get("samples", 1))
-                    except (KeyError, TypeError, ValueError):
-                        continue
-                    if seconds > 0 and samples > 0:
-                        clean_table[str(signature)] = {
-                            "per_replicate_seconds": seconds,
-                            "samples": samples,
-                        }
+                clean_table = _clean_table(table)
                 if clean_table:
                     model._workers[str(worker)] = clean_table
         return model
@@ -248,14 +193,6 @@ class CostModel:
         return {
             "format": COST_TABLE_FORMAT,
             "cells": {k: dict(v) for k, v in self._cells.items()},
-            "event_blocks": {
-                sig: {b: dict(e) for b, e in per.items()}
-                for sig, per in self._blocks.items()
-            },
-            "stream_buffers": {
-                sig: {b: dict(e) for b, e in per.items()}
-                for sig, per in self._buffers.items()
-            },
             # Optional section: absent tables simply read as "no worker
             # history", so the format tag stays compatible.
             "workers": {
@@ -390,157 +327,12 @@ class CostModel:
         )
         entry["samples"] += 1
 
-    # -- kernel-knob autotuning (event_block / stream_buffer) ----------
-    @staticmethod
-    def _plan_values(
-        table: dict,
-        signature: str,
-        chunks: int,
-        default: int,
-        candidates: tuple[int, ...],
-        best: int,
-    ) -> list[int]:
-        pool = tuple(dict.fromkeys((*candidates, int(default))))
-        per_value = table.get(signature, {})
-        unmeasured = [v for v in pool if str(v) not in per_value]
-        if not unmeasured:
-            return [best] * chunks
-        plan = []
-        for index in range(chunks):
-            if index < len(unmeasured) * 2:
-                # Two shots per unexplored candidate, interleaved so a
-                # short cell still samples several values.
-                plan.append(unmeasured[index % len(unmeasured)])
-            else:
-                plan.append(best)
-        return plan
-
-    @staticmethod
-    def _observe_value(
-        table: dict, signature: str, value: int, replicates: int, seconds: float
-    ) -> None:
-        replicates = int(replicates)
-        if replicates < 1 or seconds <= 0:
-            return
-        per_replicate = seconds / replicates
-        per_value = table.setdefault(signature, {})
-        entry = per_value.get(str(int(value)))
-        if entry is None:
-            per_value[str(int(value))] = {
-                "seconds_per_replicate": max(per_replicate, 1e-9),
-                "samples": 1,
-            }
-            return
-        entry["seconds_per_replicate"] = max(
-            (1 - EWMA_ALPHA) * entry["seconds_per_replicate"]
-            + EWMA_ALPHA * per_replicate,
-            1e-9,
-        )
-        entry["samples"] += 1
-
-    @staticmethod
-    def _tuned_value(
-        table: dict, signature: str, default: int, candidates: tuple[int, ...]
-    ) -> int:
-        per_value = table.get(signature)
-        if not per_value:
-            return int(default)
-        pool = {str(v) for v in (*candidates, int(default))}
-        measured = {
-            int(value): entry["seconds_per_replicate"]
-            for value, entry in per_value.items()
-            if value in pool
-        }
-        if not measured:
-            return int(default)
-        return min(measured, key=measured.get)
-
-    def plan_blocks(
-        self,
-        signature: str,
-        chunks: int,
-        default_block: int,
-        *,
-        candidates: tuple[int, ...] = EVENT_BLOCK_CANDIDATES,
-    ) -> list[int]:
-        """Per-chunk ``event_block`` assignment for one cell.
-
-        While a signature is still exploring (some candidate has no
-        measured sample yet), unmeasured candidates are spread
-        round-robin over the cell's chunks — ``event_block`` cannot
-        change results, so exploration is free of risk, it only spends a
-        few chunks at a possibly-suboptimal speed.  Once every candidate
-        has history, every chunk gets the measured-fastest block.
-        """
-        best = self.tuned_block(signature, default_block, candidates=candidates)
-        return self._plan_values(
-            self._blocks, signature, chunks, default_block, candidates, best
-        )
-
-    def observe_block(
-        self, signature: str, block: int, replicates: int, seconds: float
-    ) -> None:
-        """Fold one measured chunk into the (signature, block) EWMA."""
-        self._observe_value(self._blocks, signature, block, replicates, seconds)
-
-    def tuned_block(
-        self,
-        signature: str,
-        default_block: int,
-        *,
-        candidates: tuple[int, ...] = EVENT_BLOCK_CANDIDATES,
-    ) -> int:
-        """The measured-fastest block for a signature (default when cold)."""
-        return self._tuned_value(self._blocks, signature, default_block, candidates)
-
-    def plan_buffers(
-        self,
-        signature: str,
-        chunks: int,
-        default_buffer: int,
-        *,
-        candidates: tuple[int, ...] = STREAM_BUFFER_CANDIDATES,
-    ) -> list[int]:
-        """Per-chunk ``stream_buffer`` assignment for one cell.
-
-        Same explore-then-exploit shape as :meth:`plan_blocks`; the
-        buffer is equally results-neutral (lockstep refills preserve
-        unconsumed draws), so exploration only moves wall time.
-        """
-        best = self.tuned_buffer(signature, default_buffer, candidates=candidates)
-        return self._plan_values(
-            self._buffers, signature, chunks, default_buffer, candidates, best
-        )
-
-    def observe_buffer(
-        self, signature: str, buffer: int, replicates: int, seconds: float
-    ) -> None:
-        """Fold one measured chunk into the (signature, buffer) EWMA."""
-        self._observe_value(self._buffers, signature, buffer, replicates, seconds)
-
-    def tuned_buffer(
-        self,
-        signature: str,
-        default_buffer: int,
-        *,
-        candidates: tuple[int, ...] = STREAM_BUFFER_CANDIDATES,
-    ) -> int:
-        """The measured-fastest buffer for a signature (default when cold)."""
-        return self._tuned_value(self._buffers, signature, default_buffer, candidates)
-
     # -- diagnostics ---------------------------------------------------
     def summary(self) -> dict:
         """Small snapshot for ``Engine.stats()``."""
         return {
             "signatures": len(self._cells),
-            "tuned_signatures": len(self._blocks),
             "workers": {
                 worker: len(table) for worker, table in self._workers.items()
-            },
-            "event_blocks": {
-                sig: self.tuned_block(sig, 0) for sig in self._blocks
-            },
-            "stream_buffers": {
-                sig: self.tuned_buffer(sig, 0) for sig in self._buffers
             },
         }

@@ -7,14 +7,13 @@ session composes:
 
 * :func:`replicate_seeds` — the canonical per-replicate seed derivation
   of the whole repository;
-* the picklable pool workers (:func:`_worker` for the pickled-result
-  path, :func:`_shm_worker` / :func:`_shm_sweep_worker` for fixed-width
-  result records written straight into ``multiprocessing.shared_memory``);
-* the shared-memory transport drivers (:func:`_run_process_shared` for
-  one ensemble, :func:`_run_sweep_shared` for a whole flattened sweep
-  queue), each parameterized by a ``pool_map`` callable so the session's
-  **persistent** pool is reused instead of spawning a fresh pool per
-  call;
+* :func:`_worker`, the one picklable pool entry point: it runs a chunk
+  and returns its results as a fixed-width record block
+  (:func:`~repro.engine.remote.encode_result_block` bytes) when the
+  scenario has a record codec for the variant, else as the pickled
+  result list — the same rule the socket workers follow;
+* :class:`SpecBroadcast`, which ships large specs to the pool once per
+  call through ``multiprocessing.shared_memory``;
 * :func:`run_ensemble` — the historical free-function entry point, now a
   thin wrapper over the module-level default session
   (:func:`repro.engine.session.current_engine`).  Results are
@@ -26,7 +25,7 @@ Replicate ``i`` always receives the ``i``-th child of
 ``SeedSequence(seed)`` (see :func:`replicate_seeds`).  Scenario
 implementations are required to be batch-width invariant, so the
 per-replicate results are bit-identical no matter the executor, the
-worker count, the batch size or the result transport — and any single
+worker count, the batch size or the result format — and any single
 replicate can be reproduced in isolation by seeding a generator with its
 child sequence.  That invariance is exactly what makes the ensemble
 cache (and cross-session result reuse) sound.
@@ -85,35 +84,14 @@ def replicate_seeds(
     return np.random.SeedSequence(seed).spawn(trials)
 
 
-def _worker(payload) -> list:
-    """Top-level multiprocessing entry point (must be picklable)."""
-    (
-        scenario_name,
-        spec,
-        variant,
-        seeds,
-        max_interactions,
-        event_block,
-        stream_buffer,
-    ) = payload
-    # Spawn-started workers do not inherit the parent's process-wide
-    # overrides, so the parent resolves its kernel knobs once and ships
-    # them with every chunk (results are invariant to both; only speed).
-    set_default_event_block(event_block)
-    set_default_stream_buffer(stream_buffer)
-    scenario = get_scenario(scenario_name)
-    spec = _resolve_spec(spec)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    return scenario.run_chunk(spec, variant, rngs, max_interactions)
+def _worker(payload) -> tuple[bytes | list, float]:
+    """Pool entry point: run one chunk, return ``(output, kernel seconds)``.
 
-
-def _timed_worker(payload) -> tuple[list, float]:
-    """Like :func:`_worker`, but also reports the chunk's kernel seconds.
-
-    The sweep scheduler's cost model learns from these; timing wraps
-    only ``run_chunk`` (not unpickling or spec resolution) so the signal
-    tracks kernel cost, not transport overhead.  The measurement rides
-    back alongside the results — it never influences them.
+    ``output`` is the chunk's record block when ``widths`` (from
+    :func:`_record_widths`) is given, else the result list itself.  The
+    timing wraps only ``run_chunk`` (not unpickling, spec resolution or
+    encoding), so the sweep scheduler's cost model learns kernel cost,
+    not transport overhead; it never influences results.
     """
     (
         scenario_name,
@@ -123,7 +101,11 @@ def _timed_worker(payload) -> tuple[list, float]:
         max_interactions,
         event_block,
         stream_buffer,
+        widths,
     ) = payload
+    # Spawn-started workers do not inherit the parent's process-wide
+    # overrides, so the parent resolves its kernel knobs once and ships
+    # them with every chunk (results are invariant to both; only speed).
     set_default_event_block(event_block)
     set_default_stream_buffer(stream_buffer)
     scenario = get_scenario(scenario_name)
@@ -131,7 +113,13 @@ def _timed_worker(payload) -> tuple[list, float]:
     rngs = [np.random.default_rng(s) for s in seeds]
     started = time.perf_counter()
     results = scenario.run_chunk(spec, variant, rngs, max_interactions)
-    return results, time.perf_counter() - started
+    seconds = time.perf_counter() - started
+    if widths is None:
+        return results, seconds
+    # Imported here: the remote module imports this one.
+    from .remote import encode_result_block
+
+    return encode_result_block(scenario, spec, results, *widths), seconds
 
 
 def _attach_shm_untracked(name: str):
@@ -200,7 +188,7 @@ class SpecBroadcast:
     so every consumer handles the plain-spec case identically and the
     pickle fallback is preserved.  The parent owns the block and must
     call :meth:`close` after the pool map returns (workers attach
-    untracked, exactly like the result blocks).
+    untracked, so the parent's unlink is the single owner of cleanup).
     """
 
     def __init__(self, specs) -> None:
@@ -275,121 +263,6 @@ def _resolve_spec(spec):
     return resolved
 
 
-def _record_views(buffer, trials: int, int_width: int, float_width: int):
-    """(trials, int_width) int64 + (trials, float_width) float64 views."""
-    int_bytes = trials * int_width * 8
-    ints = np.ndarray((trials, int_width), dtype=np.int64, buffer=buffer)
-    floats = np.ndarray(
-        (trials, float_width), dtype=np.float64, buffer=buffer, offset=int_bytes
-    )
-    return ints, floats
-
-
-def _shm_worker(payload) -> int:
-    """Pool worker writing fixed-width result records into shared memory.
-
-    Returns only the chunk's start index — the results themselves travel
-    through the shared block, so nothing result-sized is pickled back.
-    """
-    (
-        scenario_name,
-        spec,
-        variant,
-        seeds,
-        max_interactions,
-        event_block,
-        stream_buffer,
-        shm_name,
-        start,
-        trials,
-        int_width,
-        float_width,
-    ) = payload
-    set_default_event_block(event_block)
-    set_default_stream_buffer(stream_buffer)
-    scenario = get_scenario(scenario_name)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    results = scenario.run_chunk(spec, variant, rngs, max_interactions)
-    # Attach without tracker registration: the parent's unlink is the
-    # single owner of cleanup (see _attach_shm_untracked).
-    block = _attach_shm_untracked(shm_name)
-    try:
-        ints, floats = _record_views(block.buf, trials, int_width, float_width)
-        for offset, result in enumerate(results):
-            row = start + offset
-            scenario.encode_record(spec, result, ints[row], floats[row])
-        del ints, floats  # release buffer views before closing the mapping
-    finally:
-        block.close()
-    return start
-
-
-def _strided_record_views(
-    buffer, rows: int, row_start: int, stride: int, int_width: int, float_width: int
-):
-    """Record views over ``rows`` rows of a uniform-stride sweep block.
-
-    The sweep block interleaves cells with different record widths, so a
-    row is ``stride`` bytes and each cell reads only its own leading
-    ``int_width`` int64 + ``float_width`` float64 slots; numpy's strided
-    views express that directly without per-row reslicing.
-    """
-    offset = row_start * stride
-    ints = np.ndarray(
-        (rows, int_width), dtype=np.int64, buffer=buffer,
-        offset=offset, strides=(stride, 8),
-    )
-    floats = np.ndarray(
-        (rows, float_width), dtype=np.float64, buffer=buffer,
-        offset=offset + int_width * 8, strides=(stride, 8),
-    )
-    return ints, floats
-
-
-def _shm_sweep_worker(payload) -> tuple[int, float]:
-    """Pool worker for one sweep chunk, recording results into shared memory.
-
-    Like :func:`_shm_worker`, but rows live in a sweep-wide block with a
-    uniform byte stride (cells of different scenarios have different
-    record widths), addressed by the chunk's absolute row offset.
-    Returns ``(row_start, kernel_seconds)`` — the timing feeds the sweep
-    scheduler's cost model and never influences results.
-    """
-    (
-        scenario_name,
-        spec,
-        variant,
-        seeds,
-        max_interactions,
-        event_block,
-        stream_buffer,
-        shm_name,
-        row_start,
-        stride,
-        int_width,
-        float_width,
-    ) = payload
-    set_default_event_block(event_block)
-    set_default_stream_buffer(stream_buffer)
-    scenario = get_scenario(scenario_name)
-    spec = _resolve_spec(spec)
-    rngs = [np.random.default_rng(s) for s in seeds]
-    started = time.perf_counter()
-    results = scenario.run_chunk(spec, variant, rngs, max_interactions)
-    seconds = time.perf_counter() - started
-    block = _attach_shm_untracked(shm_name)
-    try:
-        ints, floats = _strided_record_views(
-            block.buf, len(results), row_start, stride, int_width, float_width
-        )
-        for offset, result in enumerate(results):
-            scenario.encode_record(spec, result, ints[offset], floats[offset])
-        del ints, floats  # release buffer views before closing the mapping
-    finally:
-        block.close()
-    return row_start, seconds
-
-
 def _chunked(seeds: list, batch_size: int) -> list[list]:
     return [seeds[i : i + batch_size] for i in range(0, len(seeds), batch_size)]
 
@@ -405,179 +278,6 @@ def _record_widths(scenario, spec: ScenarioSpec, variant: str) -> tuple[int, int
     return int(scenario.record_ints(spec)), int(getattr(scenario, "record_floats", 0))
 
 
-def _run_process_shared(
-    scenario,
-    spec: ScenarioSpec,
-    variant: str,
-    chunks: list[tuple[int, list]],
-    trials: int,
-    max_interactions: int | None,
-    event_block: int,
-    stream_buffer: int,
-    pool_map,
-) -> list | None:
-    """Run one ensemble's chunks with shared-memory result records.
-
-    ``pool_map`` is the session's persistent-pool mapper.  Returns
-    ``None`` when the shared block cannot be provisioned or the
-    scenario has no record codec for this variant (the caller then falls
-    back to the pickle transport); worker failures still propagate as
-    exceptions.
-    """
-    if _shared_memory is None:
-        return None
-    widths = _record_widths(scenario, spec, variant)
-    if widths is None:
-        return None
-    int_width, float_width = widths
-    size = max(trials * 8 * (int_width + float_width), 1)
-    try:
-        block = _shared_memory.SharedMemory(create=True, size=size)
-    except Exception:
-        return None
-    try:
-        payloads = [
-            (
-                spec.scenario,
-                spec,
-                variant,
-                chunk,
-                max_interactions,
-                event_block,
-                stream_buffer,
-                block.name,
-                start,
-                trials,
-                int_width,
-                float_width,
-            )
-            for start, chunk in chunks
-        ]
-        pool_map(_shm_worker, payloads)
-        ints, floats = _record_views(block.buf, trials, int_width, float_width)
-        # Decode from private copies so the mapping can be torn down
-        # before result objects (and their arrays) outlive this call.
-        ints = ints.copy()
-        floats = floats.copy()
-        return [
-            scenario.decode_record(spec, ints[row], floats[row])
-            for row in range(trials)
-        ]
-    finally:
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:  # a worker's tracker got there first
-            pass
-
-
-def _run_sweep_shared(
-    cell_jobs: list[dict],
-    pool_map,
-) -> tuple[dict[int, list], list[dict]] | None:
-    """Run a flattened sweep queue with shared-memory result records.
-
-    ``cell_jobs`` carries one entry per pending cell, **already in
-    schedule order**: its scenario, spec (plus ``spec_payload``, the
-    :class:`SpecBroadcast` stand-in shipped to workers), variant,
-    budget, seed chunks and the per-chunk ``event_blocks`` /
-    ``stream_buffers`` the scheduler assigned.  All cells' replicates
-    share ONE block with a uniform row
-    stride (the widest cell's record), so the whole sweep still pickles
-    nothing result-sized back from the pool.
-
-    Returns ``(results_by_cell, chunk_stats)`` — per-cell result lists
-    keyed by cell index, plus one measured-timing record per chunk for
-    the cost model — or ``None`` when shared memory is unavailable or
-    any cell's scenario lacks a record codec for its variant; the caller
-    then routes the entire queue through the pickle transport (results
-    are identical either way).
-    """
-    if _shared_memory is None:
-        return None
-    widths = []
-    for job in cell_jobs:
-        cell_widths = _record_widths(job["scenario"], job["spec"], job["variant"])
-        if cell_widths is None:
-            return None
-        widths.append(cell_widths)
-    stride = max(8 * (iw + fw) for iw, fw in widths)
-    total_rows = sum(len(chunk) for job in cell_jobs for chunk in job["chunks"])
-    try:
-        block = _shared_memory.SharedMemory(
-            create=True, size=max(total_rows * stride, 1)
-        )
-    except Exception:
-        return None
-    try:
-        payloads = []
-        chunk_meta = []  # (cell index, replicates, event block, buffer)
-        row_spans = []  # (cell index, row start, rows) in queue order
-        row = 0
-        for job, (int_width, float_width) in zip(cell_jobs, widths):
-            start_row = row
-            for chunk, chunk_block, chunk_buffer in zip(
-                job["chunks"], job["event_blocks"], job["stream_buffers"]
-            ):
-                payloads.append(
-                    (
-                        job["spec"].scenario,
-                        job.get("spec_payload", job["spec"]),
-                        job["variant"],
-                        chunk,
-                        job["max_interactions"],
-                        chunk_block,
-                        chunk_buffer,
-                        block.name,
-                        row,
-                        stride,
-                        int_width,
-                        float_width,
-                    )
-                )
-                chunk_meta.append((job["index"], len(chunk), chunk_block, chunk_buffer))
-                row += len(chunk)
-            row_spans.append((job["index"], start_row, row - start_row))
-        # chunksize=1 keeps distribution dynamic, exactly like the
-        # pickled sweep queue: workers steal chunks from any cell.
-        outputs = pool_map(_shm_sweep_worker, payloads, chunksize=1)
-        chunk_stats = [
-            {
-                "cell": index,
-                "replicates": replicates,
-                "event_block": chunk_block,
-                "stream_buffer": chunk_buffer,
-                "seconds": seconds,
-            }
-            for (index, replicates, chunk_block, chunk_buffer), (_, seconds) in zip(
-                chunk_meta, outputs
-            )
-        ]
-        results_by_cell: dict[int, list] = {}
-        for job, (int_width, float_width), (index, start_row, rows) in zip(
-            cell_jobs, widths, row_spans
-        ):
-            ints, floats = _strided_record_views(
-                block.buf, rows, start_row, stride, int_width, float_width
-            )
-            # Decode from private copies so no view outlives the mapping.
-            ints = ints.copy()
-            floats = floats.copy()
-            scenario = job["scenario"]
-            spec = job["spec"]
-            results_by_cell[index] = [
-                scenario.decode_record(spec, ints[r], floats[r])
-                for r in range(rows)
-            ]
-        return results_by_cell, chunk_stats
-    finally:
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:  # a worker's tracker got there first
-            pass
-
-
 def run_ensemble(
     workload: Configuration | ScenarioSpec,
     trials: int,
@@ -589,7 +289,6 @@ def run_ensemble(
     max_interactions: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     cache: bool | EnsembleCache | None = None,
-    result_transport: str | None = None,
 ) -> list[RunResult]:
     """Run ``trials`` independent replicates and return them in order.
 
@@ -634,12 +333,6 @@ def run_ensemble(
         the session default (off unless ``--cache`` /
         ``REPRO_ENGINE_CACHE`` say otherwise).  A hit returns the stored
         results without simulating anything.
-    result_transport:
-        How process-executor workers return results: ``"shared"``
-        (fixed-width records through shared memory, with automatic
-        pickle fallback) or ``"pickle"``; ``None`` uses the session
-        default (``REPRO_ENGINE_RESULT_TRANSPORT``, else ``"shared"``).
-        Never affects the results themselves.
     """
     from .session import current_engine
 
@@ -653,5 +346,4 @@ def run_ensemble(
         max_interactions=max_interactions,
         batch_size=batch_size,
         cache=cache,
-        result_transport=result_transport,
     )

@@ -1,36 +1,31 @@
-"""Engine configuration: frozen :class:`EngineOptions` + legacy defaults.
+"""Engine configuration: frozen :class:`EngineOptions` + default getters.
 
-Since the session redesign, engine configuration is a value, not a pile
-of process-wide mutable state: :class:`EngineOptions` is a frozen
-dataclass holding every knob the engine exposes (backend, worker count,
-cache policy, lockstep event block, result transport).  The environment
-variables (``REPRO_ENGINE_*``), the deprecated
-:func:`set_engine_defaults` overrides and explicit keyword overrides are
-resolved **once**, by :meth:`EngineOptions.resolve`, when a
+Engine configuration is a value, not a pile of process-wide mutable
+state: :class:`EngineOptions` is a frozen dataclass holding every knob
+the engine exposes (backend, worker count, cache policy, lockstep event
+block and stream buffer, worker-socket security, service admission).
+The environment variables (``REPRO_ENGINE_*``, ``REPRO_WORKER_*``,
+``REPRO_SERVICE_*``) and explicit keyword overrides are resolved
+**once**, by :meth:`EngineOptions.resolve`, when a
 :class:`~repro.engine.session.Engine` is constructed — never re-read in
-the middle of a session.
+the middle of a session.  A malformed variable raises ``ValueError``
+naming it.
 
-The historical layered getters (:func:`get_default_backend` & friends)
-remain the compatibility surface: they now answer from the innermost
-*scoped* session (``with engine(backend="batched"): ...``) when one is
-active, and fall back to the legacy resolution — the
-:func:`set_engine_defaults` overrides, then the environment, then the
-built-ins — otherwise.  The module-level default session mirrors that
-legacy resolution, so code that never touches a session keeps its exact
-pre-redesign behavior.
-
-:func:`set_engine_defaults` keeps working but is **deprecated**: scoped
-configuration (``repro.engine.engine(**overrides)``) or an explicit
-``Engine(**overrides)`` session replaces ad-hoc global mutation.
+The layered getters (:func:`get_default_backend` & friends) answer from
+the innermost *scoped* session (``with engine(backend="batched"):
+...``) when one is active, and fall back to the environment, then the
+built-ins, otherwise.  The module-level default session mirrors that
+resolution.  Scoped configuration (``repro.engine.engine(**overrides)``)
+or an explicit ``Engine(**overrides)`` session is the way to change
+defaults in code.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-import warnings
 from dataclasses import dataclass, fields, replace
 
+from ..core.env import env_bool, env_int, env_str
 from ..core.lockstep import (
     DEFAULT_EVENT_BLOCK,
     DEFAULT_STREAM_BUFFER,
@@ -38,20 +33,14 @@ from ..core.lockstep import (
     _global_default_stream_buffer,
     get_default_event_block,
     get_default_stream_buffer,
-    set_default_event_block,
-    set_default_stream_buffer,
 )
 
 __all__ = [
-    "AUTOTUNE_MODES",
     "DEFAULT_BACKEND",
     "DEFAULT_CACHE_DIR",
     "EngineOptions",
     "EXECUTORS",
-    "RESULT_TRANSPORTS",
-    "SWEEP_SCHEDULERS",
     "engine_defaults",
-    "get_default_autotune",
     "get_default_backend",
     "get_default_cache",
     "get_default_cache_dir",
@@ -59,11 +48,8 @@ __all__ = [
     "get_default_event_block",
     "get_default_executor",
     "get_default_jobs",
-    "get_default_result_transport",
-    "get_default_scheduler",
     "get_default_stream_buffer",
     "get_default_workers",
-    "set_engine_defaults",
 ]
 
 #: Backend used when nothing else is specified.
@@ -78,32 +64,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: :class:`~repro.engine.remote.WorkerPool`.
 EXECUTORS = ("serial", "process", "remote")
 
-#: Accepted result-transport selections for the process executor:
-#: ``"shared"`` ships fixed-width result records through a
-#: ``multiprocessing.shared_memory`` block (falling back to pickling
-#: when shared memory or the scenario's record codec is unavailable),
-#: ``"pickle"`` forces the classic pickled-result path.
-RESULT_TRANSPORTS = ("shared", "pickle")
-
-#: Accepted sweep-scheduler selections: ``"cost"`` orders the flattened
-#: queue longest-predicted-first and sizes chunks as target wall-time
-#: slices from the session cost model; ``"static"`` keeps the fixed
-#: per-cell split in grid order.  Results are bit-identical either way —
-#: the scheduler moves only wall time.
-SWEEP_SCHEDULERS = ("cost", "static")
-
-#: Accepted autotune selections: ``"on"`` lets the cost model retune the
-#: lockstep kernels' ``event_block`` per cell from measured throughput;
-#: ``"off"`` (the default) uses the configured block everywhere.
-AUTOTUNE_MODES = ("off", "on")
-
-_BACKEND_OVERRIDE: str | None = None
-_JOBS_OVERRIDE: int | None = None
-_CACHE_OVERRIDE: bool | None = None
-_CACHE_DIR_OVERRIDE: str | None = None
-_CACHE_MAX_BYTES_OVERRIDE: int | None = None
-_RESULT_TRANSPORT_OVERRIDE: str | None = None
-
 
 def _scoped_options() -> "EngineOptions | None":
     """Options of the innermost *scoped* session, if one is active.
@@ -112,7 +72,7 @@ def _scoped_options() -> "EngineOptions | None":
     session layer (which imports it back).  Only explicitly scoped
     sessions (``engine(**overrides)`` / an activated ``Engine``) are
     consulted — the module-level default session deliberately mirrors
-    the legacy resolution below, so there is nothing to shadow.
+    the process-level resolution below, so there is nothing to shadow.
     """
     session = sys.modules.get("repro.engine.session")
     if session is None:
@@ -129,7 +89,7 @@ class EngineOptions:
     variations with :meth:`replace`.  A
     :class:`~repro.engine.session.Engine` is constructed from exactly
     one of these, so nothing about a session's behavior depends on
-    later environment or global-default mutation.
+    later environment changes.
     """
 
     backend: str = DEFAULT_BACKEND
@@ -139,9 +99,6 @@ class EngineOptions:
     cache_max_bytes: int | None = None
     event_block: int = DEFAULT_EVENT_BLOCK
     stream_buffer: int = DEFAULT_STREAM_BUFFER
-    result_transport: str = "shared"
-    scheduler: str = "cost"
-    autotune: str = "off"
     executor: str | None = None
     workers: str | None = None
     worker_secret: str | None = None
@@ -173,21 +130,6 @@ class EngineOptions:
         if self.stream_buffer < 1:
             raise ValueError(
                 f"stream_buffer must be positive, got {self.stream_buffer}"
-            )
-        if self.result_transport not in RESULT_TRANSPORTS:
-            raise ValueError(
-                f"result_transport must be one of {RESULT_TRANSPORTS}, "
-                f"got {self.result_transport!r}"
-            )
-        if self.scheduler not in SWEEP_SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SWEEP_SCHEDULERS}, "
-                f"got {self.scheduler!r}"
-            )
-        if self.autotune not in AUTOTUNE_MODES:
-            raise ValueError(
-                f"autotune must be one of {AUTOTUNE_MODES}, "
-                f"got {self.autotune!r}"
             )
         raw_executor = self.__dict__.get("executor")
         if raw_executor is not None:
@@ -233,12 +175,11 @@ class EngineOptions:
     def resolve(cls, **overrides) -> "EngineOptions":
         """Resolve the layered defaults into a frozen options value, once.
 
-        Unspecified (or ``None``) fields follow the legacy resolution:
-        the :func:`set_engine_defaults` overrides, then the
-        ``REPRO_ENGINE_*`` environment variables, then the built-ins.
-        Scoped sessions are deliberately *not* consulted — a freshly
-        constructed ``Engine`` starts from the process-level defaults,
-        not from whatever session happens to be active.
+        Unspecified (or ``None``) fields come from the environment
+        variables, then the built-ins.  Scoped sessions are deliberately
+        *not* consulted — a freshly constructed ``Engine`` starts from
+        the process-level defaults, not from whatever session happens to
+        be active.
         """
         known = {f.name for f in fields(cls)}
         unknown = set(overrides) - known
@@ -255,19 +196,16 @@ class EngineOptions:
             "cache_max_bytes": _global_default_cache_max_bytes(),
             "event_block": _global_default_event_block(),
             "stream_buffer": _global_default_stream_buffer(),
-            "result_transport": _global_default_result_transport(),
-            "scheduler": _global_default_scheduler(),
-            "autotune": _global_default_autotune(),
             "workers": _global_default_workers(),
-            "worker_secret": _global_default_worker_secret(),
-            "worker_tls_cert": _global_default_worker_tls("CERT"),
-            "worker_tls_key": _global_default_worker_tls("KEY"),
-            "worker_tls_ca": _global_default_worker_tls("CA"),
-            "service_max_queue": _global_default_service_int(
-                "REPRO_SERVICE_MAX_QUEUE", 64
+            "worker_secret": env_str("REPRO_WORKER_SECRET"),
+            "worker_tls_cert": env_str("REPRO_WORKER_TLS_CERT"),
+            "worker_tls_key": env_str("REPRO_WORKER_TLS_KEY"),
+            "worker_tls_ca": env_str("REPRO_WORKER_TLS_CA"),
+            "service_max_queue": env_int(
+                "REPRO_SERVICE_MAX_QUEUE", 64, minimum=1
             ),
-            "service_max_replicates": _global_default_service_int(
-                "REPRO_SERVICE_MAX_REPLICATES", 100_000
+            "service_max_replicates": env_int(
+                "REPRO_SERVICE_MAX_REPLICATES", 100_000, minimum=1
             ),
         }
         for name, value in overrides.items():
@@ -297,7 +235,7 @@ class EngineOptions:
 
     def pool_key(self) -> tuple:
         """The fields whose change requires respawning the executor pool."""
-        return (self.jobs, self.result_transport)
+        return (self.jobs,)
 
     def worker_pool_key(self) -> tuple:
         """The fields whose change requires rebinding the worker pool."""
@@ -320,9 +258,6 @@ class EngineOptions:
             "cache_max_bytes": self.cache_max_bytes,
             "event_block": self.event_block,
             "stream_buffer": self.stream_buffer,
-            "result_transport": self.result_transport,
-            "scheduler": self.scheduler,
-            "autotune": self.autotune,
             "workers": self.workers,
             # Masked: the snapshot lands in stats()/reports, which get
             # printed and serialized — never leak the actual secret.
@@ -383,200 +318,43 @@ def _validate_workers(value) -> str:
     return f"{host}:{port_number}"
 
 
-def set_engine_defaults(
-    *,
-    backend: str | None = None,
-    jobs: int | None = None,
-    cache: bool | None = None,
-    cache_dir: str | None = None,
-    cache_max_bytes: int | None = None,
-    event_block: int | None = None,
-    stream_buffer: int | None = None,
-    result_transport: str | None = None,
-) -> None:
-    """Install process-wide engine defaults (pass ``None`` to leave as-is).
-
-    .. deprecated::
-        Global mutation is superseded by sessions: use the scoped
-        ``with repro.engine.engine(jobs=4): ...`` context manager, or
-        construct an explicit ``repro.engine.Engine(jobs=4)`` and call
-        its methods.  This function keeps working (new sessions resolve
-        their defaults through it), but new code should not add call
-        sites.
-
-    ``jobs=1`` restores serial execution; ``jobs>1`` makes the
-    multiprocessing executor the default with that many workers.
-    ``cache=True``/``False`` turns the on-disk ensemble cache on or off
-    for every ensemble of the session; ``cache_dir`` relocates it and
-    ``cache_max_bytes`` caps its size (LRU eviction; ``0`` = unlimited).
-    ``event_block`` sets how many productive events the batched lockstep
-    kernels apply per numpy pass and ``stream_buffer`` how many uniforms
-    each replicate pre-draws per refill (results never change, only
-    speed); ``result_transport`` picks how process-executor workers
-    return results (``"shared"`` or ``"pickle"``).
-    """
-    warnings.warn(
-        "set_engine_defaults is deprecated: use the scoped "
-        "repro.engine.engine(**overrides) context manager or an explicit "
-        "repro.engine.Engine(**overrides) session instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    global _BACKEND_OVERRIDE, _JOBS_OVERRIDE, _CACHE_OVERRIDE, _CACHE_DIR_OVERRIDE
-    global _CACHE_MAX_BYTES_OVERRIDE, _RESULT_TRANSPORT_OVERRIDE
-    if backend is not None:
-        _BACKEND_OVERRIDE = backend
-    if jobs is not None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be positive, got {jobs}")
-        _JOBS_OVERRIDE = jobs
-    if cache is not None:
-        _CACHE_OVERRIDE = bool(cache)
-    if cache_dir is not None:
-        _CACHE_DIR_OVERRIDE = str(cache_dir)
-    if cache_max_bytes is not None:
-        if cache_max_bytes < 0:
-            raise ValueError(
-                f"cache_max_bytes must be non-negative, got {cache_max_bytes}"
-            )
-        _CACHE_MAX_BYTES_OVERRIDE = int(cache_max_bytes)
-    set_default_event_block(event_block)
-    set_default_stream_buffer(stream_buffer)
-    if result_transport is not None:
-        if result_transport not in RESULT_TRANSPORTS:
-            raise ValueError(
-                f"result_transport must be one of {RESULT_TRANSPORTS}, "
-                f"got {result_transport!r}"
-            )
-        _RESULT_TRANSPORT_OVERRIDE = result_transport
-
-
 # ----------------------------------------------------------------------
-# Legacy layered resolution (set_engine_defaults -> environment -> built-in)
+# Process-level resolution (environment, then built-ins)
 # ----------------------------------------------------------------------
 def _global_default_backend() -> str:
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    return os.environ.get("REPRO_ENGINE_BACKEND", DEFAULT_BACKEND)
+    return env_str("REPRO_ENGINE_BACKEND", DEFAULT_BACKEND)
 
 
 def _global_default_jobs() -> int:
-    if _JOBS_OVERRIDE is not None:
-        return _JOBS_OVERRIDE
-    raw = os.environ.get("REPRO_ENGINE_JOBS")
-    if raw is None:
-        return 1
-    jobs = int(raw)
-    if jobs < 1:
-        raise ValueError(f"REPRO_ENGINE_JOBS must be positive, got {raw}")
-    return jobs
+    return env_int("REPRO_ENGINE_JOBS", 1, minimum=1)
 
 
 def _global_default_cache() -> bool:
-    if _CACHE_OVERRIDE is not None:
-        return _CACHE_OVERRIDE
-    raw = os.environ.get("REPRO_ENGINE_CACHE")
-    if raw is None:
-        return False
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    return env_bool("REPRO_ENGINE_CACHE", False)
 
 
 def _global_default_cache_dir() -> str:
-    if _CACHE_DIR_OVERRIDE is not None:
-        return _CACHE_DIR_OVERRIDE
-    return os.environ.get("REPRO_ENGINE_CACHE_DIR", DEFAULT_CACHE_DIR)
+    return env_str("REPRO_ENGINE_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
 def _global_default_cache_max_bytes() -> int | None:
-    if _CACHE_MAX_BYTES_OVERRIDE is not None:
-        return _CACHE_MAX_BYTES_OVERRIDE or None
-    raw = os.environ.get("REPRO_ENGINE_CACHE_MAX_BYTES")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_ENGINE_CACHE_MAX_BYTES must be an integer, got {raw!r}"
-        ) from None
-    return value if value > 0 else None
-
-
-def _global_default_result_transport() -> str:
-    if _RESULT_TRANSPORT_OVERRIDE is not None:
-        return _RESULT_TRANSPORT_OVERRIDE
-    raw = os.environ.get("REPRO_ENGINE_RESULT_TRANSPORT")
-    if raw is None:
-        return "shared"
-    raw = raw.strip().lower()
-    if raw not in RESULT_TRANSPORTS:
-        raise ValueError(
-            f"REPRO_ENGINE_RESULT_TRANSPORT must be one of {RESULT_TRANSPORTS}, "
-            f"got {raw!r}"
-        )
-    return raw
-
-
-def _global_default_scheduler() -> str:
-    raw = os.environ.get("REPRO_ENGINE_SCHEDULER")
-    if raw is None:
-        return "cost"
-    raw = raw.strip().lower()
-    if raw not in SWEEP_SCHEDULERS:
-        raise ValueError(
-            f"REPRO_ENGINE_SCHEDULER must be one of {SWEEP_SCHEDULERS}, "
-            f"got {raw!r}"
-        )
-    return raw
-
-
-def _global_default_worker_secret() -> str | None:
-    """The shared worker-socket secret (``REPRO_WORKER_SECRET``)."""
-    return os.environ.get("REPRO_WORKER_SECRET") or None
-
-
-def _global_default_worker_tls(suffix: str) -> str | None:
-    """A worker-socket TLS path (``REPRO_WORKER_TLS_CERT``/``_KEY``/``_CA``)."""
-    return os.environ.get(f"REPRO_WORKER_TLS_{suffix}") or None
-
-
-def _global_default_service_int(env: str, default: int) -> int:
-    """A positive service admission knob (``REPRO_SERVICE_*``)."""
-    raw = os.environ.get(env)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{env} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{env} must be positive, got {raw!r}")
-    return value
+    # Zero or a negative value means no cap.
+    value = env_int("REPRO_ENGINE_CACHE_MAX_BYTES", None)
+    return value if value is not None and value > 0 else None
 
 
 def _global_default_workers() -> str | None:
-    raw = os.environ.get("REPRO_ENGINE_WORKERS")
-    if raw is None or not raw.strip():
-        return None
-    return _validate_workers(raw)
-
-
-def _global_default_autotune() -> str:
-    raw = os.environ.get("REPRO_ENGINE_AUTOTUNE")
+    raw = env_str("REPRO_ENGINE_WORKERS")
     if raw is None:
-        return "off"
-    raw = raw.strip().lower()
-    if raw in ("1", "true", "yes", "on"):
-        return "on"
-    if raw in ("0", "false", "no", "off"):
-        return "off"
-    raise ValueError(
-        f"REPRO_ENGINE_AUTOTUNE must be one of {AUTOTUNE_MODES}, got {raw!r}"
-    )
+        return None
+    try:
+        return _validate_workers(raw)
+    except ValueError as error:
+        raise ValueError(f"REPRO_ENGINE_WORKERS: {error}") from None
 
 
 # ----------------------------------------------------------------------
-# Session-aware compatibility getters
+# Session-aware getters
 # ----------------------------------------------------------------------
 def get_default_backend() -> str:
     """Backend name used when ``run_ensemble`` gets ``backend=None``."""
@@ -639,8 +417,7 @@ def get_default_cache_dir() -> str:
 def get_default_cache_max_bytes() -> int | None:
     """Ensemble-cache size cap in bytes (``None`` = unlimited).
 
-    Resolution order: the active scoped session, then
-    :func:`set_engine_defaults`, then the
+    Resolution order: the active scoped session, then the
     ``REPRO_ENGINE_CACHE_MAX_BYTES`` environment variable; zero or a
     negative value means no cap.
     """
@@ -648,45 +425,6 @@ def get_default_cache_max_bytes() -> int | None:
     if opts is not None:
         return opts.cache_max_bytes
     return _global_default_cache_max_bytes()
-
-
-def get_default_result_transport() -> str:
-    """Process-executor result transport when ``result_transport=None``.
-
-    Resolution order: the active scoped session,
-    :func:`set_engine_defaults`, the ``REPRO_ENGINE_RESULT_TRANSPORT``
-    environment variable, then ``"shared"`` (which silently falls back
-    to pickling whenever shared memory or the scenario's record codec is
-    unavailable).
-    """
-    opts = _scoped_options()
-    if opts is not None:
-        return opts.result_transport
-    return _global_default_result_transport()
-
-
-def get_default_scheduler() -> str:
-    """Sweep scheduler used when ``scheduler=None``.
-
-    Resolution order: the active scoped session, then the
-    ``REPRO_ENGINE_SCHEDULER`` environment variable, then ``"cost"``.
-    """
-    opts = _scoped_options()
-    if opts is not None:
-        return opts.scheduler
-    return _global_default_scheduler()
-
-
-def get_default_autotune() -> str:
-    """Event-block autotune mode used when ``autotune=None``.
-
-    Resolution order: the active scoped session, then the
-    ``REPRO_ENGINE_AUTOTUNE`` environment variable, then ``"off"``.
-    """
-    opts = _scoped_options()
-    if opts is not None:
-        return opts.autotune
-    return _global_default_autotune()
 
 
 def engine_defaults() -> dict:
@@ -700,8 +438,5 @@ def engine_defaults() -> dict:
         "cache_max_bytes": get_default_cache_max_bytes(),
         "event_block": get_default_event_block(),
         "stream_buffer": get_default_stream_buffer(),
-        "result_transport": get_default_result_transport(),
-        "scheduler": get_default_scheduler(),
-        "autotune": get_default_autotune(),
         "workers": get_default_workers(),
     }

@@ -60,8 +60,8 @@ boundary.  The conversation is deliberately small:
     fallback for cells without a record codec).
 ``result``  worker -> pool
     The chunk's results: a fixed-width record block (``int64`` slots
-    then ``float64`` extras per replicate — the same codec the
-    shared-memory transport uses, serialized to bytes) or pickled
+    then ``float64`` extras per replicate — the same bytes a
+    process-pool worker returns) or pickled
     results on the fallback path, plus the measured kernel seconds for
     the cost model.
 ``error``  worker -> pool
@@ -78,8 +78,8 @@ ship inside the chunk, so any replicate is reproducible in isolation on
 any machine.  Worker death mid-chunk therefore costs nothing but time:
 the pool requeues the chunk and whichever worker re-runs it regenerates
 bit-identical results.  The executor moves only wall time, never bits —
-the same invariant the ensemble cache and the shared-memory transport
-already rely on.
+the same invariant the ensemble cache and the process executor already
+rely on.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ from collections import deque
 import numpy as np
 
 from ..core.lockstep import set_default_event_block, set_default_stream_buffer
-from .executors import _SPEC_REF_TAG, _record_views
+from .executors import _SPEC_REF_TAG
 from .scenarios import get_scenario
 
 __all__ = [
@@ -389,17 +389,26 @@ class _FrameReader:
 
 
 # ----------------------------------------------------------------------
-# Fixed-width record blocks over the wire
+# Fixed-width record blocks (the out-of-process result format)
 # ----------------------------------------------------------------------
+def _record_views(buffer, trials: int, int_width: int, float_width: int):
+    """(trials, int_width) int64 + (trials, float_width) float64 views."""
+    int_bytes = trials * int_width * 8
+    ints = np.ndarray((trials, int_width), dtype=np.int64, buffer=buffer)
+    floats = np.ndarray(
+        (trials, float_width), dtype=np.float64, buffer=buffer, offset=int_bytes
+    )
+    return ints, floats
+
+
 def encode_result_block(
     scenario, spec, results: list, int_width: int, float_width: int
 ) -> bytes:
     """Results -> one contiguous record block (ints plane, floats plane).
 
-    Exactly the layout of the shared-memory ensemble block
-    (:func:`repro.engine.executors._record_views`), serialized to bytes:
-    the record codec *is* the wire format, so sockets and shared memory
-    stay behind one transport seam.
+    The record codec *is* the result format of every out-of-process
+    executor: socket workers and process-pool workers both return these
+    bytes whenever the scenario has a codec for the variant.
     """
     trials = len(results)
     buffer = bytearray(max(trials * 8 * (int_width + float_width), 1))

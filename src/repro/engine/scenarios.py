@@ -61,8 +61,8 @@ dynamics serial/multiprocessing executors, deterministic per-replicate
 seeding, and result caching for free.  Scenarios that additionally opt
 into the fixed-width **result-record codec** (``record_transport``,
 :meth:`Scenario.encode_record` / :meth:`Scenario.decode_record`) let the
-process executor ship their results through shared memory instead of
-pickles; scenarios without it transparently fall back to pickling.
+process and remote executors return their results as compact record
+blocks; scenarios without it transparently fall back to pickling.
 """
 
 from __future__ import annotations
@@ -348,7 +348,7 @@ class Scenario:
         """Whether :meth:`run_chunk` takes a :class:`PackedChunk` for ``runner``."""
         return False
 
-    # -- fixed-width result records (shared-memory transport) ----------
+    # -- fixed-width result records (out-of-process result format) ----
     #: Whether this scenario's results round-trip through the
     #: fixed-width record codec below.  Off by default: a scenario whose
     #: result type the base codec does not describe must not be silently

@@ -9,16 +9,15 @@ every call.  This module makes the session the unit of ownership:
 
 :class:`Engine`
     A session object constructed from fully-resolved, **frozen**
-    :class:`~repro.engine.options.EngineOptions` (environment variables,
-    CLI flags and the deprecated :func:`set_engine_defaults` overrides
-    are resolved once, at construction).  It owns
+    :class:`~repro.engine.options.EngineOptions` (environment variables
+    and CLI flags are resolved once, at construction).  It owns
 
     * a **persistent executor pool**, lazily spawned on the first
       process-executor call and reused by every later
       :meth:`Engine.ensemble` / :meth:`Engine.sweep` in the session —
-      respawned automatically when the worker count, the result
-      transport or the backend/scenario registries change (forked
-      workers snapshot the registries at spawn time);
+      respawned automatically when the worker count or the
+      backend/scenario registries change (forked workers snapshot the
+      registries at spawn time);
     * an open :class:`~repro.engine.cache.EnsembleCache` handle shared
       by every ensemble and sweep of the session;
     * the resolution of names against the backend and scenario
@@ -43,9 +42,9 @@ every call.  This module makes the session the unit of ownership:
     :func:`run_sweep`, :func:`~repro.analysis.run_trials`, the
     experiment modules' single-run hook) route through: the innermost
     scoped session when one is active, else a module-level default
-    session that mirrors the legacy layered defaults — rebuilt
-    automatically whenever those defaults change, so pre-session code
-    keeps its exact behavior while still profiting from pool reuse.
+    session that mirrors the process-level defaults — rebuilt
+    automatically whenever the environment changes them, while still
+    profiting from pool reuse.
 
 Results are bit-identical to the pre-session engine at fixed seeds: the
 session changes who *owns* the pool and the configuration, never how
@@ -67,7 +66,6 @@ import numpy as np
 from ..core.config import Configuration
 from ..core.simulator import Observer, RunResult
 from . import backends as _backends
-from . import executors as _executors
 from . import scenarios as _scenarios
 from .backends import Backend, get_backend
 from .cache import SWEEP_INDEX_FORMAT, EnsembleCache, ensemble_key, seed_token
@@ -78,13 +76,10 @@ from .executors import (
     SpecBroadcast,
     _chunked,
     _record_widths,
-    _run_process_shared,
-    _run_sweep_shared,
-    _timed_worker,
     _worker,
     replicate_seeds,
 )
-from .options import RESULT_TRANSPORTS, EngineOptions
+from .options import EngineOptions
 from .remote import (
     WorkerPool,
     cache_token,
@@ -153,12 +148,10 @@ def current_engine() -> "Engine":
 
     The innermost scoped session (``with engine(...):`` / an activated
     :class:`Engine` method) wins; otherwise a module-level default
-    session mirroring the legacy layered defaults is returned.  The
+    session mirroring the process-level defaults is returned.  The
     default session is rebuilt — its pool torn down and respawned on
-    next use — whenever those defaults (environment variables or
-    :func:`set_engine_defaults` overrides) have changed since it was
-    built, so code that still mutates globals sees them honored exactly
-    as before the session redesign.
+    next use — whenever those defaults (the ``REPRO_ENGINE_*``
+    environment variables) have changed since it was built.
     """
     if _SESSION_STACK:
         return _SESSION_STACK[-1]
@@ -294,10 +287,10 @@ class Engine:
         }
         #: Cache-fabric counters folded in from closed worker pools.
         self._cache_fabric: dict | None = None
-        #: Bytes/chunks moved per result transport (satellite counters);
-        #: the socket row also folds in closed worker pools' totals.
+        #: Bytes/chunks moved per result transport: "pickle" counts what
+        #: process-pool workers return through the pool pipe, "socket"
+        #: the worker-pool frames (closed pools' totals folded in).
         self._transport = {
-            "shared": {"chunks": 0, "bytes": 0},
             "pickle": {"chunks": 0, "bytes": 0},
             "socket": {"chunks": 0, "bytes": 0},
         }
@@ -336,8 +329,8 @@ class Engine:
     def configure(self, **overrides) -> EngineOptions:
         """Replace the session's options in place (``None`` values ignored).
 
-        Changing a pool-affecting option (``jobs``, ``result_transport``)
-        tears the persistent pool down — it respawns with the new
+        Changing the pool-affecting option (``jobs``) tears the
+        persistent pool down — it respawns with the new
         configuration on the next process-executor call.  Changing a
         cache option re-opens the cache handle.  Returns the new options.
         """
@@ -426,16 +419,6 @@ class Engine:
             raise ValueError(f"jobs must be positive, got {jobs}")
         return jobs
 
-    def _resolve_transport(self, result_transport: str | None) -> str:
-        if result_transport is None:
-            result_transport = self._options.result_transport
-        if result_transport not in RESULT_TRANSPORTS:
-            raise ValueError(
-                f"result_transport must be one of {RESULT_TRANSPORTS}, "
-                f"got {result_transport!r}"
-            )
-        return result_transport
-
     @staticmethod
     def _chunk_cap(trials: int, jobs: int, batch_size: int) -> int:
         # Several chunks per worker keep the pool busy when replicate
@@ -473,7 +456,6 @@ class Engine:
         When chunks carry a worker name (remote executor), the report
         also breaks predicted-vs-measured seconds down per worker.
         """
-        opts = self._options
         scheduled = set(pending)
         cell_reports = []
         predicted_total = 0.0
@@ -504,24 +486,6 @@ class Engine:
                         "prediction_source": plan["source"],
                         "predicted_seconds": predicted,
                         "measured_seconds": cell_measured,
-                        "event_block": (
-                            self._cost_model.tuned_block(
-                                plan["signature"], opts.event_block
-                            )
-                            if opts.autotune == "on"
-                            and variants[i] in ("batched", "compiled")
-                            and executor != "serial"
-                            else opts.event_block
-                        ),
-                        "stream_buffer": (
-                            self._cost_model.tuned_buffer(
-                                plan["signature"], opts.stream_buffer
-                            )
-                            if opts.autotune == "on"
-                            and variants[i] in ("batched", "compiled")
-                            and executor != "serial"
-                            else opts.stream_buffer
-                        ),
                     }
                 )
                 predicted_total += predicted
@@ -562,8 +526,6 @@ class Engine:
             entry["measured_seconds"] += stat["seconds"]
         return {
             "executor": executor,
-            "scheduler": opts.scheduler,
-            "autotune": opts.autotune,
             "cells": cell_reports,
             "replicates_scheduled": sum(cells[i].trials for i in scheduled),
             "replicates_from_cache": sum(
@@ -578,7 +540,7 @@ class Engine:
 
     # -- persistent pool -----------------------------------------------
     def _acquire_pool(self, jobs: int):
-        key = (jobs, self._options.result_transport, _registry_epoch())
+        key = (jobs, _registry_epoch())
         if self._pool is not None and self._pool_key == key:
             self._stats["pool_reuses"] += 1
             return self._pool
@@ -597,16 +559,69 @@ class Engine:
             self._pool = None
             self._pool_key = None
 
-    def _pool_mapper(self, jobs: int):
-        """A ``pool_map(func, payloads, chunksize=None)`` bound to this session."""
+    def _run_on_pool(
+        self, jobs: int, cell_jobs: list[dict]
+    ) -> tuple[dict[int, list], list[dict]]:
+        """Drain ``cell_jobs``' chunks, in order, through the process pool.
 
-        def pool_map(func, payloads, chunksize=None):
-            pool = self._acquire_pool(jobs)
-            if chunksize is None:
-                return pool.map(func, payloads)
-            return pool.map(func, payloads, chunksize=chunksize)
+        ``cell_jobs`` carries one entry per cell: its index, scenario,
+        spec, variant, budget and seed chunks.  ``chunksize=1`` keeps
+        distribution dynamic: a worker that finishes a fast chunk
+        immediately takes the next one from any cell still pending.
+        Large specs (graph edge arrays) ship to the pool once per call
+        via :class:`SpecBroadcast` instead of with every chunk.
 
-        return pool_map
+        Each worker returns its chunk as a record block when the
+        scenario has a codec for the variant, else as the result list;
+        either way the pool pipe pickles it, so the ``"pickle"``
+        transport row counts the chunk and the byte length of what came
+        back.  Returns per-cell result lists keyed by cell index, plus
+        one measured-timing record per chunk for the cost model.
+        """
+        opts = self._options
+        payloads = []
+        chunk_meta = []  # (job, replicates, record widths) per payload
+        broadcast = SpecBroadcast([job["spec"] for job in cell_jobs])
+        try:
+            for job in cell_jobs:
+                widths = _record_widths(
+                    job["scenario"], job["spec"], job["variant"]
+                )
+                spec_payload = broadcast.ref_for(job["spec"])
+                for chunk in job["chunks"]:
+                    payloads.append(
+                        (
+                            job["spec"].scenario,
+                            spec_payload,
+                            job["variant"],
+                            chunk,
+                            job["max_interactions"],
+                            opts.event_block,
+                            opts.stream_buffer,
+                            widths,
+                        )
+                    )
+                    chunk_meta.append((job, len(chunk), widths))
+            outputs = self._acquire_pool(jobs).map(_worker, payloads, chunksize=1)
+        finally:
+            broadcast.close()
+        results_by_cell: dict[int, list] = {job["index"]: [] for job in cell_jobs}
+        chunk_stats = []
+        nbytes = 0
+        for (output, seconds), (job, replicates, widths) in zip(outputs, chunk_meta):
+            if widths is None:
+                nbytes += len(pickle.dumps(output, pickle.HIGHEST_PROTOCOL))
+            else:
+                nbytes += len(output)
+                output = decode_result_block(
+                    job["scenario"], job["spec"], output, replicates, *widths
+                )
+            results_by_cell[job["index"]].extend(output)
+            chunk_stats.append(
+                {"cell": job["index"], "replicates": replicates, "seconds": seconds}
+            )
+        self._count_transport("pickle", len(payloads), nbytes)
+        return results_by_cell, chunk_stats
 
     def worker_pids(self) -> tuple[int, ...]:
         """PIDs of the live pool workers (empty before the first spawn)."""
@@ -843,7 +858,6 @@ class Engine:
         max_interactions: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: bool | EnsembleCache | None = None,
-        result_transport: str | None = None,
     ) -> list[RunResult]:
         """Run ``trials`` independent replicates and return them in order.
 
@@ -900,13 +914,8 @@ class Engine:
                 # specs always travel by value (socket frames cross
                 # hosts, shared-memory refs do not).
                 scenario.check_process_safe(variant, backend)
-                result_transport = self._resolve_transport(result_transport)
                 pool = self.worker_pool()
-                widths = (
-                    _record_widths(scenario, spec, variant)
-                    if result_transport == "shared"
-                    else None
-                )
+                widths = _record_widths(scenario, spec, variant)
                 # Cache-first dispatch: the key is a pure content hash,
                 # so it exists whether or not this session has a store —
                 # a cache-less coordinator can still be served by a warm
@@ -975,54 +984,16 @@ class Engine:
                 # backend would only fail inside the pool with a confusing
                 # per-worker error.
                 scenario.check_process_safe(variant, backend)
-                result_transport = self._resolve_transport(result_transport)
                 per_chunk = self._chunk_cap(trials, jobs, batch_size)
-                seed_chunks = _chunked(seeds, per_chunk)
-                starts = [
-                    sum(len(c) for c in seed_chunks[:i])
-                    for i in range(len(seed_chunks))
-                ]
-                pool_map = self._pool_mapper(jobs)
-                event_block = opts.event_block
-                stream_buffer = opts.stream_buffer
-                results = None
-                if result_transport == "shared":
-                    results = _run_process_shared(
-                        scenario,
-                        spec,
-                        variant,
-                        list(zip(starts, seed_chunks)),
-                        trials,
-                        max_interactions,
-                        event_block,
-                        stream_buffer,
-                        pool_map,
-                    )
-                if results is not None:
-                    widths = _record_widths(scenario, spec, variant)
-                    self._count_transport(
-                        "shared", len(seed_chunks), trials * 8 * sum(widths)
-                    )
-                else:
-                    payloads = [
-                        (
-                            spec.scenario,
-                            spec,
-                            variant,
-                            chunk,
-                            max_interactions,
-                            event_block,
-                            stream_buffer,
-                        )
-                        for chunk in seed_chunks
-                    ]
-                    chunks = pool_map(_worker, payloads)
-                    self._count_transport(
-                        "pickle",
-                        len(payloads),
-                        len(pickle.dumps(chunks, pickle.HIGHEST_PROTOCOL)),
-                    )
-                    results = [result for chunk in chunks for result in chunk]
+                job = {
+                    "index": 0,
+                    "scenario": scenario,
+                    "spec": spec,
+                    "variant": variant,
+                    "max_interactions": max_interactions,
+                    "chunks": _chunked(seeds, per_chunk),
+                }
+                results = self._run_on_pool(jobs, [job])[0][0]
 
             if store is not None:
                 store.store(key, results)
@@ -1052,7 +1023,6 @@ class Engine:
         split across its cells in proportion to their interactions, so
         the scheduler report and the cost model stay per cell.
         """
-        opts = self._options
         runners = {
             i: scenarios[i].prepare_runner(variants[i], backend) for i in pending
         }
@@ -1106,12 +1076,83 @@ class Engine:
                         {
                             "cell": i,
                             "replicates": width,
-                            "event_block": opts.event_block,
-                            "stream_buffer": opts.stream_buffer,
                             "seconds": seconds * weight / sum(weights),
                         }
                     )
         return chunk_stats
+
+    def _run_remote_sweep(
+        self, worker_pool, cell_jobs, cell_keys, cell_owners
+    ) -> tuple[dict[int, list], list[dict], set[int]]:
+        """Drain a sweep's chunk queue through the socket worker pool.
+
+        The same flattened longest-first queue the process executor
+        drains, shipped frame by frame: one chunk in flight per worker
+        (work stealing), specs by value, results back as fixed-width
+        record blocks (the pickled list for cells without a codec).
+        :class:`SpecBroadcast` is deliberately NOT engaged here — its
+        shared-memory refs only resolve on this host.  Fleet-owned cells
+        travel as serve-cached chunks pinned to an advertising owner;
+        every cell this run actually simulated is pushed back to the
+        workers whose store token differs, so the next identical sweep
+        is warm fleet-wide.  Returns per-cell results, per-chunk timing
+        records and the indices of cells a worker's store served.
+        """
+        opts = self._options
+        messages = []
+        chunk_meta = []  # (job, replicates, record widths) per message
+        for job in cell_jobs:
+            widths = _record_widths(job["scenario"], job["spec"], job["variant"])
+            for chunk in job["chunks"]:
+                message = {
+                    "scenario": job["spec"].scenario,
+                    "spec": job["spec"],
+                    "variant": job["variant"],
+                    "seeds": chunk,
+                    "max_interactions": job["max_interactions"],
+                    "event_block": opts.event_block,
+                    "stream_buffer": opts.stream_buffer,
+                    "record": widths,
+                }
+                if job["index"] in cell_owners:
+                    # The cold payload above still makes any fallback
+                    # bit-identical.
+                    message["cache_key"] = cell_keys[job["index"]]
+                    message["cache_owners"] = cell_owners[job["index"]]
+                messages.append(message)
+                chunk_meta.append((job, len(chunk), widths))
+        outputs = worker_pool.run(messages)
+        results_by_cell: dict[int, list] = {job["index"]: [] for job in cell_jobs}
+        chunk_stats = []
+        served_cells: set[int] = set()
+        for output, (job, replicates, widths) in zip(outputs, chunk_meta):
+            results_by_cell[job["index"]].extend(
+                self._remote_results(
+                    job["scenario"], job["spec"], output, replicates, widths
+                )
+            )
+            if output.get("served"):
+                # Owned cells are single whole-cell chunks, so one served
+                # output means the whole cell came from the fleet cache.
+                served_cells.add(job["index"])
+            chunk_stats.append(
+                {
+                    "cell": job["index"],
+                    "replicates": replicates,
+                    "seconds": output["seconds"],
+                    "worker": output["worker"],
+                    "served": bool(output.get("served")),
+                }
+            )
+        # Each worker's LRU cap bounds what it keeps.
+        for i in sorted(job["index"] for job in cell_jobs):
+            if i not in served_cells:
+                worker_pool.push_cache(
+                    cell_keys[i],
+                    results_by_cell[i],
+                    exclude=set(cell_owners.get(i, ())),
+                )
+        return results_by_cell, chunk_stats, served_cells
 
     def sweep(
         self,
@@ -1125,7 +1166,6 @@ class Engine:
         jobs: int | None = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         cache: bool | EnsembleCache | None = None,
-        result_transport: str | None = None,
     ):
         """Run every cell of a sweep through one flattened work queue.
 
@@ -1133,13 +1173,12 @@ class Engine:
         (:func:`repro.engine.run_sweep`) bit for bit at fixed seeds, with
         per-cell caching under a sweep-level index.  The process
         executor cuts each cell into its own chunks and drains them from
-        one shared queue on the session's persistent pool
-        (``result_transport="shared"``, the default, returns them as
-        fixed-width records through one sweep-wide shared-memory block,
-        with automatic pickle fallback); ``executor="remote"`` drains the
-        same longest-first chunk queue through socket-connected ``repro
-        worker`` processes.  The serial executor packs instead: every
-        pending ``usd`` cell on the built-in batched backend, and every
+        one shared queue on the session's persistent pool (workers
+        return fixed-width record blocks, or the pickled result list for
+        scenarios without a record codec); ``executor="remote"`` drains
+        the same longest-first chunk queue through socket-connected
+        ``repro worker`` processes.  The serial executor packs instead:
+        every pending ``usd`` cell on the built-in batched backend, and every
         ``zealots`` cell on its batched variant, shares one replicate
         queue per scenario, and each ``batch_size`` chunk of it is ONE
         zero-padded lockstep kernel call across cells (see
@@ -1162,7 +1201,6 @@ class Engine:
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         with self._activate():
-            opts = self._options
             executor = self._resolve_executor(executor)
 
             cells = spec.cells
@@ -1216,349 +1254,118 @@ class Engine:
             served_cells: set[int] = set()
             cell_keys: dict[int, str] = {}
             cell_owners: dict[int, list[str]] = {}
-            if pending:
+            if pending and executor == "serial":
+                chunk_stats.extend(self._run_serial_sweep(
+                    cells, pending, scenarios, variants, seeds, backend,
+                    batch_size, results_by_cell,
+                ))
+            elif pending:
+                for i in pending:
+                    scenarios[i].check_process_safe(variants[i], backend)
                 worker_pool = None
-                if executor != "serial":
+                if executor == "remote":
+                    worker_pool = self.worker_pool()
+                    # Cache-first dispatch: ask the fleet which pending
+                    # cells somebody's store can serve.  The keys are
+                    # pure content hashes, so a cache-less coordinator
+                    # probes just the same.
                     for i in pending:
-                        scenarios[i].check_process_safe(variants[i], backend)
-                    result_transport = self._resolve_transport(result_transport)
-                    if executor == "remote":
-                        worker_pool = self.worker_pool()
-                        # Chunk sizing only (results are invariant to
-                        # it): a conservative floor of two workers keeps
-                        # cold pools from coalescing whole cells into
-                        # single unstealable chunks.
-                        jobs = max(worker_pool.worker_count(), 2)
-                        # Cache-first dispatch: ask the fleet which
-                        # pending cells somebody's store can serve.  The
-                        # keys are pure content hashes, so a cache-less
-                        # coordinator probes just the same.
-                        for i in pending:
-                            cell_keys[i] = keys[i] or ensemble_key(
-                                cells[i].spec,
-                                trials=cells[i].trials,
-                                seed=seeds[i],
-                                variant=variants[i],
-                                max_interactions=cells[i].max_interactions,
-                            )
-                        held_by = worker_pool.probe_cache(
-                            list(dict.fromkeys(cell_keys.values()))
+                        cell_keys[i] = keys[i] or ensemble_key(
+                            cells[i].spec,
+                            trials=cells[i].trials,
+                            seed=seeds[i],
+                            variant=variants[i],
+                            max_interactions=cells[i].max_interactions,
                         )
-                        for i, cell_key in cell_keys.items():
-                            names = sorted(
-                                name
-                                for name, held in held_by.items()
-                                if cell_key in held
-                            )
-                            if names:
-                                cell_owners[i] = names
-                    else:
-                        jobs = self._resolve_jobs(jobs)
+                    held_by = worker_pool.probe_cache(
+                        list(dict.fromkeys(cell_keys.values()))
+                    )
+                    for i, cell_key in cell_keys.items():
+                        names = sorted(
+                            name
+                            for name, held in held_by.items()
+                            if cell_key in held
+                        )
+                        if names:
+                            cell_owners[i] = names
 
-                event_block = opts.event_block
-                stream_buffer = opts.stream_buffer
-                if executor == "serial":
-                    chunk_stats.extend(self._run_serial_sweep(
-                        cells, pending, scenarios, variants, seeds, backend,
-                        batch_size, results_by_cell,
-                    ))
-                else:
-                    # Every cell's chunks land in ONE shared queue, so
-                    # there is no per-cell barrier: workers drain chunks
-                    # from any cell still pending, and one slow cell
-                    # cannot idle the pool.  Under the "cost" scheduler
-                    # the queue is further shaped by the session cost
-                    # model — cells enqueue longest-predicted-first and
-                    # each chunk targets a fixed wall-time slice (big-n
-                    # cells split finer, tiny cells coalesce); "static"
-                    # keeps the fixed per-cell split in grid order.
-                    # Either way the schedule only moves wall time:
-                    # replicate seeds are derived per cell before
-                    # chunking and results are assembled by cell index,
-                    # so results are bit-identical across schedules.
-                    cell_jobs = []
-                    for i in pending:
-                        cell = cells[i]
-                        plan = plans[i]
-                        if i in cell_owners:
-                            # A fleet-owned cell is ONE serve-cached
-                            # chunk (cache entries are whole ensembles)
-                            # at near-zero predicted cost, so the cost
-                            # scheduler neither splits it nor lets its
-                            # decode time skew chunk sizing for real
-                            # work.
-                            chunk_cap = cell.trials
-                        elif opts.scheduler == "cost":
-                            per_rep = plan["per_replicate_seconds"]
-                            if worker_pool is not None:
-                                # Size remote chunks against the slowest
-                                # attached worker's measured coefficients
-                                # (per-family prediction when a worker
-                                # has no history yet), so a wall-time
-                                # slice stays a bounded tail on
-                                # heterogeneous hardware.
-                                worker_est = model.predict_for_workers(
-                                    cell.spec.scenario,
-                                    variants[i],
-                                    plan["n"],
-                                    worker_pool.worker_names(),
-                                )
-                                if worker_est is not None:
-                                    per_rep = max(per_rep, worker_est)
-                            chunk_cap = model.chunk_size(
-                                per_rep,
-                                cell.trials,
-                                batch_size,
-                            )
-                        else:
-                            chunk_cap = self._chunk_cap(
-                                cell.trials, jobs, batch_size
-                            )
-                        chunks = _chunked(
-                            replicate_seeds(seeds[i], cell.trials), chunk_cap
-                        )
-                        if opts.autotune == "on" and variants[i] in (
-                            "batched",
-                            "compiled",
-                        ):
-                            blocks = model.plan_blocks(
-                                plan["signature"], len(chunks), event_block
-                            )
-                            buffers = model.plan_buffers(
-                                plan["signature"], len(chunks), stream_buffer
-                            )
-                        else:
-                            blocks = [event_block] * len(chunks)
-                            buffers = [stream_buffer] * len(chunks)
-                        cell_jobs.append(
-                            {
-                                "index": i,
-                                "scenario": scenarios[i],
-                                "spec": cell.spec,
-                                "variant": variants[i],
-                                "max_interactions": cell.max_interactions,
-                                "chunks": chunks,
-                                "event_blocks": blocks,
-                                "stream_buffers": buffers,
-                                "predicted_seconds": (
-                                    0.0
-                                    if i in cell_owners
-                                    else plan["per_replicate_seconds"]
-                                    * cell.trials
-                                ),
-                            }
-                        )
-                    if opts.scheduler == "cost":
-                        # Longest-predicted-first; the sort is stable, so
-                        # equal predictions keep grid order.
-                        cell_jobs.sort(key=lambda job: -job["predicted_seconds"])
-                    if executor == "remote":
-                        # The same flattened longest-first queue the
-                        # process executor drains, shipped frame by
-                        # frame: one chunk in flight per worker (work
-                        # stealing), specs by value, results back as
-                        # fixed-width record blocks (pickle fallback
-                        # per cell without a codec).  The PR 6 spec
-                        # broadcast is deliberately NOT engaged here —
-                        # its shared-memory refs only resolve on this
-                        # host.
-                        messages = []
-                        chunk_meta = []
-                        for job in cell_jobs:
-                            widths = (
-                                _record_widths(
-                                    job["scenario"], job["spec"], job["variant"]
-                                )
-                                if result_transport == "shared"
-                                else None
-                            )
-                            for chunk, chunk_block, chunk_buffer in zip(
-                                job["chunks"],
-                                job["event_blocks"],
-                                job["stream_buffers"],
-                            ):
-                                message = {
-                                    "scenario": job["spec"].scenario,
-                                    "spec": job["spec"],
-                                    "variant": job["variant"],
-                                    "seeds": chunk,
-                                    "max_interactions": job[
-                                        "max_interactions"
-                                    ],
-                                    "event_block": chunk_block,
-                                    "stream_buffer": chunk_buffer,
-                                    "record": widths,
-                                }
-                                if job["index"] in cell_owners:
-                                    # Pin to an advertising owner; the
-                                    # cold payload above still makes any
-                                    # fallback bit-identical.
-                                    message["cache_key"] = cell_keys[
-                                        job["index"]
-                                    ]
-                                    message["cache_owners"] = cell_owners[
-                                        job["index"]
-                                    ]
-                                messages.append(message)
-                                chunk_meta.append(
-                                    (job, len(chunk), chunk_block,
-                                     chunk_buffer, widths)
-                                )
-                        outputs = worker_pool.run(messages)
-                        for i in pending:
-                            results_by_cell[i] = []
-                        for output, (job, replicates, blk, buf, widths) in zip(
-                            outputs, chunk_meta
-                        ):
-                            results_by_cell[job["index"]].extend(
-                                self._remote_results(
-                                    job["scenario"],
-                                    job["spec"],
-                                    output,
-                                    replicates,
-                                    widths,
-                                )
-                            )
-                            if output.get("served"):
-                                # Owned cells are single whole-cell
-                                # chunks, so one served output means the
-                                # whole cell came from the fleet cache.
-                                served_cells.add(job["index"])
-                            chunk_stats.append(
-                                {
-                                    "cell": job["index"],
-                                    "replicates": replicates,
-                                    "event_block": blk,
-                                    "stream_buffer": buf,
-                                    "seconds": output["seconds"],
-                                    "worker": output["worker"],
-                                    "served": bool(output.get("served")),
-                                }
-                            )
-                        # Write-back replication: every cell this run
-                        # actually simulated goes out to workers whose
-                        # store token differs, so the next identical
-                        # sweep is warm fleet-wide (each worker's LRU
-                        # cap bounds what it keeps).
-                        for i in pending:
-                            if i in served_cells:
-                                continue
-                            worker_pool.push_cache(
-                                cell_keys[i],
-                                results_by_cell[i],
-                                exclude=set(cell_owners.get(i, ())),
-                            )
+                # Every cell's chunks land in ONE shared queue, so there
+                # is no per-cell barrier: workers drain chunks from any
+                # cell still pending, and one slow cell cannot idle the
+                # pool.  The session cost model shapes the queue: cells
+                # enqueue longest-predicted-first and each chunk targets
+                # a fixed wall-time slice (big-n cells split finer, tiny
+                # cells coalesce).  The schedule only moves wall time:
+                # replicate seeds are derived per cell before chunking
+                # and results are assembled by cell index.
+                cell_jobs = []
+                for i in pending:
+                    cell = cells[i]
+                    plan = plans[i]
+                    if i in cell_owners:
+                        # A fleet-owned cell is ONE serve-cached chunk
+                        # (cache entries are whole ensembles) at
+                        # near-zero predicted cost, so it is neither
+                        # split nor allowed to skew chunk sizing.
+                        chunk_cap = cell.trials
                     else:
-                        pool_map = self._pool_mapper(jobs)
-                        # Large specs (graph edge arrays) ship to the pool
-                        # once per sweep via shared memory instead of being
-                        # re-pickled with every chunk; small specs travel
-                        # inline unchanged.
-                        broadcast = SpecBroadcast(
-                            [job["spec"] for job in cell_jobs]
+                        per_rep = plan["per_replicate_seconds"]
+                        if worker_pool is not None:
+                            # Size remote chunks against the slowest
+                            # attached worker's measured coefficients
+                            # (per-family prediction when a worker has
+                            # no history yet), so a wall-time slice
+                            # stays a bounded tail on heterogeneous
+                            # hardware.
+                            worker_est = model.predict_for_workers(
+                                cell.spec.scenario,
+                                variants[i],
+                                plan["n"],
+                                worker_pool.worker_names(),
+                            )
+                            if worker_est is not None:
+                                per_rep = max(per_rep, worker_est)
+                        chunk_cap = model.chunk_size(
+                            per_rep, cell.trials, batch_size
                         )
-                        try:
-                            for job in cell_jobs:
-                                job["spec_payload"] = broadcast.ref_for(
-                                    job["spec"]
-                                )
-                            shared = None
-                            if result_transport == "shared":
-                                shared = _run_sweep_shared(cell_jobs, pool_map)
-                            if shared is not None:
-                                results_by_cell.update(shared[0])
-                                chunk_stats.extend(shared[1])
-                                # Transport accounting: the sweep block
-                                # packs every cell's rows at one common
-                                # stride (the widest cell wins).
-                                stride = 0
-                                total_rows = 0
-                                n_chunks = 0
-                                for job in cell_jobs:
-                                    iw, fw = _record_widths(
-                                        job["scenario"],
-                                        job["spec"],
-                                        job["variant"],
-                                    )
-                                    stride = max(stride, 8 * (iw + fw))
-                                    total_rows += sum(
-                                        len(c) for c in job["chunks"]
-                                    )
-                                    n_chunks += len(job["chunks"])
-                                self._count_transport(
-                                    "shared", n_chunks, total_rows * stride
-                                )
-                            else:
-                                payloads = []
-                                chunk_meta = []
-                                for job in cell_jobs:
-                                    for chunk, chunk_block, chunk_buffer in zip(
-                                        job["chunks"],
-                                        job["event_blocks"],
-                                        job["stream_buffers"],
-                                    ):
-                                        payloads.append(
-                                            (
-                                                job["spec"].scenario,
-                                                job["spec_payload"],
-                                                job["variant"],
-                                                chunk,
-                                                job["max_interactions"],
-                                                chunk_block,
-                                                chunk_buffer,
-                                            )
-                                        )
-                                        chunk_meta.append(
-                                            (
-                                                job["index"],
-                                                len(chunk),
-                                                chunk_block,
-                                                chunk_buffer,
-                                            )
-                                        )
-                                # chunksize=1 keeps distribution dynamic: a
-                                # worker that finishes a fast cell's chunk
-                                # immediately steals the next chunk from any
-                                # cell still pending.
-                                outputs = pool_map(
-                                    _timed_worker, payloads, chunksize=1
-                                )
-                                self._count_transport(
-                                    "pickle",
-                                    len(payloads),
-                                    len(
-                                        pickle.dumps(
-                                            [o for o, _ in outputs],
-                                            pickle.HIGHEST_PROTOCOL,
-                                        )
-                                    ),
-                                )
-                                for i in pending:
-                                    results_by_cell[i] = []
-                                for (
-                                    (output, seconds),
-                                    (i, replicates, blk, buf),
-                                ) in zip(outputs, chunk_meta):
-                                    results_by_cell[i].extend(output)
-                                    chunk_stats.append(
-                                        {
-                                            "cell": i,
-                                            "replicates": replicates,
-                                            "event_block": blk,
-                                            "stream_buffer": buf,
-                                            "seconds": seconds,
-                                        }
-                                    )
-                        finally:
-                            broadcast.close()
-                if store is not None:
-                    for i in pending:
-                        store.store(keys[i], results_by_cell[i])
+                    cell_jobs.append(
+                        {
+                            "index": i,
+                            "scenario": scenarios[i],
+                            "spec": cell.spec,
+                            "variant": variants[i],
+                            "max_interactions": cell.max_interactions,
+                            "chunks": _chunked(
+                                replicate_seeds(seeds[i], cell.trials),
+                                chunk_cap,
+                            ),
+                            "predicted_seconds": (
+                                0.0
+                                if i in cell_owners
+                                else plan["per_replicate_seconds"] * cell.trials
+                            ),
+                        }
+                    )
+                # Longest-predicted-first; the sort is stable, so equal
+                # predictions keep grid order.
+                cell_jobs.sort(key=lambda job: -job["predicted_seconds"])
+                if worker_pool is not None:
+                    by_cell, queue_stats, served_cells = self._run_remote_sweep(
+                        worker_pool, cell_jobs, cell_keys, cell_owners
+                    )
+                else:
+                    by_cell, queue_stats = self._run_on_pool(
+                        self._resolve_jobs(jobs), cell_jobs
+                    )
+                results_by_cell.update(by_cell)
+                chunk_stats.extend(queue_stats)
+            if pending and store is not None:
+                for i in pending:
+                    store.store(keys[i], results_by_cell[i])
 
             # Refine the cost model from the measured chunk wall-times
             # and persist the table next to the ensemble cache so later
             # sweeps (and sessions) start warm.
-            autotuning = opts.autotune == "on" and executor != "serial"
             measured: dict[int, float] = {}
             for stat in chunk_stats:
                 if stat.get("served"):
@@ -1574,19 +1381,6 @@ class Engine:
                 if worker is not None:
                     model.observe_worker(
                         worker, signature, stat["replicates"], stat["seconds"]
-                    )
-                if autotuning and variants[i] in ("batched", "compiled"):
-                    model.observe_block(
-                        signature,
-                        stat["event_block"],
-                        stat["replicates"],
-                        stat["seconds"],
-                    )
-                    model.observe_buffer(
-                        signature,
-                        stat["stream_buffer"],
-                        stat["replicates"],
-                        stat["seconds"],
                     )
             if store is not None and chunk_stats:
                 store.store_cost_table(model.to_payload())

@@ -320,7 +320,6 @@ def run_sweep(
     jobs: int | None = None,
     batch_size: int = DEFAULT_BATCH_SIZE,
     cache: bool | EnsembleCache | None = None,
-    result_transport: str | None = None,
 ) -> SweepRun:
     """Run every cell of a sweep through one flattened work queue.
 
@@ -353,13 +352,6 @@ def run_sweep(
         barrier — and ``cache`` stores each cell as its own ensemble
         entry under a sweep-level index, so identical sweeps replay from
         disk and edited sweeps recompute only missing/changed cells.
-    result_transport:
-        How process-executor workers return the flattened queue's
-        results: ``"shared"`` packs every cell's replicates as
-        fixed-width records into one sweep-wide shared-memory block
-        (with automatic pickle fallback when shared memory or any
-        cell's record codec is unavailable); ``"pickle"`` forces the
-        classic pickled path.  Never affects the results themselves.
 
     Returns
     -------
@@ -380,5 +372,4 @@ def run_sweep(
         jobs=jobs,
         batch_size=batch_size,
         cache=cache,
-        result_transport=result_transport,
     )

@@ -126,9 +126,7 @@ class TestCacheHits:
         assert counting_scenario.calls == 4
 
     def test_cache_true_uses_session_dir(self, tmp_path, monkeypatch):
-        from repro.engine import options
-
-        monkeypatch.setattr(options, "_CACHE_DIR_OVERRIDE", str(tmp_path))
+        monkeypatch.setenv("REPRO_ENGINE_CACHE_DIR", str(tmp_path))
         config = Configuration.from_supports([30, 10])
         first = run_ensemble(config, 2, seed=5, cache=True)
         second = run_ensemble(config, 2, seed=5, cache=True)
@@ -136,10 +134,6 @@ class TestCacheHits:
         assert list(tmp_path.glob("*.pkl"))
 
     def test_env_var_enables_cache(self, tmp_path, monkeypatch, counting_scenario):
-        from repro.engine import options
-
-        monkeypatch.setattr(options, "_CACHE_OVERRIDE", None)
-        monkeypatch.setattr(options, "_CACHE_DIR_OVERRIDE", None)
         monkeypatch.setenv("REPRO_ENGINE_CACHE", "1")
         monkeypatch.setenv("REPRO_ENGINE_CACHE_DIR", str(tmp_path))
         spec = counting_spec()
@@ -214,14 +208,9 @@ class TestConsumerPlumbing:
             r.tail_mean_plurality_fraction for r in second
         ]
 
-    def test_cli_second_invocation_is_served_from_cache(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    def test_cli_second_invocation_is_served_from_cache(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.engine import options
 
-        monkeypatch.setattr(options, "_CACHE_OVERRIDE", None)
-        monkeypatch.setattr(options, "_CACHE_DIR_OVERRIDE", None)
         argv = [
             "simulate", "--scenario", "zealots", "--n", "60", "--k", "2",
             "--zealots", "0,3", "--trials", "2",
@@ -272,9 +261,6 @@ class TestEvictionAndStats:
         assert store.evictions == 0
 
     def test_max_bytes_from_environment(self, tmp_path, monkeypatch):
-        from repro.engine import options
-
-        monkeypatch.setattr(options, "_CACHE_MAX_BYTES_OVERRIDE", None)
         monkeypatch.setenv("REPRO_ENGINE_CACHE_MAX_BYTES", "12345")
         assert EnsembleCache(tmp_path).max_bytes == 12345
         monkeypatch.setenv("REPRO_ENGINE_CACHE_MAX_BYTES", "0")

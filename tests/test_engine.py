@@ -7,13 +7,14 @@ from repro.analysis.convergence import run_trials
 from repro.core.config import Configuration
 from repro.core.fastsim import cumulative_weights, pick_event
 from repro.engine import (
+    EngineOptions,
     available_backends,
     get_backend,
     get_default_backend,
+    get_default_jobs,
     register_backend,
     replicate_seeds,
     run_ensemble,
-    set_engine_defaults,
     supports_batch,
 )
 from repro.engine.batched import simulate_batch
@@ -259,20 +260,12 @@ class TestEngineDefaults:
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "batched")
         assert get_default_backend() == "batched"
 
-    def test_set_defaults_beats_env(self, monkeypatch):
-        from repro.engine import options
-
-        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "agents")
-        monkeypatch.setattr(options, "_BACKEND_OVERRIDE", None)
-        set_engine_defaults(backend="batched")
-        try:
-            assert get_default_backend() == "batched"
-        finally:
-            monkeypatch.setattr(options, "_BACKEND_OVERRIDE", None)
-
-    def test_invalid_jobs_rejected(self):
+    def test_invalid_jobs_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
-            set_engine_defaults(jobs=0)
+            EngineOptions(jobs=0)
+        monkeypatch.setenv("REPRO_ENGINE_JOBS", "0")
+        with pytest.raises(ValueError, match="REPRO_ENGINE_JOBS"):
+            get_default_jobs()
 
 
 class TestRunTrialsIntegration:

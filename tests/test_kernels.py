@@ -43,11 +43,9 @@ from repro.engine import (
     noise_spec,
     replicate_seeds,
     run_ensemble,
-    set_engine_defaults,
     usd_spec,
     zealot_spec,
 )
-from repro.engine.costmodel import STREAM_BUFFER_CANDIDATES, CostModel
 from repro.gossip.engine import BatchedDraws, IndexStream
 from repro.gossip.jmajority import j_majority_round_batch
 from repro.gossip.median import median_rule_round_batch
@@ -548,11 +546,11 @@ class TestStreamBufferPlumbing:
             get_default_stream_buffer()
 
     def test_engine_defaults_round_trip(self):
-        set_engine_defaults(stream_buffer=128)
+        set_default_stream_buffer(128)
         assert engine_defaults()["stream_buffer"] == 128
         assert EngineOptions.resolve().stream_buffer == 128
         # None means "leave as-is", mirroring set_default_event_block.
-        set_engine_defaults(stream_buffer=None)
+        set_default_stream_buffer(None)
         assert engine_defaults()["stream_buffer"] == 128
         from repro.core import lockstep
 
@@ -580,51 +578,3 @@ class TestStreamBufferPlumbing:
         for other in runs[1:]:
             for a, b in zip(runs[0], other):
                 assert np.array_equal(a, b)
-
-
-class TestCostModelStreamBuffers:
-    SIG = "usd|compiled|n=1000"
-
-    def test_explore_then_exploit(self):
-        model = CostModel()
-        plan = model.plan_buffers(self.SIG, 8, DEFAULT_STREAM_BUFFER)
-        assert len(plan) == 8
-        assert set(plan) <= set(STREAM_BUFFER_CANDIDATES) | {
-            DEFAULT_STREAM_BUFFER
-        }
-        # Cold model explores every candidate before settling.
-        assert set(STREAM_BUFFER_CANDIDATES) <= set(plan)
-        for buf, secs in ((64, 0.1), (256, 0.2), (1024, 0.9)):
-            model.observe_buffer(self.SIG, buf, 100, secs)
-        assert model.tuned_buffer(self.SIG, DEFAULT_STREAM_BUFFER) == 64
-        assert model.plan_buffers(self.SIG, 4, DEFAULT_STREAM_BUFFER) == [64] * 4
-
-    def test_payload_round_trip(self):
-        model = CostModel()
-        for buf, secs in ((64, 0.3), (256, 0.1), (1024, 0.5)):
-            model.observe_buffer(self.SIG, buf, 50, secs)
-        payload = model.to_payload()
-        assert "stream_buffers" in payload
-        revived = CostModel.from_payload(payload)
-        assert revived.tuned_buffer(self.SIG, DEFAULT_STREAM_BUFFER) == 256
-        assert "stream_buffers" in revived.summary()
-
-    def test_old_payload_without_buffer_section(self):
-        model = CostModel()
-        model.observe_buffer(self.SIG, 64, 50, 0.1)
-        payload = model.to_payload()
-        del payload["stream_buffers"]
-        revived = CostModel.from_payload(payload)
-        assert (
-            revived.tuned_buffer(self.SIG, DEFAULT_STREAM_BUFFER)
-            == DEFAULT_STREAM_BUFFER
-        )
-
-    def test_ignores_degenerate_observations(self):
-        model = CostModel()
-        model.observe_buffer(self.SIG, 64, 0, 1.0)
-        model.observe_buffer(self.SIG, 64, 10, 0.0)
-        assert (
-            model.tuned_buffer(self.SIG, DEFAULT_STREAM_BUFFER)
-            == DEFAULT_STREAM_BUFFER
-        )

@@ -10,10 +10,9 @@ Covers the three invariants the batched execution layer promises:
   gossip rounds replay the serial references bit-for-bit at the same
   seeds (statistically for 3-Majority, whose draws reorder), and the
   multi-event kernel matches the single-event kernel in distribution.
-* **Transport equality** — the process executor returns identical
-  results whether workers ship pickles or fixed-width shared-memory
-  records, and falls back to pickling when shared memory or a record
-  codec is unavailable.
+* **Transport equality** — the process executor returns the serial
+  results whether workers ship fixed-width record blocks or, for a
+  scenario or backend without a record codec, pickled result lists.
 """
 
 import dataclasses
@@ -28,6 +27,7 @@ from repro.core.lockstep import (
     DEFAULT_EVENT_BLOCK,
     get_default_event_block,
     lockstep_batch,
+    set_default_event_block,
 )
 from repro.engine import (
     engine_defaults,
@@ -37,7 +37,6 @@ from repro.engine import (
     noise_spec,
     replicate_seeds,
     run_ensemble,
-    set_engine_defaults,
     simulate_batch,
     simulate_batch_single_event,
     usd_spec,
@@ -194,7 +193,7 @@ class TestEventBlockInvariance:
         assert get_default_event_block() == DEFAULT_EVENT_BLOCK
         monkeypatch.setenv("REPRO_ENGINE_EVENT_BLOCK", "4")
         assert get_default_event_block() == 4
-        set_engine_defaults(event_block=9)
+        set_default_event_block(9)
         try:
             assert get_default_event_block() == 9
             assert engine_defaults()["event_block"] == 9
@@ -204,7 +203,7 @@ class TestEventBlockInvariance:
         with pytest.raises(ValueError):
             get_default_event_block()
         with pytest.raises(ValueError):
-            set_engine_defaults(event_block=0)
+            set_default_event_block(0)
 
     def test_invalid_event_block_rejected(self):
         with pytest.raises(ValueError):
@@ -478,19 +477,15 @@ class TestResultTransport:
             (gossip_spec(uniform_configuration(150, 3)), {}),
         ]
 
-    def test_shared_equals_pickle_equals_serial(self, workloads):
+    def test_process_records_equal_serial(self, workloads):
+        # Process workers return record blocks for every built-in
+        # scenario; decoding them must be invisible in the results.
         for spec, kwargs in workloads:
             serial = run_ensemble(spec, 5, seed=13, executor="serial", **kwargs)
-            pickle = run_ensemble(
-                spec, 5, seed=13, executor="process", jobs=2,
-                result_transport="pickle", **kwargs,
+            process = run_ensemble(
+                spec, 5, seed=13, executor="process", jobs=2, **kwargs,
             )
-            shared = run_ensemble(
-                spec, 5, seed=13, executor="process", jobs=2,
-                result_transport="shared", **kwargs,
-            )
-            assert results_equal(serial, pickle), spec.scenario
-            assert results_equal(pickle, shared), spec.scenario
+            assert results_equal(serial, process), spec.scenario
 
     def test_record_codecs_roundtrip(self, workloads):
         for spec, kwargs in workloads:
@@ -512,19 +507,30 @@ class TestResultTransport:
                     ), (spec.scenario, field)
 
     def test_fallback_without_shared_memory(self, monkeypatch):
+        # Shared memory only carries large specs (SpecBroadcast); the
+        # process executor must work the same without it.
         from repro.engine import executors
 
         monkeypatch.setattr(executors, "_shared_memory", None)
         config = uniform_configuration(150, 2)
-        got = run_ensemble(
-            config, 4, seed=3, executor="process", jobs=2,
-            result_transport="shared",
-        )
+        got = run_ensemble(config, 4, seed=3, executor="process", jobs=2)
         want = run_ensemble(config, 4, seed=3, executor="serial")
         assert results_equal(want, got)
 
     def test_fallback_without_record_codec(self):
-        from repro.engine import Scenario, register_scenario
+        # A scenario without a record codec comes back as pickled result
+        # lists from process-pool and socket workers alike, also next
+        # to a record-codec cell in the same sweep queue.
+        import threading
+
+        from repro.engine import (
+            Engine,
+            Scenario,
+            SweepCell,
+            SweepSpec,
+            register_scenario,
+            serve_worker,
+        )
         from repro.engine.scenarios import _REGISTRY
 
         class NoCodec(Scenario):
@@ -543,46 +549,37 @@ class TestResultTransport:
             spec = ScenarioSpec.create(
                 "no-codec", Configuration.from_supports([30, 20])
             )
-            got = run_ensemble(
-                spec, 3, seed=5, executor="process", jobs=2,
-                result_transport="shared",
-            )
+            got = run_ensemble(spec, 3, seed=5, executor="process", jobs=2)
             want = run_ensemble(spec, 3, seed=5, executor="serial")
             assert results_equal(want, got)
+            sweep = SweepSpec(
+                cells=(
+                    SweepCell(spec=spec, trials=3),
+                    SweepCell(spec=usd_spec(uniform_configuration(40, 2)), trials=3),
+                )
+            )
+            with Engine(cache=False) as eng:
+                serial = eng.sweep(sweep, seed=7, executor="serial")
+                process = eng.sweep(sweep, seed=7, executor="process", jobs=2)
+                pool = eng.worker_pool()
+                threading.Thread(
+                    target=serve_worker,
+                    args=(pool.endpoint,),
+                    kwargs={"name": "no-codec-worker"},
+                    daemon=True,
+                ).start()
+                pool.wait_for_workers(1, timeout=15)
+                remote = eng.ensemble(spec, 3, seed=5, executor="remote")
+            for a, b in zip(serial.cells, process.cells):
+                assert results_equal(a.results, b.results)
+            assert results_equal(want, remote)
         finally:
             _REGISTRY.pop("no-codec", None)
-
-    def test_transport_option_plumbing(self, monkeypatch):
-        from repro.engine import get_default_result_transport, options
-
-        monkeypatch.setattr(options, "_RESULT_TRANSPORT_OVERRIDE", None)
-        monkeypatch.delenv("REPRO_ENGINE_RESULT_TRANSPORT", raising=False)
-        assert get_default_result_transport() == "shared"
-        monkeypatch.setenv("REPRO_ENGINE_RESULT_TRANSPORT", "pickle")
-        assert get_default_result_transport() == "pickle"
-        monkeypatch.setenv("REPRO_ENGINE_RESULT_TRANSPORT", "carrier-pigeon")
-        with pytest.raises(ValueError):
-            get_default_result_transport()
-        with pytest.raises(ValueError):
-            set_engine_defaults(result_transport="carrier-pigeon")
-        monkeypatch.delenv("REPRO_ENGINE_RESULT_TRANSPORT", raising=False)
-        set_engine_defaults(result_transport="pickle")
-        try:
-            assert engine_defaults()["result_transport"] == "pickle"
-        finally:
-            monkeypatch.setattr(options, "_RESULT_TRANSPORT_OVERRIDE", None)
-
-    def test_unknown_transport_rejected(self):
-        with pytest.raises(ValueError):
-            run_ensemble(
-                uniform_configuration(50, 2), 2, seed=1,
-                executor="process", jobs=2, result_transport="smoke-signals",
-            )
 
     def test_custom_backend_subclass_results_survive_process_runs(self):
         # A custom registered backend may return a RunResult subclass;
         # the record codec would flatten it, so the USD scenario must
-        # veto shared memory for that variant and keep the pickle path.
+        # veto record blocks for that variant and keep the pickle path.
         from repro.engine import get_scenario, register_backend
         from repro.engine.backends import _REGISTRY as _BACKENDS
 
@@ -595,44 +592,32 @@ class TestResultTransport:
             results = run_ensemble(
                 uniform_configuration(60, 2), 3, seed=2,
                 backend="tracing-test-backend", executor="process", jobs=2,
-                result_transport="shared",
             )
             assert all(r.trace_marker == "kept" for r in results)
         finally:
             _BACKENDS.pop("tracing-test-backend", None)
 
-    def test_sweep_cli_applies_event_block_and_transport(self, monkeypatch):
+    def test_sweep_cli_applies_event_block(self, monkeypatch):
         # The CLI freezes its flags into one Engine session; while that
         # session runs, the default getters (and through them the
         # lockstep kernels) answer from it — and NOTHING leaks into the
         # process-wide defaults after the command returns.
-        from repro.cli import build_parser, main
+        from repro.cli import _build_engine, build_parser, main
         from repro.core import lockstep
-        from repro.engine import (
-            engine,
-            get_default_event_block,
-            get_default_result_transport,
-            options,
-        )
-        from repro.cli import _build_engine
+        from repro.engine import engine
 
         monkeypatch.setattr(lockstep, "_EVENT_BLOCK_OVERRIDE", None)
-        monkeypatch.setattr(options, "_RESULT_TRANSPORT_OVERRIDE", None)
         monkeypatch.delenv("REPRO_ENGINE_EVENT_BLOCK", raising=False)
-        monkeypatch.delenv("REPRO_ENGINE_RESULT_TRANSPORT", raising=False)
         argv = [
             "sweep", "--param", "n=40", "--param", "k=2", "--trials", "2",
-            "--event-block", "7", "--result-transport", "pickle", "--no-cache",
+            "--event-block", "7", "--no-cache",
         ]
         args = build_parser().parse_args(argv)
         with _build_engine(args) as eng:
             assert eng.options.event_block == 7
-            assert eng.options.result_transport == "pickle"
             with engine(eng):
                 # Scoped: the kernels' defaults answer from the session.
                 assert get_default_event_block() == 7
-                assert get_default_result_transport() == "pickle"
         assert main(argv) == 0
         # Restored: the command mutated no process-wide state.
         assert get_default_event_block() == lockstep.DEFAULT_EVENT_BLOCK
-        assert get_default_result_transport() == "shared"

@@ -407,27 +407,26 @@ class TestRemoteBitIdentity:
         assert results_key(remote) == results_key(serial)
         assert results_key(remote) == results_key(process)
 
-    def test_sweep_matches_serial_both_transports(self):
+    def test_sweep_matches_serial(self):
         spec = small_sweep()
         serial = run_sweep(spec, seed=11, executor="serial")
-        for transport in ("shared", "pickle"):
-            with Engine(cache=False, result_transport=transport) as eng:
-                pool = eng.worker_pool()
-                for i in range(2):
-                    start_worker_thread(pool.endpoint, name=f"w{i}")
-                pool.wait_for_workers(2, timeout=15)
-                remote = eng.sweep(spec, seed=11, executor="remote")
-                stats = eng.stats()
-            assert sweep_key(remote) == sweep_key(serial), transport
-            assert stats["transport"]["socket"]["chunks"] > 0
+        with Engine(cache=False) as eng:
+            pool = eng.worker_pool()
+            for i in range(2):
+                start_worker_thread(pool.endpoint, name=f"w{i}")
+            pool.wait_for_workers(2, timeout=15)
+            remote = eng.sweep(spec, seed=11, executor="remote")
+            stats = eng.stats()
+        assert sweep_key(remote) == sweep_key(serial)
+        assert stats["transport"]["socket"]["chunks"] > 0
 
     def test_worker_death_mid_sweep_requeues_bit_identically(self):
         spec = small_sweep(trials=6)
         serial = run_sweep(spec, seed=13, executor="serial")
-        # static scheduler + small batches force enough chunks that the
-        # flaky worker is guaranteed a second dispatch — which it takes
-        # and dies on, mid-chunk, without replying.
-        with Engine(cache=False, scheduler="static") as eng:
+        # batch_size=2 cuts every cell into three chunks, so the flaky
+        # worker is guaranteed a second dispatch — which it takes and
+        # dies on, mid-chunk, without replying.
+        with Engine(cache=False) as eng:
             pool = eng.worker_pool()
             start_worker_thread(pool.endpoint, name="flaky", abort_after=1)
             start_worker_thread(pool.endpoint, name="steady")
@@ -565,22 +564,21 @@ class TestPerWorkerCostModel:
 # Transport counters on the local paths
 # ----------------------------------------------------------------------
 class TestTransportCounters:
-    def test_process_sweep_counts_shared_bytes(self):
+    def test_process_pickle_sweep_counts_pickle_bytes(self):
+        # Process workers return record blocks through the pool pipe:
+        # each chunk and the bytes it sent back count as "pickle".
         spec = small_sweep(trials=4)
         with Engine(cache=False, jobs=2) as eng:
             eng.sweep(spec, seed=29, executor="process")
             transport = eng.stats()["transport"]
-        assert transport["shared"]["chunks"] > 0
-        assert transport["shared"]["bytes"] > 0
+        # One usd record is k + 4 int64 slots.
+        record_bytes = sum(
+            cell.trials * 8 * (cell.spec.config.k + 4) for cell in spec.cells
+        )
+        assert set(transport) == {"pickle", "socket"}
+        assert transport["pickle"]["chunks"] >= len(spec.cells)
+        assert transport["pickle"]["bytes"] == record_bytes
         assert transport["socket"]["chunks"] == 0
-
-    def test_process_pickle_sweep_counts_pickle_bytes(self):
-        spec = small_sweep(trials=4)
-        with Engine(cache=False, jobs=2, result_transport="pickle") as eng:
-            eng.sweep(spec, seed=29, executor="process")
-            transport = eng.stats()["transport"]
-        assert transport["pickle"]["chunks"] > 0
-        assert transport["pickle"]["bytes"] > 0
 
     def test_socket_counters_survive_pool_shutdown(self):
         config = uniform_configuration(60, 2)
@@ -1138,7 +1136,7 @@ class TestWorkerDrain:
         spec = small_sweep(trials=6)
         serial = run_sweep(spec, seed=13, executor="serial")
         drain = threading.Event()
-        with Engine(cache=False, scheduler="static") as eng:
+        with Engine(cache=False) as eng:
             pool = eng.worker_pool()
             start_worker_thread(pool.endpoint, name="drainer", drain=drain)
             start_worker_thread(pool.endpoint, name="steady")

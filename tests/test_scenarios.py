@@ -388,9 +388,7 @@ class TestVariantResolution:
     def test_session_default_backend_reaches_scenarios(self, monkeypatch):
         # --backend batched / REPRO_ENGINE_BACKEND=batched must select
         # the vectorized variant for scenarios that have one.
-        from repro.engine import options
-
-        monkeypatch.setattr(options, "_BACKEND_OVERRIDE", "batched")
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "batched")
         assert get_scenario("zealots").variant(None) == "batched"
         assert get_scenario("noise").variant(None) == "batched"
         assert get_scenario("graph").variant(None) == "batched"
@@ -399,9 +397,7 @@ class TestVariantResolution:
     def test_unknown_session_default_falls_back_to_reference(self, monkeypatch):
         # A custom USD backend as the session default must not break
         # every other scenario; only explicit requests are strict.
-        from repro.engine import options
-
-        monkeypatch.setattr(options, "_BACKEND_OVERRIDE", "my-custom-usd")
+        monkeypatch.setenv("REPRO_ENGINE_BACKEND", "my-custom-usd")
         assert get_scenario("zealots").variant(None) == "reference"
 
     def test_unregistered_backend_instance_runs_serially(self):

@@ -3,10 +3,10 @@
 The session redesign must be invisible in the results: ``Engine.ensemble``
 and ``Engine.sweep`` are asserted bit-identical to the free functions and
 to a manual per-replicate reference loop at fixed seeds, across the
-serial and process executors and both result transports.  What *does*
-change — pool ownership, option freezing, scoped configuration — is
-pinned here: worker PIDs persist across calls, the pool respawns exactly
-when jobs/result_transport/registries change, and ``engine(...)``
+serial and process executors.  What *does* change — pool ownership,
+option freezing, scoped configuration — is pinned here: worker PIDs
+persist across calls, the pool respawns exactly when jobs or the
+registries change, and ``engine(...)``
 restores the previous configuration on exit and on exceptions.
 """
 
@@ -94,12 +94,43 @@ class TestEngineOptions:
             EngineOptions(jobs=0)
         with pytest.raises(ValueError):
             EngineOptions(event_block=0)
-        with pytest.raises(ValueError):
-            EngineOptions(result_transport="smoke-signals")
         with pytest.raises(TypeError):
             EngineOptions.resolve(warp_factor=9)
         with pytest.raises(TypeError):
             EngineOptions().replace(warp_factor=9)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("REPRO_ENGINE_JOBS", "two"),
+            ("REPRO_ENGINE_CACHE", "ture"),
+            ("REPRO_ENGINE_CACHE_MAX_BYTES", "lots"),
+            ("REPRO_ENGINE_EVENT_BLOCK", "x"),
+            ("REPRO_ENGINE_STREAM_BUFFER", "0"),
+            ("REPRO_ENGINE_WORKERS", "no-port"),
+            ("REPRO_SERVICE_MAX_QUEUE", "many"),
+            ("REPRO_SERVICE_MAX_REPLICATES", "0"),
+        ],
+    )
+    def test_malformed_env_var_is_named(self, monkeypatch, name, value):
+        from repro.core import lockstep
+
+        # In-process workers install kernel overrides that shadow the
+        # environment; clear them so the variable is actually read.
+        monkeypatch.setattr(lockstep, "_EVENT_BLOCK_OVERRIDE", None)
+        monkeypatch.setattr(lockstep, "_STREAM_BUFFER_OVERRIDE", None)
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=name):
+            EngineOptions.resolve()
+
+    @pytest.mark.parametrize(
+        "value,enabled",
+        [("1", True), ("Yes", True), (" on ", True), ("false", False),
+         ("0", False), ("OFF", False), ("", False)],
+    )
+    def test_cache_env_spellings(self, monkeypatch, value, enabled):
+        monkeypatch.setenv("REPRO_ENGINE_CACHE", value)
+        assert EngineOptions.resolve().cache is enabled
 
     def test_unlimited_cache_cap_normalized(self):
         assert EngineOptions(cache_max_bytes=0).cache_max_bytes is None
@@ -146,10 +177,10 @@ class TestBitIdentity:
             via_session = eng.sweep(spec, seed=23, executor="process", jobs=2)
         assert sweep_key(free) == sweep_key(via_session)
 
-    def test_sweep_shared_equals_pickle_equals_serial(self):
-        # The new sweep-wide shared-memory transport must be invisible
-        # in the results, including across different record widths in
-        # one sweep (usd k=2 cells + a zealot cell).
+    def test_sweep_mixed_record_widths_equal_serial(self):
+        # Process workers' record blocks must be invisible in the
+        # results, including across different record widths in one
+        # sweep (usd k=3 cells + a zealot cell).
         cells = tuple(
             [
                 SweepCell(spec=zealot_spec(uniform_configuration(60, 2), [0, 3]),
@@ -159,18 +190,15 @@ class TestBitIdentity:
         )
         spec = SweepSpec(cells=cells)
         with Engine(jobs=2) as eng:
-            shared = eng.sweep(
-                spec, seed=5, executor="process", result_transport="shared"
-            )
-            pickled = eng.sweep(
-                spec, seed=5, executor="process", result_transport="pickle"
-            )
+            process = eng.sweep(spec, seed=5, executor="process")
             serial = eng.sweep(spec, seed=5, executor="serial")
-        assert sweep_key(shared) == sweep_key(pickled) == sweep_key(serial)
+        assert sweep_key(process) == sweep_key(serial)
         # Decoded results keep their scenario-specific types.
-        assert type(shared.cells[0].results[0]).__name__ == "ZealotRunResult"
+        assert type(process.cells[0].results[0]).__name__ == "ZealotRunResult"
 
     def test_sweep_shared_falls_back_without_shared_memory(self, monkeypatch):
+        # Without shared memory, large specs travel inline with every
+        # chunk (SpecBroadcast falls back); results do not change.
         from repro.engine import executors
 
         monkeypatch.setattr(executors, "_shared_memory", None)
@@ -233,18 +261,21 @@ class TestPersistentPool:
         assert not set(before) & set(after)
         assert stats["pool"]["spawns"] == 2
 
-    def test_respawn_when_result_transport_configured(self):
+    def test_respawn_when_jobs_configured(self):
         with Engine(jobs=2) as eng:
             eng.ensemble(self.CONFIG, 6, seed=3, executor="process")
             before = eng.worker_pids()
-            eng.configure(result_transport="pickle")
+            eng.configure(event_block=8)
+            assert eng.worker_pids() == before  # kernel knobs ship per chunk
+            eng.configure(jobs=3)
             assert eng.worker_pids() == ()  # torn down, lazily respawned
             eng.ensemble(self.CONFIG, 6, seed=3, executor="process")
             after = eng.worker_pids()
             stats = eng.stats()
-        assert before and after and not set(before) & set(after)
+        assert len(before) == 2 and len(after) == 3
+        assert not set(before) & set(after)
         assert stats["pool"]["spawns"] == 2
-        assert stats["options"]["result_transport"] == "pickle"
+        assert stats["options"]["jobs"] == 3
 
     def test_respawn_when_registry_grows(self):
         # Forked workers snapshot the registries; registering a backend
@@ -286,8 +317,8 @@ class TestPersistentPool:
         # set_default_event_block plumbing inside the workers.
         with Engine(jobs=2, event_block=16) as eng:
             eng.ensemble(self.CONFIG, 4, seed=1, executor="process")
-            pool_map = eng._pool_mapper(2)
-            assert pool_map(_event_block_probe, [33, 33]) == [33, 33]
+            pool = eng._acquire_pool(2)
+            assert pool.map(_event_block_probe, [33, 33]) == [33, 33]
 
     def test_closed_engine_refuses_work(self):
         eng = Engine()
@@ -436,29 +467,6 @@ class TestSessionCache:
         ]
 
 
-class TestDeprecation:
-    def test_set_engine_defaults_warns(self):
-        from repro.engine import options, set_engine_defaults
-
-        previous = options._BACKEND_OVERRIDE
-        try:
-            with pytest.warns(DeprecationWarning, match="engine"):
-                set_engine_defaults(backend="jump")
-        finally:
-            options._BACKEND_OVERRIDE = previous
-
-    def test_deprecated_defaults_still_reach_new_sessions(self, monkeypatch):
-        import warnings
-
-        from repro.engine import options, set_engine_defaults
-
-        monkeypatch.setattr(options, "_BACKEND_OVERRIDE", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            set_engine_defaults(backend="batched")
-        assert Engine().options.backend == "batched"
-
-
 class TestCliSession:
     def test_report_shares_one_session(self, monkeypatch, capsys, tmp_path):
         # A whole `repro report` runs e01-e19 inside ONE session.
@@ -494,36 +502,6 @@ class TestCliSession:
         monkeypatch.setattr(cli, "run_experiment", spy)
         assert cli.main(["run", "E12", "--backend", "batched"]) == 0
         assert seen["backend"] == "batched"
-
-
-class TestSchedulerOptions:
-    def test_defaults_and_env(self, monkeypatch):
-        opts = EngineOptions.resolve()
-        assert opts.scheduler == "cost"
-        assert opts.autotune == "off"
-        monkeypatch.setenv("REPRO_ENGINE_SCHEDULER", "static")
-        monkeypatch.setenv("REPRO_ENGINE_AUTOTUNE", "1")
-        opts = EngineOptions.resolve()
-        assert opts.scheduler == "static"
-        assert opts.autotune == "on"
-
-    def test_validation(self, monkeypatch):
-        with pytest.raises(ValueError):
-            EngineOptions(scheduler="mystery")
-        with pytest.raises(ValueError):
-            EngineOptions(autotune="maybe")
-        monkeypatch.setenv("REPRO_ENGINE_SCHEDULER", "bogus")
-        with pytest.raises(ValueError):
-            EngineOptions.resolve()
-        monkeypatch.setenv("REPRO_ENGINE_SCHEDULER", "cost")
-        monkeypatch.setenv("REPRO_ENGINE_AUTOTUNE", "perhaps")
-        with pytest.raises(ValueError):
-            EngineOptions.resolve()
-
-    def test_scheduler_knobs_do_not_respawn_pool(self):
-        a = EngineOptions(scheduler="cost", autotune="on")
-        b = EngineOptions(scheduler="static", autotune="off")
-        assert a.pool_key() == b.pool_key()
 
 
 class TestSchedulerStats:
@@ -566,20 +544,18 @@ class TestSchedulerStats:
         assert [c["cached"] for c in report["cells"]] == [True, False, True]
         assert [c["replicates_from_cache"] for c in report["cells"]] == [3, 0, 3]
 
-    def test_autotune_report_and_cost_model_summary(self):
+    def test_report_and_cost_model_summary(self):
         spec = small_sweep(trials=4)
-        with Engine(backend="batched", autotune="on") as eng:
+        with Engine(backend="batched") as eng:
             eng.sweep(spec, seed=3, executor="process", jobs=2)
             snap = eng.stats()
         report = snap["scheduler"]["last_sweep"]
         assert report["executor"] == "process"
-        assert report["scheduler"] == "cost"
-        assert report["autotune"] == "on"
         assert report["prediction_error"] is None or report["prediction_error"] >= 0
         for cell in report["cells"]:
-            assert cell["event_block"] >= 1
             assert cell["prediction_source"] in ("seeded", "observed")
         summary = snap["scheduler"]["cost_model"]
+        assert summary == {"signatures": summary["signatures"], "workers": {}}
         assert summary["signatures"] >= 1
 
 
@@ -729,20 +705,19 @@ class TestPackedSweep:
 
 
 class TestCliScheduler:
-    def test_sweep_autotune_summary(self, capsys, tmp_path):
+    def test_sweep_summary(self, capsys, tmp_path):
         from repro.cli import main
 
         code = main(
             [
                 "sweep", "--param", "n=60,90", "--param", "k=2",
                 "--trials", "2", "--jobs", "2", "--backend", "batched",
-                "--autotune", "--cache", "--cache-dir", str(tmp_path),
+                "--cache", "--cache-dir", str(tmp_path),
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "scheduler:" in out
-        assert "(autotune on, process executor)" in out
+        assert "scheduler:        process executor;" in out
         assert "4 replicates scheduled" in out
         assert (tmp_path / "costmodel.json").exists()
 
@@ -777,23 +752,3 @@ class TestCliScheduler:
         )
         assert code == 0
         assert "no usable index" in capsys.readouterr().out
-
-    def test_sweep_scheduler_flag_is_bit_identical(self, capsys, tmp_path):
-        from repro.cli import main
-
-        outs = []
-        for scheduler in ("cost", "static"):
-            assert (
-                main(
-                    [
-                        "sweep", "--param", "n=60,90", "--param", "k=2",
-                        "--trials", "2", "--jobs", "2",
-                        "--scheduler", scheduler,
-                    ]
-                )
-                == 0
-            )
-            out = capsys.readouterr().out
-            outs.append(out.split("scheduler:")[0])
-            assert f"scheduler:        {scheduler}" in out
-        assert outs[0] == outs[1]
