@@ -29,6 +29,11 @@ Three measurements, merged into one ``BENCH_sweeps.json`` artifact:
   coordinator) must be served entirely from worker caches —
   bit-identical, zero replicates simulated, gated >= 3x cold
   throughput.
+* **packing** — an assertion-only arm, run first: a tiny batched
+  ``usd`` grid and a tiny ``zealots`` grid, each swept serially and on
+  the process executor.  Results must be identical and each process
+  sweep must send exactly ``--jobs`` packed units through the pool.  It
+  has no timing gate.
 
 Usage::
 
@@ -59,7 +64,65 @@ import json
 import sys
 from pathlib import Path
 
-from _harness import run_pool_reuse_smoke, run_remote_smoke, run_sweep_smoke
+from _harness import (
+    _results_key,
+    run_pool_reuse_smoke,
+    run_remote_smoke,
+    run_sweep_smoke,
+)
+
+
+def check_process_packing(jobs: int, seed: int) -> list[str]:
+    """Failures of the packing arm (empty when it holds)."""
+    from repro.core.config import Configuration
+    from repro.engine import Engine, SweepCell, SweepSpec, usd_spec, zealot_spec
+    from repro.workloads import uniform_configuration
+
+    grids = {
+        "usd": SweepSpec(
+            cells=(
+                SweepCell(spec=usd_spec(uniform_configuration(60, 2)), trials=3),
+                SweepCell(
+                    spec=usd_spec(uniform_configuration(90, 4)),
+                    trials=4,
+                    max_interactions=2_000,
+                ),
+            )
+        ),
+        "zealots": SweepSpec(
+            cells=(
+                SweepCell(
+                    spec=zealot_spec(Configuration.from_supports([30, 20]), [2, 0]),
+                    trials=3,
+                    max_interactions=20_000,
+                ),
+                SweepCell(
+                    spec=zealot_spec(uniform_configuration(60, 3), [0, 1, 3]),
+                    trials=4,
+                    max_interactions=20_000,
+                ),
+            )
+        ),
+    }
+    failures = []
+    for name, grid in grids.items():
+        runs = {}
+        for executor in ("serial", "process"):
+            with Engine(backend="batched", cache=False, jobs=jobs) as eng:
+                outcome = eng.sweep(grid, seed=seed, executor=executor)
+                runs[executor] = [_results_key(cell.results) for cell in outcome]
+                chunks = eng.stats()["transport"]["pickle"]["chunks"]
+        same = runs["process"] == runs["serial"]
+        print(
+            f"packing:        {name} grid, {chunks} pool units "
+            f"(expected {jobs}), results "
+            f"{'identical to' if same else 'DIFFER from'} serial"
+        )
+        if not same:
+            failures.append(f"{name}: process results differ from serial")
+        if chunks != jobs:
+            failures.append(f"{name}: {chunks} pool units, expected {jobs}")
+    return failures
 
 
 def _int_list(raw: str) -> list[int]:
@@ -170,6 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    packing_failures = check_process_packing(args.jobs, args.seed)
     scheduling = run_sweep_smoke(
         ns=args.ns,
         ks=args.ks,
@@ -263,6 +327,9 @@ def main(argv: list[str] | None = None) -> int:
         f"(wrote {args.output})"
     )
     code = 0
+    for failure in packing_failures:
+        print(f"FAIL: packing: {failure}", file=sys.stderr)
+        code = 1
     if scheduling["speedup"] < args.min_speedup:
         print(
             f"FAIL: cost-scheduler speedup {scheduling['speedup']:.2f} below "

@@ -802,6 +802,8 @@ def _print_scheduler_summary(session_stats: dict) -> None:
         line += f" ({report['replicates_served']} served by worker caches)"
     if report["replicates_scheduled"]:
         line += (
+            f"; {report['units']} kernel calls "
+            f"({report['packed_units']} packed)"
             f"; predicted {report['predicted_seconds']:.2f}s, "
             f"measured {report['measured_seconds']:.2f}s"
         )

@@ -7,8 +7,11 @@ session composes:
 
 * :func:`replicate_seeds` — the canonical per-replicate seed derivation
   of the whole repository;
-* :func:`_worker`, the one picklable pool entry point: it runs a chunk
-  and returns its results as a fixed-width record block
+* :func:`plan_units` and :class:`WorkUnit` — the one place a sweep's
+  pending cells are grouped, cut into kernel calls (packed lockstep
+  units or per-cell chunks), demuxed back to cells and timed per cell;
+* :func:`_worker`, the one picklable pool entry point: it runs a unit
+  and returns each cell segment as a fixed-width record block
   (:func:`~repro.engine.remote.encode_result_block` bytes) when the
   scenario has a record codec for the variant, else as the pickled
   result list — the same rule the socket workers follow;
@@ -33,9 +36,12 @@ cache (and cross-session result reuse) sound.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import time
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +51,7 @@ from ..core.simulator import RunResult
 from .backends import Backend
 from .cache import EnsembleCache
 from .options import EXECUTORS
-from .scenarios import ScenarioSpec, get_scenario
+from .scenarios import PackedChunk, Scenario, ScenarioSpec, get_scenario
 
 try:  # pragma: no cover - present on every supported platform
     from multiprocessing import shared_memory as _shared_memory
@@ -84,14 +90,17 @@ def replicate_seeds(
     return np.random.SeedSequence(seed).spawn(trials)
 
 
-def _worker(payload) -> tuple[bytes | list, float]:
-    """Pool entry point: run one chunk, return ``(output, kernel seconds)``.
+def _worker(payload) -> tuple[list, float]:
+    """Pool entry point: run one unit, return ``(outputs, kernel seconds)``.
 
-    ``output`` is the chunk's record block when ``widths`` (from
-    :func:`_record_widths`) is given, else the result list itself.  The
-    timing wraps only ``run_chunk`` (not unpickling, spec resolution or
-    encoding), so the sweep scheduler's cost model learns kernel cost,
-    not transport overhead; it never influences results.
+    ``spec`` is a (possibly broadcast) spec, or a :class:`PackedChunk`
+    carried by value; ``widths`` holds one entry per segment (a plain
+    spec is one segment).  ``outputs`` has one entry per segment: its
+    record block when the segment's widths (from :func:`_record_widths`)
+    are given, else its result list.  The timing wraps only
+    ``run_chunk`` (not unpickling, spec resolution or encoding), so the
+    sweep scheduler's cost model learns kernel cost, not transport
+    overhead; it never influences results.
     """
     (
         scenario_name,
@@ -114,12 +123,23 @@ def _worker(payload) -> tuple[bytes | list, float]:
     started = time.perf_counter()
     results = scenario.run_chunk(spec, variant, rngs, max_interactions)
     seconds = time.perf_counter() - started
-    if widths is None:
-        return results, seconds
     # Imported here: the remote module imports this one.
     from .remote import encode_result_block
 
-    return encode_result_block(scenario, spec, results, *widths), seconds
+    segments = (
+        spec.segments
+        if isinstance(spec, PackedChunk)
+        else ((spec, len(results), max_interactions),)
+    )
+    outputs = []
+    stop = 0
+    for (part, size, _), part_widths in zip(segments, widths):
+        start, stop = stop, stop + size
+        chunk = results[start:stop]
+        if part_widths is not None:
+            chunk = encode_result_block(scenario, part, chunk, *part_widths)
+        outputs.append(chunk)
+    return outputs, seconds
 
 
 def _attach_shm_untracked(name: str):
@@ -265,6 +285,171 @@ def _resolve_spec(spec):
 
 def _chunked(seeds: list, batch_size: int) -> list[list]:
     return [seeds[i : i + batch_size] for i in range(0, len(seeds), batch_size)]
+
+
+# ----------------------------------------------------------------------
+# Work units: the one plan every executor drains
+# ----------------------------------------------------------------------
+class Segment(NamedTuple):
+    """Consecutive replicates of one cell inside a :class:`WorkUnit`."""
+
+    cell: int
+    spec: ScenarioSpec
+    max_interactions: int | None
+    seeds: list
+
+
+@dataclass(frozen=True)
+class WorkUnit:
+    """One kernel call: a run of replicates from one or more cells.
+
+    A packed unit's segments run as ONE :class:`PackedChunk` lockstep
+    call; any other unit holds exactly one segment.  ``runner`` is what
+    :meth:`Scenario.run_chunk` takes in this process, ``variant`` the
+    name a pool or socket worker re-resolves.
+    """
+
+    scenario: Scenario
+    runner: object
+    variant: str
+    segments: tuple[Segment, ...]
+    packed: bool
+
+    @property
+    def seeds(self) -> list:
+        return [s for segment in self.segments for s in segment.seeds]
+
+    def work(self) -> tuple[ScenarioSpec | PackedChunk, int | None]:
+        """The ``(spec, max_interactions)`` pair :meth:`run_chunk` takes."""
+        if self.packed:
+            packed = PackedChunk(
+                tuple(
+                    (s.spec, len(s.seeds), s.max_interactions)
+                    for s in self.segments
+                )
+            )
+            return packed, None
+        (segment,) = self.segments
+        return segment.spec, segment.max_interactions
+
+    def split(self, results: list) -> list[list]:
+        """Cut a unit's flat result list back into per-segment parts."""
+        parts = []
+        stop = 0
+        for segment in self.segments:
+            start, stop = stop, stop + len(segment.seeds)
+            parts.append(results[start:stop])
+        return parts
+
+    def cell_stats(self, parts: list[list], seconds: float) -> list[dict]:
+        """Per-segment timing records of a finished unit.
+
+        A packed unit's wall time is split across its cells in
+        proportion to their interactions, so the scheduler report and
+        the cost model stay per cell.
+        """
+        weights = [1] * len(parts)
+        if self.packed:
+            weights = [sum(r.interactions for r in part) for part in parts]
+            if not sum(weights):
+                weights = [len(segment.seeds) for segment in self.segments]
+        return [
+            {
+                "cell": segment.cell,
+                "replicates": len(segment.seeds),
+                "seconds": seconds * weight / sum(weights),
+            }
+            for segment, weight in zip(self.segments, weights)
+        ]
+
+
+def cell_units(
+    scenario, runner, variant: str, cell: int, spec, max_interactions, seeds,
+    per_unit: int,
+) -> list[WorkUnit]:
+    """One cell's replicates cut into unpacked units of ``per_unit``."""
+    return [
+        WorkUnit(
+            scenario,
+            runner,
+            variant,
+            (Segment(cell, spec, max_interactions, chunk),),
+            packed=False,
+        )
+        for chunk in _chunked(seeds, per_unit)
+    ]
+
+
+def plan_units(
+    cells, pending, scenarios, variants, seeds, backend, *,
+    jobs: int, batch_size: int, pack: bool = True,
+    chunk_caps: dict[int, int] | None = None,
+    predicted: dict[int, float] | None = None,
+) -> list[WorkUnit]:
+    """Cut a sweep's pending cells into the units its executor runs.
+
+    Cells one lockstep kernel can run together (every ``usd``, or every
+    ``zealots``, cell whose runner :meth:`Scenario.packs`) form one
+    group, and the group's replicate queue, in ``pending`` order, is cut
+    into packed units of ``min(batch_size, ceil(len(queue) / jobs))``:
+    one wide unit per worker, or ``batch_size`` chunks on the serial
+    executor (``jobs == 1``).  Every other cell is a group of its own,
+    cut into ``chunk_caps[i]`` replicates per unit (``batch_size`` when
+    no cap is given).  ``pack=False`` keeps every cell on its own.
+    With ``predicted`` (seconds per cell) groups come longest-first, so
+    a slow group does not start last; the sort is stable.
+
+    Units only move wall time: each replicate still draws from its own
+    seed, derived per cell before any cutting.
+    """
+    groups: dict[str | int, list[int]] = {}
+    runners = {}
+    for i in pending:
+        runners[i] = scenarios[i].prepare_runner(variants[i], backend)
+        packs = pack and scenarios[i].packs(runners[i])
+        groups.setdefault(scenarios[i].name if packs else i, []).append(i)
+    # A packed group is keyed by its scenario's name, any other by its
+    # cell index.
+    ordered = list(groups.items())
+    if predicted is not None:
+        ordered.sort(key=lambda item: -sum(predicted[i] for i in item[1]))
+    units: list[WorkUnit] = []
+    for key, group in ordered:
+        first = group[0]
+        scenario, runner, variant = scenarios[first], runners[first], variants[first]
+        if isinstance(key, str):
+            queue = [
+                (i, s)
+                for i in group
+                for s in replicate_seeds(seeds[i], cells[i].trials)
+            ]
+            width = min(batch_size, -(-len(queue) // jobs))
+            for chunk in _chunked(queue, width):
+                segments = tuple(
+                    Segment(
+                        i,
+                        cells[i].spec,
+                        cells[i].max_interactions,
+                        [s for _, s in run],
+                    )
+                    for i, run in itertools.groupby(chunk, key=lambda item: item[0])
+                )
+                units.append(WorkUnit(scenario, runner, variant, segments, packed=True))
+            continue
+        cap = batch_size if chunk_caps is None else chunk_caps[first]
+        units.extend(
+            cell_units(
+                scenario,
+                runner,
+                variant,
+                first,
+                cells[first].spec,
+                cells[first].max_interactions,
+                replicate_seeds(seeds[first], cells[first].trials),
+                cap,
+            )
+        )
+    return units
 
 
 def _record_widths(scenario, spec: ScenarioSpec, variant: str) -> tuple[int, int] | None:

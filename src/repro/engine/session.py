@@ -54,7 +54,6 @@ replicates are seeded or executed.
 from __future__ import annotations
 
 import atexit
-import itertools
 import multiprocessing
 import os
 import pickle
@@ -74,9 +73,12 @@ from .executors import (
     DEFAULT_BATCH_SIZE,
     EXECUTORS,
     SpecBroadcast,
+    WorkUnit,
     _chunked,
     _record_widths,
     _worker,
+    cell_units,
+    plan_units,
     replicate_seeds,
 )
 from .options import EngineOptions
@@ -86,7 +88,7 @@ from .remote import (
     decode_result_block,
     make_server_tls_context,
 )
-from .scenarios import PackedChunk, ScenarioSpec, coerce_spec, get_scenario
+from .scenarios import ScenarioSpec, coerce_spec, get_scenario
 
 __all__ = ["Engine", "engine", "current_engine"]
 
@@ -442,7 +444,7 @@ class Engine:
 
     def _sweep_report(
         self, cells, variants, pending, plans, measured, *, executor,
-        chunk_stats=None, served=frozenset(),
+        units=(), chunk_stats=None, served=frozenset(),
     ) -> dict:
         """Per-sweep scheduler report exposed through :meth:`stats`.
 
@@ -455,6 +457,8 @@ class Engine:
         (serve-cached), so they too stay out of the prediction error.
         When chunks carry a worker name (remote executor), the report
         also breaks predicted-vs-measured seconds down per worker.
+        ``units`` counts the kernel calls dispatched and ``packed_units``
+        those that ran several cells' replicates as one lockstep batch.
         """
         scheduled = set(pending)
         cell_reports = []
@@ -526,6 +530,8 @@ class Engine:
             entry["measured_seconds"] += stat["seconds"]
         return {
             "executor": executor,
+            "units": len(units),
+            "packed_units": sum(unit.packed for unit in units),
             "cells": cell_reports,
             "replicates_scheduled": sum(cells[i].trials for i in scheduled),
             "replicates_from_cache": sum(
@@ -560,68 +566,72 @@ class Engine:
             self._pool_key = None
 
     def _run_on_pool(
-        self, jobs: int, cell_jobs: list[dict]
-    ) -> tuple[dict[int, list], list[dict]]:
-        """Drain ``cell_jobs``' chunks, in order, through the process pool.
+        self, jobs: int, units: list[WorkUnit], results_by_cell: dict[int, list]
+    ) -> list[dict]:
+        """Drain ``units``, in order, through the process pool.
 
-        ``cell_jobs`` carries one entry per cell: its index, scenario,
-        spec, variant, budget and seed chunks.  ``chunksize=1`` keeps
-        distribution dynamic: a worker that finishes a fast chunk
-        immediately takes the next one from any cell still pending.
-        Large specs (graph edge arrays) ship to the pool once per call
-        via :class:`SpecBroadcast` instead of with every chunk.
+        Each unit is one ``Pool.map`` item (``chunksize=1`` keeps
+        distribution dynamic: a worker that finishes a unit immediately
+        takes the next one).  A packed unit carries its specs by value
+        inside its :class:`PackedChunk`; the spec of any other unit
+        ships through :class:`SpecBroadcast`, which sends large specs
+        (graph edge arrays) to the pool once per call instead of with
+        every unit.
 
-        Each worker returns its chunk as a record block when the
-        scenario has a codec for the variant, else as the result list;
-        either way the pool pipe pickles it, so the ``"pickle"``
-        transport row counts the chunk and the byte length of what came
-        back.  Returns per-cell result lists keyed by cell index, plus
-        one measured-timing record per chunk for the cost model.
+        A worker returns one output per segment: a record block when the
+        scenario has a codec for the variant, else the result list.
+        Either way the pool pipe pickles it, so the ``"pickle"``
+        transport row counts each unit and the byte length of what came
+        back.  Results extend ``results_by_cell``; returns one timing
+        record per segment for the scheduler report and the cost model.
         """
         opts = self._options
         payloads = []
-        chunk_meta = []  # (job, replicates, record widths) per payload
-        broadcast = SpecBroadcast([job["spec"] for job in cell_jobs])
+        widths_by_unit = []
+        broadcast = SpecBroadcast(
+            [unit.segments[0].spec for unit in units if not unit.packed]
+        )
         try:
-            for job in cell_jobs:
-                widths = _record_widths(
-                    job["scenario"], job["spec"], job["variant"]
+            for unit in units:
+                work, budget = unit.work()
+                widths = tuple(
+                    _record_widths(unit.scenario, segment.spec, unit.variant)
+                    for segment in unit.segments
                 )
-                spec_payload = broadcast.ref_for(job["spec"])
-                for chunk in job["chunks"]:
-                    payloads.append(
-                        (
-                            job["spec"].scenario,
-                            spec_payload,
-                            job["variant"],
-                            chunk,
-                            job["max_interactions"],
-                            opts.event_block,
-                            opts.stream_buffer,
-                            widths,
-                        )
+                payloads.append(
+                    (
+                        unit.segments[0].spec.scenario,
+                        work if unit.packed else broadcast.ref_for(work),
+                        unit.variant,
+                        unit.seeds,
+                        budget,
+                        opts.event_block,
+                        opts.stream_buffer,
+                        widths,
                     )
-                    chunk_meta.append((job, len(chunk), widths))
+                )
+                widths_by_unit.append(widths)
             outputs = self._acquire_pool(jobs).map(_worker, payloads, chunksize=1)
         finally:
             broadcast.close()
-        results_by_cell: dict[int, list] = {job["index"]: [] for job in cell_jobs}
-        chunk_stats = []
+        cell_stats = []
         nbytes = 0
-        for (output, seconds), (job, replicates, widths) in zip(outputs, chunk_meta):
-            if widths is None:
-                nbytes += len(pickle.dumps(output, pickle.HIGHEST_PROTOCOL))
-            else:
-                nbytes += len(output)
-                output = decode_result_block(
-                    job["scenario"], job["spec"], output, replicates, *widths
-                )
-            results_by_cell[job["index"]].extend(output)
-            chunk_stats.append(
-                {"cell": job["index"], "replicates": replicates, "seconds": seconds}
-            )
+        for unit, widths, (blocks, seconds) in zip(units, widths_by_unit, outputs):
+            parts = []
+            for segment, part_widths, block in zip(unit.segments, widths, blocks):
+                if part_widths is None:
+                    nbytes += len(pickle.dumps(block, pickle.HIGHEST_PROTOCOL))
+                else:
+                    nbytes += len(block)
+                    block = decode_result_block(
+                        unit.scenario, segment.spec, block,
+                        len(segment.seeds), *part_widths,
+                    )
+                results_by_cell.setdefault(segment.cell, []).extend(block)
+                parts.append(block)
+            cell_stats.extend(unit.cell_stats(parts, seconds))
         self._count_transport("pickle", len(payloads), nbytes)
-        return results_by_cell, chunk_stats
+        return cell_stats
 
     def worker_pids(self) -> tuple[int, ...]:
         """PIDs of the live pool workers (empty before the first spawn)."""
@@ -984,16 +994,13 @@ class Engine:
                 # backend would only fail inside the pool with a confusing
                 # per-worker error.
                 scenario.check_process_safe(variant, backend)
-                per_chunk = self._chunk_cap(trials, jobs, batch_size)
-                job = {
-                    "index": 0,
-                    "scenario": scenario,
-                    "spec": spec,
-                    "variant": variant,
-                    "max_interactions": max_interactions,
-                    "chunks": _chunked(seeds, per_chunk),
-                }
-                results = self._run_on_pool(jobs, [job])[0][0]
+                units = cell_units(
+                    scenario, variant, variant, 0, spec, max_interactions,
+                    seeds, self._chunk_cap(trials, jobs, batch_size),
+                )
+                by_cell: dict[int, list] = {}
+                self._run_on_pool(jobs, units, by_cell)
+                results = by_cell[0]
 
             if store is not None:
                 store.store(key, results)
@@ -1007,88 +1014,36 @@ class Engine:
 
     # -- sweeps --------------------------------------------------------
     def _run_serial_sweep(
-        self, cells, pending, scenarios, variants, seeds, backend,
-        batch_size, results_by_cell,
+        self, units: list[WorkUnit], results_by_cell: dict[int, list]
     ) -> list[dict]:
-        """Run a serial sweep's pending cells; return per-cell chunk stats.
+        """Run a serial sweep's units in this process, in order.
 
-        Cells one lockstep kernel can run together (every ``usd``, or
-        every ``zealots``, cell on the built-in batched variant) form one
-        group, and each ``batch_size`` chunk of the group's replicate
-        queue is ONE :class:`PackedChunk` kernel call, so the kernel's
-        per-pass overhead is paid once per chunk instead of once per
-        cell.  Every other cell is a group of its own.  Results are
-        bit-identical either way: each replicate draws only from its own
-        seed, derived per cell before chunking.  A chunk's wall time is
-        split across its cells in proportion to their interactions, so
-        the scheduler report and the cost model stay per cell.
+        Each unit is one :meth:`Scenario.run_chunk` call; a packed unit
+        is ONE zero-padded lockstep kernel call across its cells (see
+        :func:`~repro.engine.executors.plan_units`).  Results extend
+        ``results_by_cell``; returns one timing record per segment.
         """
-        runners = {
-            i: scenarios[i].prepare_runner(variants[i], backend) for i in pending
-        }
-        groups: dict = {}
-        for i in pending:
-            packs = scenarios[i].packs(runners[i])
-            groups.setdefault(scenarios[i].name if packs else i, []).append(i)
-            results_by_cell[i] = []
-        chunk_stats: list[dict] = []
-        for group in groups.values():
-            first = group[0]
-            scenario = scenarios[first]
-            packed = scenario.packs(runners[first])
-            queue = [
-                (i, s)
-                for i in group
-                for s in replicate_seeds(seeds[i], cells[i].trials)
-            ]
-            for chunk in _chunked(queue, batch_size):
-                rngs = [np.random.default_rng(s) for _, s in chunk]
-                segments = [
-                    (i, len(list(run)))
-                    for i, run in itertools.groupby(chunk, key=lambda item: item[0])
-                ]
-                if packed:
-                    work = PackedChunk(
-                        tuple(
-                            (cells[i].spec, width, cells[i].max_interactions)
-                            for i, width in segments
-                        )
-                    )
-                    budget = None
-                else:
-                    work, budget = cells[first].spec, cells[first].max_interactions
-                started = time.perf_counter()
-                results = scenario.run_chunk(work, runners[first], rngs, budget)
-                seconds = time.perf_counter() - started
-                parts = []
-                stop = 0
-                for i, width in segments:
-                    start, stop = stop, stop + width
-                    parts.append(results[start:stop])
-                    results_by_cell[i].extend(parts[-1])
-                weights = [1]
-                if packed:
-                    weights = [sum(r.interactions for r in part) for part in parts]
-                    if not sum(weights):
-                        weights = [width for _, width in segments]
-                for (i, width), weight in zip(segments, weights):
-                    chunk_stats.append(
-                        {
-                            "cell": i,
-                            "replicates": width,
-                            "seconds": seconds * weight / sum(weights),
-                        }
-                    )
-        return chunk_stats
+        cell_stats: list[dict] = []
+        for unit in units:
+            work, budget = unit.work()
+            rngs = [np.random.default_rng(s) for s in unit.seeds]
+            started = time.perf_counter()
+            results = unit.scenario.run_chunk(work, unit.runner, rngs, budget)
+            seconds = time.perf_counter() - started
+            parts = unit.split(results)
+            for segment, part in zip(unit.segments, parts):
+                results_by_cell.setdefault(segment.cell, []).extend(part)
+            cell_stats.extend(unit.cell_stats(parts, seconds))
+        return cell_stats
 
     def _run_remote_sweep(
-        self, worker_pool, cell_jobs, cell_keys, cell_owners
+        self, worker_pool, units, cell_keys, cell_owners
     ) -> tuple[dict[int, list], list[dict], set[int]]:
-        """Drain a sweep's chunk queue through the socket worker pool.
+        """Drain a sweep's unpacked units through the socket worker pool.
 
-        The same flattened longest-first queue the process executor
-        drains, shipped frame by frame: one chunk in flight per worker
-        (work stealing), specs by value, results back as fixed-width
+        The longest-first queue of per-cell chunks (no packing), shipped
+        frame by frame: one chunk in flight per worker (work stealing),
+        specs by value, results back as fixed-width
         record blocks (the pickled list for cells without a codec).
         :class:`SpecBroadcast` is deliberately NOT engaged here — its
         shared-memory refs only resolve on this host.  Fleet-owned cells
@@ -1100,44 +1055,44 @@ class Engine:
         """
         opts = self._options
         messages = []
-        chunk_meta = []  # (job, replicates, record widths) per message
-        for job in cell_jobs:
-            widths = _record_widths(job["scenario"], job["spec"], job["variant"])
-            for chunk in job["chunks"]:
-                message = {
-                    "scenario": job["spec"].scenario,
-                    "spec": job["spec"],
-                    "variant": job["variant"],
-                    "seeds": chunk,
-                    "max_interactions": job["max_interactions"],
-                    "event_block": opts.event_block,
-                    "stream_buffer": opts.stream_buffer,
-                    "record": widths,
-                }
-                if job["index"] in cell_owners:
-                    # The cold payload above still makes any fallback
-                    # bit-identical.
-                    message["cache_key"] = cell_keys[job["index"]]
-                    message["cache_owners"] = cell_owners[job["index"]]
-                messages.append(message)
-                chunk_meta.append((job, len(chunk), widths))
+        for unit in units:
+            (segment,) = unit.segments
+            message = {
+                "scenario": segment.spec.scenario,
+                "spec": segment.spec,
+                "variant": unit.variant,
+                "seeds": segment.seeds,
+                "max_interactions": segment.max_interactions,
+                "event_block": opts.event_block,
+                "stream_buffer": opts.stream_buffer,
+                "record": _record_widths(unit.scenario, segment.spec, unit.variant),
+            }
+            if segment.cell in cell_owners:
+                # The cold payload above still makes any fallback
+                # bit-identical.
+                message["cache_key"] = cell_keys[segment.cell]
+                message["cache_owners"] = cell_owners[segment.cell]
+            messages.append(message)
         outputs = worker_pool.run(messages)
-        results_by_cell: dict[int, list] = {job["index"]: [] for job in cell_jobs}
+        results_by_cell: dict[int, list] = {}
         chunk_stats = []
         served_cells: set[int] = set()
-        for output, (job, replicates, widths) in zip(outputs, chunk_meta):
-            results_by_cell[job["index"]].extend(
+        for output, unit, message in zip(outputs, units, messages):
+            (segment,) = unit.segments
+            replicates = len(segment.seeds)
+            results_by_cell.setdefault(segment.cell, []).extend(
                 self._remote_results(
-                    job["scenario"], job["spec"], output, replicates, widths
+                    unit.scenario, segment.spec, output, replicates,
+                    message["record"],
                 )
             )
             if output.get("served"):
                 # Owned cells are single whole-cell chunks, so one served
                 # output means the whole cell came from the fleet cache.
-                served_cells.add(job["index"])
+                served_cells.add(segment.cell)
             chunk_stats.append(
                 {
-                    "cell": job["index"],
+                    "cell": segment.cell,
                     "replicates": replicates,
                     "seconds": output["seconds"],
                     "worker": output["worker"],
@@ -1145,7 +1100,7 @@ class Engine:
                 }
             )
         # Each worker's LRU cap bounds what it keeps.
-        for i in sorted(job["index"] for job in cell_jobs):
+        for i in sorted(results_by_cell):
             if i not in served_cells:
                 worker_pool.push_cache(
                     cell_keys[i],
@@ -1171,20 +1126,24 @@ class Engine:
 
         Semantics match the historical free function
         (:func:`repro.engine.run_sweep`) bit for bit at fixed seeds, with
-        per-cell caching under a sweep-level index.  The process
-        executor cuts each cell into its own chunks and drains them from
-        one shared queue on the session's persistent pool (workers
-        return fixed-width record blocks, or the pickled result list for
-        scenarios without a record codec); ``executor="remote"`` drains
-        the same longest-first chunk queue through socket-connected
-        ``repro worker`` processes.  The serial executor packs instead:
-        every pending ``usd`` cell on the built-in batched backend, and every
-        ``zealots`` cell on its batched variant, shares one replicate
-        queue per scenario, and each ``batch_size`` chunk of it is ONE
-        zero-padded lockstep kernel call across cells (see
-        :meth:`_run_serial_sweep`).  Results are bit-identical across
-        all of them: replicate seeds are derived per cell before any
-        chunking or packing.
+        per-cell caching under a sweep-level index.  One planner
+        (:func:`~repro.engine.executors.plan_units`) cuts the pending
+        cells into work units for the serial and process executors:
+        every pending ``usd`` cell on the built-in batched backend, and
+        every ``zealots`` cell on its batched variant, shares one
+        replicate queue per scenario, cut into units of
+        ``min(batch_size, ceil(queue / jobs))`` replicates, each ONE
+        zero-padded lockstep kernel call across cells — one wide unit
+        per pool worker, or ``batch_size`` chunks serially.  Every other
+        cell keeps its own chunks (cost-model slices on the pool).  The
+        process executor drains the units from one shared queue on the
+        session's persistent pool (workers return one fixed-width record
+        block per cell segment, or the pickled result list for scenarios
+        without a record codec); ``executor="remote"`` does not pack and
+        drains the longest-first per-cell chunk queue through
+        socket-connected ``repro worker`` processes.  Results are
+        bit-identical across all of them: replicate seeds are derived
+        per cell before any cutting or packing.
         """
         # Imported here: the sweep module's free function wraps this
         # method, so a top-level import would be circular.
@@ -1254,11 +1213,13 @@ class Engine:
             served_cells: set[int] = set()
             cell_keys: dict[int, str] = {}
             cell_owners: dict[int, list[str]] = {}
+            units: list[WorkUnit] = []
             if pending and executor == "serial":
-                chunk_stats.extend(self._run_serial_sweep(
+                units = plan_units(
                     cells, pending, scenarios, variants, seeds, backend,
-                    batch_size, results_by_cell,
-                ))
+                    jobs=1, batch_size=batch_size,
+                )
+                chunk_stats = self._run_serial_sweep(units, results_by_cell)
             elif pending:
                 for i in pending:
                     scenarios[i].check_process_safe(variants[i], backend)
@@ -1289,16 +1250,18 @@ class Engine:
                         if names:
                             cell_owners[i] = names
 
-                # Every cell's chunks land in ONE shared queue, so there
-                # is no per-cell barrier: workers drain chunks from any
-                # cell still pending, and one slow cell cannot idle the
-                # pool.  The session cost model shapes the queue: cells
-                # enqueue longest-predicted-first and each chunk targets
-                # a fixed wall-time slice (big-n cells split finer, tiny
-                # cells coalesce).  The schedule only moves wall time:
-                # replicate seeds are derived per cell before chunking
-                # and results are assembled by cell index.
-                cell_jobs = []
+                # Every unit lands in ONE shared queue, so there is no
+                # per-cell barrier: workers drain units from any cell
+                # still pending, and one slow cell cannot idle the pool.
+                # Packed groups give each worker one wide unit; for any
+                # other cell the session cost model shapes the queue:
+                # cells enqueue longest-predicted-first and each chunk
+                # targets a fixed wall-time slice (big-n cells split
+                # finer, tiny cells coalesce).  The schedule only moves
+                # wall time: replicate seeds are derived per cell before
+                # cutting and results are assembled by cell index.
+                chunk_caps: dict[int, int] = {}
+                predicted: dict[int, float] = {}
                 for i in pending:
                     cell = cells[i]
                     plan = plans[i]
@@ -1307,58 +1270,44 @@ class Engine:
                         # (cache entries are whole ensembles) at
                         # near-zero predicted cost, so it is neither
                         # split nor allowed to skew chunk sizing.
-                        chunk_cap = cell.trials
-                    else:
-                        per_rep = plan["per_replicate_seconds"]
-                        if worker_pool is not None:
-                            # Size remote chunks against the slowest
-                            # attached worker's measured coefficients
-                            # (per-family prediction when a worker has
-                            # no history yet), so a wall-time slice
-                            # stays a bounded tail on heterogeneous
-                            # hardware.
-                            worker_est = model.predict_for_workers(
-                                cell.spec.scenario,
-                                variants[i],
-                                plan["n"],
-                                worker_pool.worker_names(),
-                            )
-                            if worker_est is not None:
-                                per_rep = max(per_rep, worker_est)
-                        chunk_cap = model.chunk_size(
-                            per_rep, cell.trials, batch_size
+                        chunk_caps[i] = cell.trials
+                        predicted[i] = 0.0
+                        continue
+                    per_rep = plan["per_replicate_seconds"]
+                    predicted[i] = per_rep * cell.trials
+                    if worker_pool is not None:
+                        # Size remote chunks against the slowest
+                        # attached worker's measured coefficients
+                        # (per-family prediction when a worker has no
+                        # history yet), so a wall-time slice stays a
+                        # bounded tail on heterogeneous hardware.
+                        worker_est = model.predict_for_workers(
+                            cell.spec.scenario,
+                            variants[i],
+                            plan["n"],
+                            worker_pool.worker_names(),
                         )
-                    cell_jobs.append(
-                        {
-                            "index": i,
-                            "scenario": scenarios[i],
-                            "spec": cell.spec,
-                            "variant": variants[i],
-                            "max_interactions": cell.max_interactions,
-                            "chunks": _chunked(
-                                replicate_seeds(seeds[i], cell.trials),
-                                chunk_cap,
-                            ),
-                            "predicted_seconds": (
-                                0.0
-                                if i in cell_owners
-                                else plan["per_replicate_seconds"] * cell.trials
-                            ),
-                        }
-                    )
-                # Longest-predicted-first; the sort is stable, so equal
-                # predictions keep grid order.
-                cell_jobs.sort(key=lambda job: -job["predicted_seconds"])
+                        if worker_est is not None:
+                            per_rep = max(per_rep, worker_est)
+                    chunk_caps[i] = model.chunk_size(per_rep, cell.trials, batch_size)
                 if worker_pool is not None:
-                    by_cell, queue_stats, served_cells = self._run_remote_sweep(
-                        worker_pool, cell_jobs, cell_keys, cell_owners
+                    units = plan_units(
+                        cells, pending, scenarios, variants, seeds, backend,
+                        jobs=1, batch_size=batch_size, pack=False,
+                        chunk_caps=chunk_caps, predicted=predicted,
                     )
+                    by_cell, chunk_stats, served_cells = self._run_remote_sweep(
+                        worker_pool, units, cell_keys, cell_owners
+                    )
+                    results_by_cell.update(by_cell)
                 else:
-                    by_cell, queue_stats = self._run_on_pool(
-                        self._resolve_jobs(jobs), cell_jobs
+                    jobs = self._resolve_jobs(jobs)
+                    units = plan_units(
+                        cells, pending, scenarios, variants, seeds, backend,
+                        jobs=jobs, batch_size=batch_size,
+                        chunk_caps=chunk_caps, predicted=predicted,
                     )
-                results_by_cell.update(by_cell)
-                chunk_stats.extend(queue_stats)
+                    chunk_stats = self._run_on_pool(jobs, units, results_by_cell)
             if pending and store is not None:
                 for i in pending:
                     store.store(keys[i], results_by_cell[i])
@@ -1386,7 +1335,7 @@ class Engine:
                 store.store_cost_table(model.to_payload())
             self._last_sweep_report = self._sweep_report(
                 cells, variants, pending, plans, measured, executor=executor,
-                chunk_stats=chunk_stats, served=served_cells,
+                units=units, chunk_stats=chunk_stats, served=served_cells,
             )
 
             sweep_key = None

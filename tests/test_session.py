@@ -469,15 +469,19 @@ class TestSessionCache:
 
 class TestCliSession:
     def test_report_shares_one_session(self, monkeypatch, capsys, tmp_path):
-        # A whole `repro report` runs e01-e19 inside ONE session.
+        # A whole `repro report` runs its experiments inside ONE session;
+        # two cheap experiments stand in for e01-e19.
         import repro.cli as cli
+        from repro.experiments import EXPERIMENTS
 
         captured = {}
-        real_run_all = cli.run_all
 
-        def spy_run_all(**kwargs):
+        def spy_run_all(scale, seed):
             captured["engine"] = current_engine()
-            return real_run_all(**kwargs)
+            return [
+                EXPERIMENTS[key].run(scale=scale, seed=seed)
+                for key in ("E11", "E12")
+            ]
 
         monkeypatch.setattr(cli, "run_all", spy_run_all)
         out = tmp_path / "EXPERIMENTS.md"
@@ -703,6 +707,148 @@ class TestPackedSweep:
                 )
         assert report["measured_seconds"] == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_process_packed_equals_serial_packed(self, jobs):
+        # batch_size=3 caps every unit below the per-worker share, so
+        # there are more units than workers and several straddle cells.
+        spec = SweepSpec(cells=self.CELLS)
+        with Engine(backend="batched") as eng:
+            serial = eng.sweep(spec, seed=19, executor="serial", batch_size=3)
+            per_cell = [
+                results_key(
+                    eng.ensemble(
+                        run.cell.spec, run.cell.trials, seed=run.seed,
+                        max_interactions=run.cell.max_interactions,
+                        executor="serial", cache=False,
+                    )
+                )
+                for run in serial
+            ]
+        with Engine(backend="batched") as eng:
+            process = eng.sweep(
+                spec, seed=19, executor="process", jobs=jobs, batch_size=3
+            )
+            report = eng.stats()["scheduler"]["last_sweep"]
+        assert sweep_key(process) == sweep_key(serial) == per_cell
+        # 12 usd and 5 zealots replicates, cut into units of
+        # min(3, ceil(queue / jobs)).
+        assert report["units"] == {1: 4 + 2, 2: 4 + 2, 3: 4 + 3}[jobs]
+        assert report["units"] > jobs
+        assert report["packed_units"] == report["units"]
+
+    def test_process_queue_mixes_packed_and_per_cell_units(self):
+        from repro.engine import graph_spec
+
+        ring = [(i, (i + 1) % 40) for i in range(40)]
+        ring += [((i + 1) % 40, i) for i in range(40)]
+        graph = SweepCell(
+            spec=graph_spec(ring, config=uniform_configuration(40, 2)),
+            trials=3,
+            max_interactions=20_000,
+        )
+        spec = SweepSpec(cells=(self.CELLS[0], graph, self.CELLS[1]))
+        with Engine(backend="batched") as eng:
+            serial = eng.sweep(spec, seed=23, executor="serial")
+        with Engine(backend="batched") as eng:
+            process = eng.sweep(spec, seed=23, executor="process", jobs=2)
+            report = eng.stats()["scheduler"]["last_sweep"]
+            chunks = eng.stats()["transport"]["pickle"]["chunks"]
+        assert sweep_key(process) == sweep_key(serial)
+        # The 7 usd replicates make two packed units; the graph cell
+        # keeps its own cost-model chunks in the same queue.
+        assert report["packed_units"] == 2
+        assert report["units"] > 2
+        assert chunks == report["units"]
+
+
+class TestProcessPacking:
+    """The process executor runs one wide packed unit per worker."""
+
+    SPEC = SweepSpec(
+        cells=(
+            SweepCell(spec=usd_spec(uniform_configuration(90, 3)), trials=5),
+            SweepCell(spec=usd_spec(uniform_configuration(150, 2)), trials=6),
+        )
+    )
+
+    @staticmethod
+    def spy_pool(monkeypatch):
+        """Record every ``Pool.map`` payload and output the session sends."""
+        seen = {"payloads": [], "outputs": []}
+        acquire = Engine._acquire_pool
+
+        class SpyPool:
+            def __init__(self, pool):
+                self.pool = pool
+
+            def map(self, fn, payloads, chunksize=1):
+                outputs = self.pool.map(fn, payloads, chunksize=chunksize)
+                seen["payloads"].extend(payloads)
+                seen["outputs"].extend(outputs)
+                return outputs
+
+        monkeypatch.setattr(
+            Engine, "_acquire_pool", lambda self, jobs: SpyPool(acquire(self, jobs))
+        )
+        return seen
+
+    def test_one_unit_per_worker_with_exact_transport(self, monkeypatch):
+        from repro.engine.scenarios import PackedChunk
+
+        seen = self.spy_pool(monkeypatch)
+        with Engine(backend="batched", cache=False) as eng:
+            run = eng.sweep(self.SPEC, seed=3, executor="process", jobs=2)
+            stats = eng.stats()
+        report = stats["scheduler"]["last_sweep"]
+        transport = stats["transport"]["pickle"]
+        assert report["units"] == report["packed_units"] == 2
+        assert transport["chunks"] == 2
+        assert [len(p[3]) for p in seen["payloads"]] == [6, 5]
+        assert all(isinstance(p[1], PackedChunk) for p in seen["payloads"])
+        # One record block per segment: k + 4 int64 slots per replicate.
+        assert transport["bytes"] == sum(
+            cell.trials * 8 * (cell.spec.config.k + 4) for cell in self.SPEC.cells
+        )
+        # The units' kernel seconds are split across the cells, none lost.
+        unit_seconds = sum(seconds for _, seconds in seen["outputs"])
+        measured = [cell["measured_seconds"] for cell in report["cells"]]
+        assert all(seconds > 0 for seconds in measured)
+        assert sum(measured) == pytest.approx(unit_seconds)
+        assert all(r.interactions > 0 for cell in run for r in cell.results)
+
+    def test_warm_cost_model_keeps_one_unit_per_worker(self):
+        # A learned cost model once cut a wide cell into ~40 thin chunks
+        # on a second sweep; packed groups are cut by worker count only.
+        with Engine(backend="batched", cache=False) as eng:
+            for seed in (5, 6):
+                before = eng.stats()["transport"]["pickle"]["chunks"]
+                eng.sweep(self.SPEC, seed=seed, executor="process", jobs=2)
+                report = eng.stats()["scheduler"]["last_sweep"]
+                after = eng.stats()["transport"]["pickle"]["chunks"]
+                assert report["units"] == report["packed_units"] == 2
+                assert after - before == 2
+            assert eng.stats()["scheduler"]["cost_model"]["signatures"] >= 1
+            assert all(
+                cell["prediction_source"] == "observed" for cell in report["cells"]
+            )
+
+    def test_replacement_batched_backend_runs_per_cell(self, monkeypatch):
+        from repro.engine import backends
+        from repro.engine.batched import BatchedBackend
+
+        class Replacement(BatchedBackend):
+            pass
+
+        with Engine(backend="batched", cache=False) as eng:
+            want = sweep_key(eng.sweep(self.SPEC, seed=8, executor="serial"))
+        monkeypatch.setitem(backends._REGISTRY, "batched", Replacement())
+        with Engine(backend="batched", cache=False) as eng:
+            got = eng.sweep(self.SPEC, seed=8, executor="process", jobs=2)
+            report = eng.stats()["scheduler"]["last_sweep"]
+        assert sweep_key(got) == want
+        assert report["packed_units"] == 0
+        assert report["units"] >= len(self.SPEC.cells)
+
 
 class TestCliScheduler:
     def test_sweep_summary(self, capsys, tmp_path):
@@ -719,6 +865,8 @@ class TestCliScheduler:
         out = capsys.readouterr().out
         assert "scheduler:        process executor;" in out
         assert "4 replicates scheduled" in out
+        # Both usd cells pack: one two-replicate unit per worker.
+        assert "2 kernel calls (2 packed)" in out
         assert (tmp_path / "costmodel.json").exists()
 
     def test_sweep_resume_recomputes_only_missing(self, capsys, tmp_path):
