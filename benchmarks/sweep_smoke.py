@@ -30,10 +30,10 @@ Three measurements, merged into one ``BENCH_sweeps.json`` artifact:
   bit-identical, zero replicates simulated, gated >= 3x cold
   throughput.
 * **packing** — an assertion-only arm, run first: a tiny batched
-  ``usd`` grid and a tiny ``zealots`` grid, each swept serially and on
-  the process executor.  Results must be identical and each process
-  sweep must send exactly ``--jobs`` packed units through the pool.  It
-  has no timing gate.
+  ``usd`` grid, a tiny ``zealots`` grid and a tiny batched ``usd``
+  ensemble, each run serially and on the process executor.  Results
+  must be identical and each process call must send exactly ``--jobs``
+  packed units through the pool.  It has no timing gate.
 
 Usage::
 
@@ -104,17 +104,28 @@ def check_process_packing(jobs: int, seed: int) -> list[str]:
             )
         ),
     }
+    arms = {
+        f"{name} grid": lambda eng, executor, grid=grid: [
+            _results_key(cell.results)
+            for cell in eng.sweep(grid, seed=seed, executor=executor)
+        ]
+        for name, grid in grids.items()
+    }
+    # An ensemble is a one-cell sweep: its lockstep cell packs the same way.
+    ensemble_spec = usd_spec(uniform_configuration(90, 3))
+    arms["usd ensemble"] = lambda eng, executor: _results_key(
+        eng.ensemble(ensemble_spec, 7, seed=seed, executor=executor)
+    )
     failures = []
-    for name, grid in grids.items():
+    for name, arm in arms.items():
         runs = {}
         for executor in ("serial", "process"):
             with Engine(backend="batched", cache=False, jobs=jobs) as eng:
-                outcome = eng.sweep(grid, seed=seed, executor=executor)
-                runs[executor] = [_results_key(cell.results) for cell in outcome]
+                runs[executor] = arm(eng, executor)
                 chunks = eng.stats()["transport"]["pickle"]["chunks"]
         same = runs["process"] == runs["serial"]
         print(
-            f"packing:        {name} grid, {chunks} pool units "
+            f"packing:        {name}, {chunks} pool units "
             f"(expected {jobs}), results "
             f"{'identical to' if same else 'DIFFER from'} serial"
         )

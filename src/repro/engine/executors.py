@@ -1,15 +1,16 @@
 """Executor layer: workers, chunking and result transports for ensembles.
 
-Since the session redesign, the orchestration — variant resolution,
-caching, seed derivation, executor dispatch — lives on
-:class:`repro.engine.session.Engine`; this module keeps the pieces the
-session composes:
+The orchestration — variant resolution, caching, executor dispatch —
+lives on :class:`repro.engine.session.Engine`, which runs an ensemble
+as a one-cell sweep through the same pipeline as every sweep; this
+module keeps the pieces that pipeline composes:
 
 * :func:`replicate_seeds` — the canonical per-replicate seed derivation
   of the whole repository;
-* :func:`plan_units` and :class:`WorkUnit` — the one place a sweep's
-  pending cells are grouped, cut into kernel calls (packed lockstep
-  units or per-cell chunks), demuxed back to cells and timed per cell;
+* :func:`plan_units` and :class:`WorkUnit` — the one place pending
+  cells (a sweep's, or an ensemble's single cell) are grouped, cut into
+  kernel calls (packed lockstep units or per-cell chunks), demuxed back
+  to cells and timed per cell, for every executor;
 * :func:`_worker`, the one picklable pool entry point: it runs a unit
   and returns each cell segment as a fixed-width record block
   (:func:`~repro.engine.remote.encode_result_block` bytes) when the
@@ -363,30 +364,13 @@ class WorkUnit:
         ]
 
 
-def cell_units(
-    scenario, runner, variant: str, cell: int, spec, max_interactions, seeds,
-    per_unit: int,
-) -> list[WorkUnit]:
-    """One cell's replicates cut into unpacked units of ``per_unit``."""
-    return [
-        WorkUnit(
-            scenario,
-            runner,
-            variant,
-            (Segment(cell, spec, max_interactions, chunk),),
-            packed=False,
-        )
-        for chunk in _chunked(seeds, per_unit)
-    ]
-
-
 def plan_units(
     cells, pending, scenarios, variants, seeds, backend, *,
     jobs: int, batch_size: int, pack: bool = True,
     chunk_caps: dict[int, int] | None = None,
     predicted: dict[int, float] | None = None,
 ) -> list[WorkUnit]:
-    """Cut a sweep's pending cells into the units its executor runs.
+    """Cut pending cells into the units their executor runs.
 
     Cells one lockstep kernel can run together (every ``usd``, or every
     ``zealots``, cell whose runner :meth:`Scenario.packs`) form one
@@ -436,18 +420,17 @@ def plan_units(
                 )
                 units.append(WorkUnit(scenario, runner, variant, segments, packed=True))
             continue
+        cell = cells[first]
         cap = batch_size if chunk_caps is None else chunk_caps[first]
         units.extend(
-            cell_units(
+            WorkUnit(
                 scenario,
                 runner,
                 variant,
-                first,
-                cells[first].spec,
-                cells[first].max_interactions,
-                replicate_seeds(seeds[first], cells[first].trials),
-                cap,
+                (Segment(first, cell.spec, cell.max_interactions, chunk),),
+                packed=False,
             )
+            for chunk in _chunked(replicate_seeds(seeds[first], cell.trials), cap)
         )
     return units
 
@@ -501,8 +484,11 @@ def run_ensemble(
         Non-USD scenarios map ``"batched"`` to their vectorized variant
         when they have one and fall back to the reference otherwise.
     executor:
-        ``"serial"`` or ``"process"``; defaults to ``"process"`` when the
-        session default worker count exceeds one.
+        ``"serial"``, ``"process"`` (the session's persistent
+        ``multiprocessing`` pool) or ``"remote"`` (socket-connected
+        ``repro worker`` processes); defaults to the session's executor
+        (its explicit selection, else ``"process"`` when its worker
+        count exceeds one, else ``"serial"``).
     jobs:
         Worker count for the process executor; defaults to the session
         default, floored at the machine's CPU count when unset there.

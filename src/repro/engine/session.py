@@ -46,6 +46,18 @@ every call.  This module makes the session the unit of ownership:
     automatically whenever the environment changes them, while still
     profiting from pool reuse.
 
+One cell pipeline serves both workloads: an ensemble is a one-cell
+sweep.  :meth:`Engine.ensemble` and :meth:`Engine.sweep` each call
+``Engine._run_cells``, which resolves every cell's variant and cache
+key in one place, takes what the cache holds, plans the pending cells
+with :func:`~repro.engine.executors.plan_units`, drains the units on the
+serial, process or remote executor (``_run_serial``, ``_run_on_pool``,
+``_run_remote``), stores the results and counts the replicates.  Only
+two things stay per caller: how a cell that does not pack is cut on the
+pool and the fleet (a sweep asks its cost model, an ensemble takes four
+chunks per worker), and the sweep's own report, cost-model refinement
+and sweep index.
+
 Results are bit-identical to the pre-session engine at fixed seeds: the
 session changes who *owns* the pool and the configuration, never how
 replicates are seeded or executed.
@@ -59,6 +71,7 @@ import os
 import pickle
 import time
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -74,12 +87,9 @@ from .executors import (
     EXECUTORS,
     SpecBroadcast,
     WorkUnit,
-    _chunked,
     _record_widths,
     _worker,
-    cell_units,
     plan_units,
-    replicate_seeds,
 )
 from .options import EngineOptions
 from .remote import (
@@ -88,7 +98,8 @@ from .remote import (
     decode_result_block,
     make_server_tls_context,
 )
-from .scenarios import ScenarioSpec, coerce_spec, get_scenario
+from .scenarios import Scenario, ScenarioSpec, coerce_spec, get_scenario
+from .sweep import SweepCell, SweepCellRun, SweepRun, SweepSpec, _derive_cell_seeds
 
 __all__ = ["Engine", "engine", "current_engine"]
 
@@ -235,6 +246,18 @@ def _merge_cache_fabric(folded: dict | None, snapshot: dict | None) -> dict | No
         merged["cache_token"] = row["cache_token"]
         merged["cache_entries"] = row["cache_entries"]
     return folded
+
+
+class _CellsRun(NamedTuple):
+    """What :meth:`Engine._run_cells` hands back to its caller."""
+
+    variants: list[str]
+    keys: list[str]
+    results: dict[int, list]
+    pending: list[int]
+    units: list[WorkUnit]
+    chunk_stats: list[dict]
+    served: set[int]
 
 
 # ----------------------------------------------------------------------
@@ -423,8 +446,9 @@ class Engine:
 
     @staticmethod
     def _chunk_cap(trials: int, jobs: int, batch_size: int) -> int:
-        # Several chunks per worker keep the pool busy when replicate
-        # durations vary, without giving up batching within a chunk.
+        # An ensemble's chunk size for a cell that does not pack: several
+        # chunks per worker keep the pool busy when replicate durations
+        # vary, without giving up batching within a chunk.
         return max(1, min(batch_size, -(-trials // (jobs * 4))))
 
     # -- scheduler cost model ------------------------------------------
@@ -566,8 +590,8 @@ class Engine:
             self._pool_key = None
 
     def _run_on_pool(
-        self, jobs: int, units: list[WorkUnit], results_by_cell: dict[int, list]
-    ) -> list[dict]:
+        self, jobs: int, units: list[WorkUnit]
+    ) -> tuple[dict[int, list], list[dict], set[int]]:
         """Drain ``units``, in order, through the process pool.
 
         Each unit is one ``Pool.map`` item (``chunksize=1`` keeps
@@ -582,8 +606,9 @@ class Engine:
         scenario has a codec for the variant, else the result list.
         Either way the pool pipe pickles it, so the ``"pickle"``
         transport row counts each unit and the byte length of what came
-        back.  Results extend ``results_by_cell``; returns one timing
-        record per segment for the scheduler report and the cost model.
+        back.  Returns the results by cell, one timing record per
+        segment for the scheduler report and the cost model, and no
+        fleet-served cells.
         """
         opts = self._options
         payloads = []
@@ -614,6 +639,7 @@ class Engine:
             outputs = self._acquire_pool(jobs).map(_worker, payloads, chunksize=1)
         finally:
             broadcast.close()
+        results_by_cell: dict[int, list] = {}
         cell_stats = []
         nbytes = 0
         for unit, widths, (blocks, seconds) in zip(units, widths_by_unit, outputs):
@@ -631,7 +657,7 @@ class Engine:
                 parts.append(block)
             cell_stats.extend(unit.cell_stats(parts, seconds))
         self._count_transport("pickle", len(payloads), nbytes)
-        return cell_stats
+        return results_by_cell, cell_stats, set()
 
     def worker_pids(self) -> tuple[int, ...]:
         """PIDs of the live pool workers (empty before the first spawn)."""
@@ -731,15 +757,6 @@ class Engine:
         )
         return folded
 
-    @staticmethod
-    def _remote_results(scenario, spec, output: dict, trials: int, widths):
-        """Decode one remote chunk result (record block or pickled list)."""
-        if output["transport"] == "records" and widths is not None:
-            return decode_result_block(
-                scenario, spec, output["block"], trials, *widths
-            )
-        return output["results"]
-
     # -- diagnostics ---------------------------------------------------
     def stats(self) -> dict:
         """Session counters: pool reuse, cache traffic, replicates executed."""
@@ -812,6 +829,267 @@ class Engine:
                 observer=observer,
             )
 
+    # -- the cell pipeline ---------------------------------------------
+    def _scenario_variant(
+        self, spec: ScenarioSpec, backend: str | Backend | None
+    ) -> tuple[Scenario, str]:
+        """The validated scenario of ``spec`` and the variant to run.
+
+        ``backend=None`` selects the session's default backend, which —
+        as in :meth:`Scenario.variant` — runs a scenario that has no
+        variant for it on its reference variant; only an explicitly
+        named unknown backend is an error.  Reads this session's options,
+        never the active-session globals, so the service may call it off
+        the engine thread.
+        """
+        scenario = get_scenario(spec.scenario)
+        scenario.validate(spec)
+        if backend is not None:
+            return scenario, scenario.variant(backend)
+        try:
+            return scenario, scenario.variant(self._options.backend)
+        except ValueError:
+            if "reference" not in scenario.variants():
+                raise
+            return scenario, "reference"
+
+    def _cell_key(
+        self, cell: SweepCell, seed, backend: str | Backend | None
+    ) -> tuple[Scenario, str, str]:
+        """A cell's scenario, variant and content-addressed cache key.
+
+        The key is a pure content hash, so it exists whether or not the
+        session has a store: a cache-less coordinator still probes a
+        warm fleet with it.
+        """
+        scenario, variant = self._scenario_variant(cell.spec, backend)
+        key = ensemble_key(
+            cell.spec,
+            trials=cell.trials,
+            seed=seed,
+            variant=variant,
+            max_interactions=cell.max_interactions,
+        )
+        return scenario, variant, key
+
+    def _run_serial(
+        self, units: list[WorkUnit]
+    ) -> tuple[dict[int, list], list[dict], set[int]]:
+        """Run units in this process, in order.
+
+        Each unit is one :meth:`Scenario.run_chunk` call; a packed unit
+        is ONE zero-padded lockstep kernel call across its cells (see
+        :func:`~repro.engine.executors.plan_units`).  Returns the
+        results by cell, one timing record per segment, and no
+        fleet-served cells.
+        """
+        results_by_cell: dict[int, list] = {}
+        cell_stats: list[dict] = []
+        for unit in units:
+            work, budget = unit.work()
+            rngs = [np.random.default_rng(s) for s in unit.seeds]
+            started = time.perf_counter()
+            results = unit.scenario.run_chunk(work, unit.runner, rngs, budget)
+            seconds = time.perf_counter() - started
+            parts = unit.split(results)
+            for segment, part in zip(unit.segments, parts):
+                results_by_cell.setdefault(segment.cell, []).extend(part)
+            cell_stats.extend(unit.cell_stats(parts, seconds))
+        return results_by_cell, cell_stats, set()
+
+    def _run_remote(
+        self,
+        pool: WorkerPool,
+        units: list[WorkUnit],
+        keys: list[str],
+        owners: dict[int, list[str]],
+    ) -> tuple[dict[int, list], list[dict], set[int]]:
+        """Drain unpacked units through the socket worker pool.
+
+        The queue ships frame by frame: one chunk in flight per worker
+        (work stealing), specs by value, results back as fixed-width
+        record blocks (the pickled list for cells without a codec).
+        :class:`SpecBroadcast` is deliberately NOT engaged here — its
+        shared-memory refs only resolve on this host.  A cell in
+        ``owners`` (cell index to the workers whose store advertised
+        ``keys[cell]``) is one whole-cell chunk, pinned to an owner as
+        serve-cached; its cold payload still rides along, so any
+        fallback is bit-identical.  Every cell this run actually
+        simulated is pushed back to the workers whose store token
+        differs, so the next identical request is warm fleet-wide.
+        Returns the results by cell, one timing record per chunk and
+        the cells a worker's store served.
+        """
+        opts = self._options
+        messages = []
+        for unit in units:
+            (segment,) = unit.segments
+            message = {
+                "scenario": segment.spec.scenario,
+                "spec": segment.spec,
+                "variant": unit.variant,
+                "seeds": segment.seeds,
+                "max_interactions": segment.max_interactions,
+                "event_block": opts.event_block,
+                "stream_buffer": opts.stream_buffer,
+                "record": _record_widths(unit.scenario, segment.spec, unit.variant),
+            }
+            if segment.cell in owners:
+                message["cache_key"] = keys[segment.cell]
+                message["cache_owners"] = owners[segment.cell]
+            messages.append(message)
+        outputs = pool.run(messages)
+        results_by_cell: dict[int, list] = {}
+        cell_stats = []
+        served: set[int] = set()
+        for output, unit, message in zip(outputs, units, messages):
+            (segment,) = unit.segments
+            replicates = len(segment.seeds)
+            if output["transport"] == "records" and message["record"] is not None:
+                results = decode_result_block(
+                    unit.scenario, segment.spec, output["block"], replicates,
+                    *message["record"],
+                )
+            else:
+                results = output["results"]
+            results_by_cell.setdefault(segment.cell, []).extend(results)
+            if output.get("served"):
+                # Owned cells are single whole-cell chunks, so one served
+                # output means the whole cell came from the fleet cache.
+                served.add(segment.cell)
+            cell_stats.append(
+                {
+                    "cell": segment.cell,
+                    "replicates": replicates,
+                    "seconds": output["seconds"],
+                    "worker": output["worker"],
+                    "served": bool(output.get("served")),
+                }
+            )
+        # Each worker's LRU cap bounds what it keeps.
+        for i in sorted(results_by_cell):
+            if i not in served:
+                pool.push_cache(
+                    keys[i], results_by_cell[i], exclude=set(owners.get(i, ()))
+                )
+        return results_by_cell, cell_stats, served
+
+    def _run_cells(
+        self,
+        cells,
+        seeds,
+        *,
+        backend: str | Backend | None,
+        executor: str,
+        jobs: int | None,
+        batch_size: int,
+        store: EnsembleCache | None,
+        size,
+    ) -> _CellsRun:
+        """Run ``cells`` at ``seeds`` through the one cell pipeline.
+
+        Both :meth:`ensemble` (one cell) and :meth:`sweep` call this
+        inside :meth:`_activate`.  It resolves each cell's scenario,
+        variant and key, takes what ``store`` holds, and runs the
+        pending cells on ``executor`` (a resolved name): cut into work
+        units by :func:`~repro.engine.executors.plan_units`, which packs
+        lockstep cells except on the remote executor, drained by
+        :meth:`_run_serial`, :meth:`_run_on_pool` or :meth:`_run_remote`,
+        stored, and counted in the session's replicate counters.  Every
+        unit lands in ONE shared queue, so there is no per-cell barrier.
+
+        The serial executor cuts cells that do not pack into
+        ``batch_size`` chunks.  On the pool and the fleet,
+        ``size(i, variant, workers, pool)`` gives pending cell ``i``'s
+        chunk cap and predicted seconds (groups run longest-first):
+        ``workers`` is the worker count to share the queue between and
+        ``pool`` the :class:`WorkerPool` on the remote executor, else
+        ``None``.  A cell the fleet already holds is one chunk.  Units
+        only move wall time: replicate seeds are derived per cell
+        before any cutting and results are assembled by cell index.
+        """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        scenarios: list[Scenario] = []
+        variants: list[str] = []
+        keys: list[str] = []
+        results: dict[int, list] = {}
+        for index, (cell, seed) in enumerate(zip(cells, seeds)):
+            scenario, variant, key = self._cell_key(cell, seed, backend)
+            scenarios.append(scenario)
+            variants.append(variant)
+            keys.append(key)
+            cached = store.load(key) if store is not None else None
+            if cached is not None:
+                results[index] = cached
+        pending = [i for i in range(len(cells)) if i not in results]
+
+        units: list[WorkUnit] = []
+        by_cell, chunk_stats, served = {}, [], set()
+        if pending and executor == "serial":
+            units = plan_units(
+                cells, pending, scenarios, variants, seeds, backend,
+                jobs=1, batch_size=batch_size,
+            )
+            by_cell, chunk_stats, served = self._run_serial(units)
+        elif pending:
+            for i in pending:
+                scenarios[i].check_process_safe(variants[i], backend)
+            pool = None
+            owners: dict[int, list[str]] = {}
+            if executor == "remote":
+                # Cache-first dispatch: ask the fleet which pending cells
+                # somebody's store can serve.
+                pool = self.worker_pool()
+                held_by = pool.probe_cache(
+                    list(dict.fromkeys(keys[i] for i in pending))
+                )
+                for i in pending:
+                    names = sorted(
+                        name for name, held in held_by.items() if keys[i] in held
+                    )
+                    if names:
+                        owners[i] = names
+                workers = max(pool.worker_count(), 2)
+            else:
+                workers = self._resolve_jobs(jobs)
+            caps: dict[int, int] = {}
+            predicted: dict[int, float] = {}
+            for i in pending:
+                if i in owners:
+                    # Cache entries are whole ensembles, so an owned cell
+                    # is ONE serve-cached chunk at near-zero cost.
+                    caps[i], predicted[i] = cells[i].trials, 0.0
+                else:
+                    caps[i], predicted[i] = size(i, variants[i], workers, pool)
+            units = plan_units(
+                cells, pending, scenarios, variants, seeds, backend,
+                jobs=workers if pool is None else 1, batch_size=batch_size,
+                pack=pool is None, chunk_caps=caps, predicted=predicted,
+            )
+            if pool is None:
+                by_cell, chunk_stats, served = self._run_on_pool(workers, units)
+            else:
+                by_cell, chunk_stats, served = self._run_remote(
+                    pool, units, keys, owners
+                )
+        results.update(by_cell)
+        if store is not None:
+            for i in pending:
+                store.store(keys[i], results[i])
+
+        # Fleet-served cells entered the queue but were answered from a
+        # worker's store — cache traffic, not simulation.
+        simulated = set(pending) - served
+        for i, cell in enumerate(cells):
+            if i in simulated:
+                self._stats["replicates_simulated"] += cell.trials
+            else:
+                self._stats["replicates_from_cache"] += cell.trials
+            if i in served:
+                self._stats["replicates_served_remote"] += cell.trials
+        return _CellsRun(variants, keys, results, pending, units, chunk_stats, served)
+
     # -- ensembles -----------------------------------------------------
     def cached_ensemble(
         self,
@@ -834,22 +1112,11 @@ class Engine:
         layer's cache-first fast path relies on exactly that.
         """
         self._check_open()
-        spec = coerce_spec(workload)
-        scenario = get_scenario(spec.scenario)
-        scenario.validate(spec)
-        # Resolve the variant from an *explicit* backend name so the
-        # lookup never consults the active-session globals.
-        variant = scenario.variant(backend or self._options.backend)
+        cell = SweepCell(coerce_spec(workload), trials, max_interactions)
+        _, _, key = self._cell_key(cell, seed, backend)
         store = self._resolve_cache(None)
         if store is None:
             return None
-        key = store.key_for(
-            spec,
-            trials=trials,
-            seed=seed,
-            variant=variant,
-            max_interactions=max_interactions,
-        )
         results = store.load(key)
         if results is not None:
             self._stats["ensembles"] += 1
@@ -871,244 +1138,41 @@ class Engine:
     ) -> list[RunResult]:
         """Run ``trials`` independent replicates and return them in order.
 
-        Semantics match the historical free function
-        (:func:`repro.engine.run_ensemble`) bit for bit at fixed seeds;
-        unspecified arguments fall back to the *session's* frozen
-        options instead of re-reading globals, and process-executor
-        calls reuse the session's persistent pool.  With
-        ``executor="remote"`` chunks ship over the session's socket
-        :class:`~repro.engine.remote.WorkerPool` instead — results stay
-        bit-identical because replicate seeds are derived before any
-        chunking or dispatch.
+        An ensemble is a one-cell sweep: ``SweepCell(spec, trials,
+        max_interactions)`` with ``seed`` as its cell seed, through the
+        pipeline :meth:`sweep` uses, on the ``"serial"``, ``"process"``
+        (the session's persistent pool) or ``"remote"`` (the session's
+        socket :class:`~repro.engine.remote.WorkerPool`) executor.
+        Results match the historical free function
+        (:func:`repro.engine.run_ensemble`) bit for bit at fixed seeds,
+        on every executor, because replicate seeds are derived before
+        any chunking or dispatch; unspecified arguments fall back to the
+        *session's* frozen options.  Unlike a sweep, an ensemble cuts a
+        cell that does not pack into a fixed number of chunks — four per
+        process worker, four per attached socket worker (at least two
+        workers) — and leaves the cost model, the sweep report and the
+        sweep index alone.
         """
         self._check_open()
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         with self._activate():
-            opts = self._options
-            spec = coerce_spec(workload)
-            scenario = get_scenario(spec.scenario)
-            scenario.validate(spec)
-            variant = scenario.variant(backend)
-            executor = self._resolve_executor(executor)
-
-            store = self._resolve_cache(cache)
-            if store is not None:
-                key = store.key_for(
-                    spec,
-                    trials=trials,
-                    seed=seed,
-                    variant=variant,
-                    max_interactions=max_interactions,
-                )
-                cached = store.load(key)
-                if cached is not None:
-                    self._stats["ensembles"] += 1
-                    self._stats["replicates_from_cache"] += trials
-                    return cached
-
-            seeds = replicate_seeds(seed, trials)
-            served_replicates = 0
-
-            if executor == "serial":
-                runner = scenario.prepare_runner(variant, backend)
-                results: list = []
-                for chunk in _chunked(seeds, batch_size):
-                    rngs = [np.random.default_rng(s) for s in chunk]
-                    results.extend(
-                        scenario.run_chunk(spec, runner, rngs, max_interactions)
-                    )
-            elif executor == "remote":
-                # Same seeds-before-chunking derivation as every other
-                # executor, so results are bit-identical by construction;
-                # specs always travel by value (socket frames cross
-                # hosts, shared-memory refs do not).
-                scenario.check_process_safe(variant, backend)
-                pool = self.worker_pool()
-                widths = _record_widths(scenario, spec, variant)
-                # Cache-first dispatch: the key is a pure content hash,
-                # so it exists whether or not this session has a store —
-                # a cache-less coordinator can still be served by a warm
-                # fleet.
-                fleet_key = ensemble_key(
-                    spec,
-                    trials=trials,
-                    seed=seed,
-                    variant=variant,
-                    max_interactions=max_interactions,
-                )
-                owners = sorted(
-                    name
-                    for name, held in pool.probe_cache([fleet_key]).items()
-                    if fleet_key in held
-                )
-                if owners:
-                    # Cache entries are whole ensembles, so an owned
-                    # ensemble is ONE serve-cached chunk; the cold
-                    # payload (all seeds) still rides along for the
-                    # bit-identical fallback.
-                    seed_chunks = [seeds]
-                else:
-                    per_chunk = self._chunk_cap(
-                        trials, max(pool.worker_count(), 2), batch_size
-                    )
-                    seed_chunks = _chunked(seeds, per_chunk)
-                messages = [
-                    {
-                        "scenario": spec.scenario,
-                        "spec": spec,
-                        "variant": variant,
-                        "seeds": chunk,
-                        "max_interactions": max_interactions,
-                        "event_block": opts.event_block,
-                        "stream_buffer": opts.stream_buffer,
-                        "record": widths,
-                    }
-                    for chunk in seed_chunks
-                ]
-                if owners:
-                    messages[0]["cache_key"] = fleet_key
-                    messages[0]["cache_owners"] = owners
-                outputs = pool.run(messages)
-                results = []
-                for chunk, output in zip(seed_chunks, outputs):
-                    results.extend(
-                        self._remote_results(
-                            scenario, spec, output, len(chunk), widths
-                        )
-                    )
-                    if output.get("served"):
-                        served_replicates += len(chunk)
-                if served_replicates < trials:
-                    # Write-back replication: workers whose store token
-                    # differs get the freshly computed entry, so the
-                    # next identical request is warm fleet-wide.
-                    pool.push_cache(
-                        fleet_key, results, exclude=set(owners)
-                    )
-            else:
-                jobs = self._resolve_jobs(jobs)
-                # Workers re-resolve the scenario and variant by name from
-                # their (forked or re-imported) registries, so both must
-                # actually resolve here first — an unregistered custom
-                # backend would only fail inside the pool with a confusing
-                # per-worker error.
-                scenario.check_process_safe(variant, backend)
-                units = cell_units(
-                    scenario, variant, variant, 0, spec, max_interactions,
-                    seeds, self._chunk_cap(trials, jobs, batch_size),
-                )
-                by_cell: dict[int, list] = {}
-                self._run_on_pool(jobs, units, by_cell)
-                results = by_cell[0]
-
-            if store is not None:
-                store.store(key, results)
+            cell = SweepCell(coerce_spec(workload), trials, max_interactions)
+            run = self._run_cells(
+                [cell],
+                [seed],
+                backend=backend,
+                executor=self._resolve_executor(executor),
+                jobs=jobs,
+                batch_size=batch_size,
+                store=self._resolve_cache(cache),
+                size=lambda i, variant, workers, pool: (
+                    self._chunk_cap(cell.trials, workers, batch_size),
+                    0.0,
+                ),
+            )
             self._stats["ensembles"] += 1
-            self._stats["replicates_simulated"] += trials - served_replicates
-            if served_replicates:
-                # Fleet-served replicates are cache traffic, not work.
-                self._stats["replicates_from_cache"] += served_replicates
-                self._stats["replicates_served_remote"] += served_replicates
-            return results
+            return run.results[0]
 
     # -- sweeps --------------------------------------------------------
-    def _run_serial_sweep(
-        self, units: list[WorkUnit], results_by_cell: dict[int, list]
-    ) -> list[dict]:
-        """Run a serial sweep's units in this process, in order.
-
-        Each unit is one :meth:`Scenario.run_chunk` call; a packed unit
-        is ONE zero-padded lockstep kernel call across its cells (see
-        :func:`~repro.engine.executors.plan_units`).  Results extend
-        ``results_by_cell``; returns one timing record per segment.
-        """
-        cell_stats: list[dict] = []
-        for unit in units:
-            work, budget = unit.work()
-            rngs = [np.random.default_rng(s) for s in unit.seeds]
-            started = time.perf_counter()
-            results = unit.scenario.run_chunk(work, unit.runner, rngs, budget)
-            seconds = time.perf_counter() - started
-            parts = unit.split(results)
-            for segment, part in zip(unit.segments, parts):
-                results_by_cell.setdefault(segment.cell, []).extend(part)
-            cell_stats.extend(unit.cell_stats(parts, seconds))
-        return cell_stats
-
-    def _run_remote_sweep(
-        self, worker_pool, units, cell_keys, cell_owners
-    ) -> tuple[dict[int, list], list[dict], set[int]]:
-        """Drain a sweep's unpacked units through the socket worker pool.
-
-        The longest-first queue of per-cell chunks (no packing), shipped
-        frame by frame: one chunk in flight per worker (work stealing),
-        specs by value, results back as fixed-width
-        record blocks (the pickled list for cells without a codec).
-        :class:`SpecBroadcast` is deliberately NOT engaged here — its
-        shared-memory refs only resolve on this host.  Fleet-owned cells
-        travel as serve-cached chunks pinned to an advertising owner;
-        every cell this run actually simulated is pushed back to the
-        workers whose store token differs, so the next identical sweep
-        is warm fleet-wide.  Returns per-cell results, per-chunk timing
-        records and the indices of cells a worker's store served.
-        """
-        opts = self._options
-        messages = []
-        for unit in units:
-            (segment,) = unit.segments
-            message = {
-                "scenario": segment.spec.scenario,
-                "spec": segment.spec,
-                "variant": unit.variant,
-                "seeds": segment.seeds,
-                "max_interactions": segment.max_interactions,
-                "event_block": opts.event_block,
-                "stream_buffer": opts.stream_buffer,
-                "record": _record_widths(unit.scenario, segment.spec, unit.variant),
-            }
-            if segment.cell in cell_owners:
-                # The cold payload above still makes any fallback
-                # bit-identical.
-                message["cache_key"] = cell_keys[segment.cell]
-                message["cache_owners"] = cell_owners[segment.cell]
-            messages.append(message)
-        outputs = worker_pool.run(messages)
-        results_by_cell: dict[int, list] = {}
-        chunk_stats = []
-        served_cells: set[int] = set()
-        for output, unit, message in zip(outputs, units, messages):
-            (segment,) = unit.segments
-            replicates = len(segment.seeds)
-            results_by_cell.setdefault(segment.cell, []).extend(
-                self._remote_results(
-                    unit.scenario, segment.spec, output, replicates,
-                    message["record"],
-                )
-            )
-            if output.get("served"):
-                # Owned cells are single whole-cell chunks, so one served
-                # output means the whole cell came from the fleet cache.
-                served_cells.add(segment.cell)
-            chunk_stats.append(
-                {
-                    "cell": segment.cell,
-                    "replicates": replicates,
-                    "seconds": output["seconds"],
-                    "worker": output["worker"],
-                    "served": bool(output.get("served")),
-                }
-            )
-        # Each worker's LRU cap bounds what it keeps.
-        for i in sorted(results_by_cell):
-            if i not in served_cells:
-                worker_pool.push_cache(
-                    cell_keys[i],
-                    results_by_cell[i],
-                    exclude=set(cell_owners.get(i, ())),
-                )
-        return results_by_cell, chunk_stats, served_cells
-
     def sweep(
         self,
         spec,
@@ -1128,195 +1192,87 @@ class Engine:
         (:func:`repro.engine.run_sweep`) bit for bit at fixed seeds, with
         per-cell caching under a sweep-level index.  One planner
         (:func:`~repro.engine.executors.plan_units`) cuts the pending
-        cells into work units for the serial and process executors:
-        every pending ``usd`` cell on the built-in batched backend, and
-        every ``zealots`` cell on its batched variant, shares one
-        replicate queue per scenario, cut into units of
-        ``min(batch_size, ceil(queue / jobs))`` replicates, each ONE
-        zero-padded lockstep kernel call across cells — one wide unit
-        per pool worker, or ``batch_size`` chunks serially.  Every other
-        cell keeps its own chunks (cost-model slices on the pool).  The
-        process executor drains the units from one shared queue on the
-        session's persistent pool (workers return one fixed-width record
-        block per cell segment, or the pickled result list for scenarios
-        without a record codec); ``executor="remote"`` does not pack and
-        drains the longest-first per-cell chunk queue through
-        socket-connected ``repro worker`` processes.  Results are
-        bit-identical across all of them: replicate seeds are derived
-        per cell before any cutting or packing.
+        cells into work units: every pending ``usd`` cell on the
+        built-in batched backend, and every ``zealots`` cell on its
+        batched variant, shares one replicate queue per scenario, cut
+        into units of ``min(batch_size, ceil(queue / jobs))``
+        replicates, each ONE zero-padded lockstep kernel call across
+        cells — one wide unit per pool worker, or ``batch_size`` chunks
+        serially.  Every other cell keeps its own chunks: the session
+        cost model cuts them into fixed wall-time slices on the pool and
+        the fleet, longest-predicted cells first.  The process executor
+        drains the units from one shared queue on the session's
+        persistent pool (workers return one fixed-width record block per
+        cell segment, or the pickled result list for scenarios without a
+        record codec); ``executor="remote"`` does not pack and drains
+        the per-cell chunk queue through socket-connected ``repro
+        worker`` processes.  Results are bit-identical across all of
+        them: replicate seeds are derived per cell before any cutting or
+        packing.
         """
-        # Imported here: the sweep module's free function wraps this
-        # method, so a top-level import would be circular.
-        from .sweep import (
-            SweepCellRun,
-            SweepRun,
-            SweepSpec,
-            _derive_cell_seeds,
-        )
-
         self._check_open()
         if not isinstance(spec, SweepSpec):
             raise TypeError(f"expected a SweepSpec, got {type(spec).__name__}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
         with self._activate():
             executor = self._resolve_executor(executor)
-
             cells = spec.cells
             seeds = _derive_cell_seeds(len(cells), seed, cell_seeds, seed_derivation)
             store = self._resolve_cache(cache)
-
-            scenarios = []
-            variants = []
-            keys: list[str | None] = []
-            results_by_cell: dict[int, list] = {}
-            for index, (cell, cell_seed) in enumerate(zip(cells, seeds)):
-                scenario = get_scenario(cell.spec.scenario)
-                scenario.validate(cell.spec)
-                variant = scenario.variant(backend)
-                scenarios.append(scenario)
-                variants.append(variant)
-                if store is None:
-                    keys.append(None)
-                    continue
-                key = store.key_for(
-                    cell.spec,
-                    trials=cell.trials,
-                    seed=cell_seed,
-                    variant=variant,
-                    max_interactions=cell.max_interactions,
-                )
-                keys.append(key)
-                cached = store.load(key)
-                if cached is not None:
-                    results_by_cell[index] = cached
-
-            pending = [i for i in range(len(cells)) if i not in results_by_cell]
-
-            # Cost-model predictions for every cell actually scheduled.
-            # Cached cells never enter the queue, so they get no
-            # prediction — and therefore cannot dilute the
-            # predicted-vs-measured report with zero-cost "work".
             model = self._acquire_cost_model(store)
-            plans: dict[int, dict] = {}
-            for i in pending:
+
+            def plan(i: int, variant: str) -> dict:
                 cell = cells[i]
                 n = int(cell.spec.config.n)
-                per_rep, source = model.predict(cell.spec.scenario, variants[i], n)
-                plans[i] = {
+                per_rep, source = model.predict(cell.spec.scenario, variant, n)
+                return {
                     "n": n,
-                    "signature": cost_signature(cell.spec.scenario, variants[i], n),
+                    "signature": cost_signature(cell.spec.scenario, variant, n),
                     "per_replicate_seconds": per_rep,
                     "source": source,
                 }
-            chunk_stats: list[dict] = []
-            served_cells: set[int] = set()
-            cell_keys: dict[int, str] = {}
-            cell_owners: dict[int, list[str]] = {}
-            units: list[WorkUnit] = []
-            if pending and executor == "serial":
-                units = plan_units(
-                    cells, pending, scenarios, variants, seeds, backend,
-                    jobs=1, batch_size=batch_size,
-                )
-                chunk_stats = self._run_serial_sweep(units, results_by_cell)
-            elif pending:
-                for i in pending:
-                    scenarios[i].check_process_safe(variants[i], backend)
-                worker_pool = None
-                if executor == "remote":
-                    worker_pool = self.worker_pool()
-                    # Cache-first dispatch: ask the fleet which pending
-                    # cells somebody's store can serve.  The keys are
-                    # pure content hashes, so a cache-less coordinator
-                    # probes just the same.
-                    for i in pending:
-                        cell_keys[i] = keys[i] or ensemble_key(
-                            cells[i].spec,
-                            trials=cells[i].trials,
-                            seed=seeds[i],
-                            variant=variants[i],
-                            max_interactions=cells[i].max_interactions,
-                        )
-                    held_by = worker_pool.probe_cache(
-                        list(dict.fromkeys(cell_keys.values()))
-                    )
-                    for i, cell_key in cell_keys.items():
-                        names = sorted(
-                            name
-                            for name, held in held_by.items()
-                            if cell_key in held
-                        )
-                        if names:
-                            cell_owners[i] = names
 
-                # Every unit lands in ONE shared queue, so there is no
-                # per-cell barrier: workers drain units from any cell
-                # still pending, and one slow cell cannot idle the pool.
-                # Packed groups give each worker one wide unit; for any
-                # other cell the session cost model shapes the queue:
-                # cells enqueue longest-predicted-first and each chunk
-                # targets a fixed wall-time slice (big-n cells split
-                # finer, tiny cells coalesce).  The schedule only moves
-                # wall time: replicate seeds are derived per cell before
-                # cutting and results are assembled by cell index.
-                chunk_caps: dict[int, int] = {}
-                predicted: dict[int, float] = {}
-                for i in pending:
-                    cell = cells[i]
-                    plan = plans[i]
-                    if i in cell_owners:
-                        # A fleet-owned cell is ONE serve-cached chunk
-                        # (cache entries are whole ensembles) at
-                        # near-zero predicted cost, so it is neither
-                        # split nor allowed to skew chunk sizing.
-                        chunk_caps[i] = cell.trials
-                        predicted[i] = 0.0
-                        continue
-                    per_rep = plan["per_replicate_seconds"]
-                    predicted[i] = per_rep * cell.trials
-                    if worker_pool is not None:
-                        # Size remote chunks against the slowest
-                        # attached worker's measured coefficients
-                        # (per-family prediction when a worker has no
-                        # history yet), so a wall-time slice stays a
-                        # bounded tail on heterogeneous hardware.
-                        worker_est = model.predict_for_workers(
-                            cell.spec.scenario,
-                            variants[i],
-                            plan["n"],
-                            worker_pool.worker_names(),
-                        )
-                        if worker_est is not None:
-                            per_rep = max(per_rep, worker_est)
-                    chunk_caps[i] = model.chunk_size(per_rep, cell.trials, batch_size)
-                if worker_pool is not None:
-                    units = plan_units(
-                        cells, pending, scenarios, variants, seeds, backend,
-                        jobs=1, batch_size=batch_size, pack=False,
-                        chunk_caps=chunk_caps, predicted=predicted,
+            def size(i: int, variant: str, workers: int, pool) -> tuple[int, float]:
+                # Each chunk targets a fixed wall-time slice: big-n cells
+                # split finer, tiny cells coalesce.
+                cell = cells[i]
+                per_rep = plan(i, variant)["per_replicate_seconds"]
+                predicted = per_rep * cell.trials
+                if pool is not None:
+                    # Size remote chunks against the slowest attached
+                    # worker's measured coefficients (per-family
+                    # prediction when a worker has no history yet), so a
+                    # wall-time slice stays a bounded tail on
+                    # heterogeneous hardware.
+                    worker_est = model.predict_for_workers(
+                        cell.spec.scenario,
+                        variant,
+                        int(cell.spec.config.n),
+                        pool.worker_names(),
                     )
-                    by_cell, chunk_stats, served_cells = self._run_remote_sweep(
-                        worker_pool, units, cell_keys, cell_owners
-                    )
-                    results_by_cell.update(by_cell)
-                else:
-                    jobs = self._resolve_jobs(jobs)
-                    units = plan_units(
-                        cells, pending, scenarios, variants, seeds, backend,
-                        jobs=jobs, batch_size=batch_size,
-                        chunk_caps=chunk_caps, predicted=predicted,
-                    )
-                    chunk_stats = self._run_on_pool(jobs, units, results_by_cell)
-            if pending and store is not None:
-                for i in pending:
-                    store.store(keys[i], results_by_cell[i])
+                    if worker_est is not None:
+                        per_rep = max(per_rep, worker_est)
+                return model.chunk_size(per_rep, cell.trials, batch_size), predicted
+
+            run = self._run_cells(
+                cells,
+                seeds,
+                backend=backend,
+                executor=executor,
+                jobs=jobs,
+                batch_size=batch_size,
+                store=store,
+                size=size,
+            )
+            # Cached cells never entered the queue, so they get no
+            # prediction — and therefore cannot dilute the
+            # predicted-vs-measured report with zero-cost "work".
+            plans = {i: plan(i, run.variants[i]) for i in run.pending}
 
             # Refine the cost model from the measured chunk wall-times
             # and persist the table next to the ensemble cache so later
             # sweeps (and sessions) start warm.
             measured: dict[int, float] = {}
-            for stat in chunk_stats:
+            for stat in run.chunk_stats:
                 if stat.get("served"):
                     # Cache-served chunks measure decode time, not
                     # simulation — folding them into the cost model
@@ -1331,46 +1287,37 @@ class Engine:
                     model.observe_worker(
                         worker, signature, stat["replicates"], stat["seconds"]
                     )
-            if store is not None and chunk_stats:
+            if store is not None and run.chunk_stats:
                 store.store_cost_table(model.to_payload())
             self._last_sweep_report = self._sweep_report(
-                cells, variants, pending, plans, measured, executor=executor,
-                units=units, chunk_stats=chunk_stats, served=served_cells,
+                cells, run.variants, run.pending, plans, measured,
+                executor=executor, units=run.units,
+                chunk_stats=run.chunk_stats, served=run.served,
             )
 
             sweep_key = None
             if store is not None:
-                sweep_key = store.sweep_index_key(spec.key(), seeds, variants)
+                sweep_key = store.sweep_index_key(spec.key(), seeds, run.variants)
                 store.store_sweep_index(
                     sweep_key,
                     {
                         "format": SWEEP_INDEX_FORMAT,
                         "sweep": spec.key(),
                         "seeds": [seed_token(s) for s in seeds],
-                        "variants": list(variants),
-                        "cells": keys,
+                        "variants": list(run.variants),
+                        "cells": run.keys,
                     },
                 )
 
-            # Fleet-served cells entered the queue but were answered
-            # from a worker's store — cache traffic, not simulation.
-            simulated = set(pending) - served_cells
             self._stats["sweeps"] += 1
-            for i in range(len(cells)):
-                if i in simulated:
-                    self._stats["replicates_simulated"] += cells[i].trials
-                else:
-                    self._stats["replicates_from_cache"] += cells[i].trials
-            self._stats["replicates_served_remote"] += sum(
-                cells[i].trials for i in served_cells
-            )
+            simulated = set(run.pending) - run.served
             runs = [
                 SweepCellRun(
                     cell=cells[i],
                     index=i,
                     seed=seeds[i],
-                    variant=variants[i],
-                    results=results_by_cell[i],
+                    variant=run.variants[i],
+                    results=run.results[i],
                     cached=i not in simulated,
                 )
                 for i in range(len(cells))

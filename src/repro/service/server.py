@@ -362,7 +362,8 @@ class SimulationService:
         try:
             if kind == "ensemble":
                 job = _jobs.parse_ensemble(payload)
-                key = job.key(self._variant(job.spec))
+                _, variant = self._engine._scenario_variant(job.spec, None)
+                key = job.key(variant)
             else:
                 job = _jobs.parse_sweep(payload)
                 key = job.key()
@@ -413,13 +414,6 @@ class SimulationService:
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return await self._respond(record, wait)
-
-    def _variant(self, spec) -> str:
-        from ..engine import get_scenario
-
-        return get_scenario(spec.scenario).variant(
-            self._engine.options.backend
-        )
 
     async def _cache_lookup(self, job: _jobs.EnsembleJob):
         """Cache-first fast path, off the loop and off the engine thread."""

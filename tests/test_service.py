@@ -361,6 +361,42 @@ class TestBitIdentity:
                     served = client.ensemble(dict(SPEC))
         assert served["results"] == self.direct("serial")
 
+    def test_custom_default_backend_serves_stored_zealots_ensemble(
+        self, tmp_path, monkeypatch
+    ):
+        # A session default only the usd scenario knows runs zealots on
+        # its reference variant, and the job key must say so.
+        from repro.engine import backends, ensemble_key
+        from repro.engine.backends import JumpBackend
+
+        class CustomJump(JumpBackend):
+            name = "custom-jump"
+
+        monkeypatch.setitem(backends._REGISTRY, "custom-jump", CustomJump())
+        body = {
+            "workload": "uniform",
+            "params": {"n": 60, "k": 2},
+            "scenario": {"name": "zealots", "zealots": [3, 0]},
+            "trials": 3,
+            "seed": 5,
+        }
+        job = parse_ensemble(dict(body))
+        with Engine(
+            backend="custom-jump", cache=True, cache_dir=str(tmp_path)
+        ) as eng:
+            direct = eng.ensemble(job.spec, job.trials, seed=job.seed)
+            with BackgroundService(eng) as endpoint:
+                status, raw = raw_request(
+                    endpoint, "POST", "/v1/ensemble", json.dumps(body).encode()
+                )
+        assert status == 200
+        served = json.loads(raw)
+        assert served["key"] == ensemble_key(
+            job.spec, trials=3, seed=5, variant="reference", max_interactions=None
+        )
+        assert served["served_from_cache"] is True
+        assert served["results"] == results_to_jsonable(direct)
+
     def test_sweep_served_equals_direct(self, tmp_path):
         grid = [{"n": 60, "k": 2}, {"n": 90, "k": 2}]
         spec = SweepSpec.from_grid(grid, uniform_configuration, trials=4)

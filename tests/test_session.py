@@ -11,12 +11,14 @@ restores the previous configuration on exit and on exceptions.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.config import Configuration
 from repro.engine import (
+    DEFAULT_BATCH_SIZE,
     Engine,
     EngineOptions,
     EnsembleCache,
@@ -27,6 +29,7 @@ from repro.engine import (
     get_backend,
     get_scenario,
     get_default_backend,
+    graph_spec,
     get_default_jobs,
     replicate_seeds,
     run_ensemble,
@@ -848,6 +851,180 @@ class TestProcessPacking:
         assert sweep_key(got) == want
         assert report["packed_units"] == 0
         assert report["units"] >= len(self.SPEC.cells)
+
+
+class TestEnsembleIsOneCellSweep:
+    """``Engine.ensemble`` is a one-cell ``Engine.sweep``.
+
+    Every executor gives the ensemble the results of a serial sweep over
+    the one cell at ``seed`` as its cell seed, bit for bit, and the same
+    units the ensemble-only pipeline once cut: ``batch_size`` kernel
+    calls serially, four chunks per worker for a cell that does not
+    pack, one wide unit per pool worker for a lockstep cell that does.
+    """
+
+    TRIALS = 11
+    RING = [(i, (i + 1) % 40) for i in range(40)] + [
+        ((i + 1) % 40, i) for i in range(40)
+    ]
+    #: name -> (spec, session backend, budget)
+    CASES = {
+        "usd-batched": (usd_spec(uniform_configuration(150, 3)), "batched", None),
+        "usd-jump": (usd_spec(uniform_configuration(150, 3)), "jump", None),
+        "zealots": (
+            zealot_spec(Configuration.from_supports([40, 30, 20]), [0, 4, 1]),
+            "batched",
+            30_000,
+        ),
+        "graph": (
+            graph_spec(RING, config=uniform_configuration(40, 2)),
+            "batched",
+            20_000,
+        ),
+    }
+
+    def swept(self, name, seed=5):
+        spec, backend, budget = self.CASES[name]
+        cell = SweepCell(spec=spec, trials=self.TRIALS, max_interactions=budget)
+        with Engine(backend=backend, cache=False) as eng:
+            run = eng.sweep(
+                SweepSpec(cells=(cell,)), cell_seeds=[seed], executor="serial"
+            )
+        return results_key(run.cells[0].results)
+
+    @staticmethod
+    def record_kernel_calls(monkeypatch):
+        calls = []
+        for name in ("usd", "zealots", "graph"):
+            scenario_type = type(get_scenario(name))
+            original = scenario_type.run_chunk
+
+            def recording(self, spec, variant, rngs, budget, _run=original):
+                calls.append((type(spec).__name__, len(rngs)))
+                return _run(self, spec, variant, rngs, budget)
+
+            monkeypatch.setattr(scenario_type, "run_chunk", recording)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_serial_keeps_batch_size_kernel_calls(self, name, monkeypatch):
+        want = self.swept(name)
+        spec, backend, budget = self.CASES[name]
+        calls = self.record_kernel_calls(monkeypatch)
+        with Engine(backend=backend, cache=False) as eng:
+            got = eng.ensemble(
+                spec, self.TRIALS, seed=5, executor="serial", batch_size=5,
+                max_interactions=budget,
+            )
+        assert results_key(got) == want
+        # Lockstep cells run as single-segment packed chunks, any other
+        # cell as plain chunks: three kernel calls of 5, 5 and 1 either way.
+        packs = name in ("usd-batched", "zealots")
+        kind = "PackedChunk" if packs else "ScenarioSpec"
+        assert calls == [(kind, 5), (kind, 5), (kind, 1)]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_process_sends_one_wide_unit_per_worker_or_four_chunks(self, name):
+        want = self.swept(name)
+        spec, backend, budget = self.CASES[name]
+        with Engine(backend=backend, cache=False) as eng:
+            got = eng.ensemble(
+                spec, self.TRIALS, seed=5, executor="process", jobs=2,
+                max_interactions=budget,
+            )
+            chunks = eng.stats()["transport"]["pickle"]["chunks"]
+        assert results_key(got) == want
+        if name in ("usd-batched", "zealots"):
+            assert chunks == 2
+        else:
+            cap = Engine._chunk_cap(self.TRIALS, 2, DEFAULT_BATCH_SIZE)
+            assert chunks == -(-self.TRIALS // cap) == 6
+
+    @staticmethod
+    def attach_workers(eng, *cache_dirs):
+        from repro.engine import serve_worker
+
+        pool = eng.worker_pool()
+
+        def serve(name, cache_dir):
+            try:
+                serve_worker(pool.endpoint, name=name, cache_dir=cache_dir)
+            except OSError:
+                pass  # the session closed the pool under the worker
+
+        for i, cache_dir in enumerate(cache_dirs):
+            threading.Thread(
+                target=serve, args=(f"w{i}", cache_dir), daemon=True
+            ).start()
+        pool.wait_for_workers(len(cache_dirs), timeout=30)
+
+    @pytest.mark.parametrize("name", ["usd-batched", "graph"])
+    def test_remote_keeps_four_chunks_per_worker(self, name):
+        want = self.swept(name)
+        spec, backend, budget = self.CASES[name]
+        with Engine(backend=backend, cache=False) as eng:
+            self.attach_workers(eng, None, None)
+            got = eng.ensemble(
+                spec, self.TRIALS, seed=5, executor="remote",
+                max_interactions=budget,
+            )
+            chunks = eng.stats()["transport"]["socket"]["chunks"]
+        assert results_key(got) == want
+        # The remote executor never packs: ceil(11 / ceil(11 / (2 * 4))).
+        assert chunks == 6
+
+    def test_fleet_owned_ensemble_is_one_served_chunk(self, tmp_path):
+        want = self.swept("usd-batched")
+        spec, backend, _ = self.CASES["usd-batched"]
+        with Engine(backend=backend, cache=True, cache_dir=str(tmp_path)) as eng:
+            eng.ensemble(spec, self.TRIALS, seed=5)
+        with Engine(backend=backend, cache=False) as eng:
+            self.attach_workers(eng, str(tmp_path), None)
+            got = eng.ensemble(spec, self.TRIALS, seed=5, executor="remote")
+            stats = eng.stats()
+        assert results_key(got) == want
+        assert stats["transport"]["socket"]["chunks"] == 1
+        assert stats["cache"]["fabric"]["served"] == 1
+        assert stats["replicates_simulated"] == 0
+        assert stats["replicates_served_remote"] == self.TRIALS
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_ensembles_leave_sweep_state_alone(self, executor, tmp_path):
+        spec, backend, _ = self.CASES["usd-jump"]
+        with Engine(backend=backend, cache=True, cache_dir=str(tmp_path)) as eng:
+            eng.ensemble(spec, self.TRIALS, seed=5, executor=executor, jobs=2)
+            eng.ensemble(spec, self.TRIALS, seed=5, executor=executor, jobs=2)
+            stats = eng.stats()
+        assert stats["scheduler"] == {"last_sweep": None, "cost_model": None}
+        assert stats["ensembles"] == 2 and stats["sweeps"] == 0
+        assert stats["replicates_simulated"] == self.TRIALS
+        assert stats["replicates_from_cache"] == self.TRIALS
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl"]
+
+
+class TestCustomDefaultBackend:
+    """A session default only USD knows runs other scenarios on reference."""
+
+    def test_cached_ensemble_returns_what_ensemble_stored(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine import backends
+        from repro.engine.backends import JumpBackend
+
+        class CustomJump(JumpBackend):
+            name = "custom-jump"
+
+        monkeypatch.setitem(backends._REGISTRY, "custom-jump", CustomJump())
+        spec = zealot_spec(uniform_configuration(60, 2), [3, 0])
+        with Engine(
+            backend="custom-jump", cache=True, cache_dir=str(tmp_path)
+        ) as eng:
+            stored = eng.ensemble(spec, 3, seed=5)
+            cached = eng.cached_ensemble(spec, 3, seed=5)
+            usd = eng.cached_ensemble(uniform_configuration(60, 2), 3, seed=5)
+        assert cached is not None
+        assert results_key(cached) == results_key(stored)
+        assert usd is None
 
 
 class TestCliScheduler:
