@@ -164,6 +164,68 @@ def _results_key(results) -> list:
     ]
 
 
+def run_scalar_tail_ablation(*, n: int = 10_000, seed: int = 20230224) -> dict:
+    """Scalar-tail hand-off vs the plain numpy kernel, in one process.
+
+    One packed two-cell :func:`~repro.core.lockstep.lockstep_batch` call
+    shaped like ``paper_sweep``'s: 2 uniform-start k=3 columns beside 18
+    k=8 columns of additive bias ``n // 5``, padded to k=8.  20 columns
+    start above the kernel's knee, so the call has a wide phase and a
+    tail.  Rounds alternate the plain kernel (knee 0: never hands off)
+    and the built-in knee, best of 3 each, so both arms see the same
+    host phases; the two arms must agree bit for bit.
+    """
+    from repro.core import lockstep
+    from repro.workloads import additive_bias_configuration
+
+    uniform, additive, rounds = 2, 18, 3
+    cells = (
+        (uniform_configuration(n, 3).counts, uniform),
+        (additive_bias_configuration(n, 8, n // 5).counts, additive),
+    )
+    counts = np.array(
+        [np.pad(c, (0, 9 - c.size)) for c, width in cells for _ in range(width)]
+    )
+    seeds = replicate_seeds(seed, len(counts))
+    knee = lockstep._SCALAR_KNEE
+    seconds: dict[str, list[float]] = {"plain": [], "hand_off": []}
+    outputs = {}
+    try:
+        for _ in range(rounds):
+            for arm, arm_knee in (("plain", 0), ("hand_off", knee)):
+                lockstep._SCALAR_KNEE = arm_knee
+                rngs = [np.random.default_rng(s) for s in seeds]
+                start = time.perf_counter()
+                outputs[arm] = lockstep.lockstep_batch(
+                    counts, np.zeros(8, dtype=np.int64), n,
+                    rngs=rngs, max_interactions=2**53 - 1,
+                )
+                seconds[arm].append(time.perf_counter() - start)
+    finally:
+        lockstep._SCALAR_KNEE = knee
+    identical = all(
+        np.array_equal(a, b) for a, b in zip(outputs["plain"], outputs["hand_off"])
+    )
+    assert identical, "scalar-tail hand-off diverged from the plain kernel"
+    plain, hand_off = min(seconds["plain"]), min(seconds["hand_off"])
+    return {
+        "workload": {
+            "n": n,
+            "uniform_k3_columns": uniform,
+            "additive_k8_columns": additive,
+            "additive_beta": n // 5,
+            "seed": seed,
+            "rounds": rounds,
+        },
+        "knee": knee,
+        "probe": lockstep._SCALAR_LOG1P_BITWISE,
+        "plain_seconds": seconds["plain"],
+        "hand_off_seconds": seconds["hand_off"],
+        "speedup": plain / hand_off,
+        "bit_identical": identical,
+    }
+
+
 def run_kernel_ablation(
     *,
     n: int = 10_000,
@@ -186,6 +248,10 @@ def run_kernel_ablation(
       vs the multi-event kernel at several ``event_block`` sizes on the
       acceptance workload; the headline ``speedup`` is multi-event at
       the profiled default block against the single-event baseline.
+    * **scalar_tail** — the lockstep kernel handing its narrow tail to
+      the per-column Python loop vs the same packed call kept in numpy
+      throughout (:func:`run_scalar_tail_ablation`), asserted
+      bit-identical.
     * **graph** — the serial per-interaction Python kernel (throughput
       extrapolated from a small sample, its per-replicate cost is
       constant) vs the per-edge-array lockstep batch, asserted
@@ -249,6 +315,10 @@ def run_kernel_ablation(
         "event_block_seconds": block_rows,
         "speedup": single_seconds / multi_seconds,
     }
+
+    # ---- scalar tail vs plain numpy, one packed call ----------------
+    # Capped at the paper's n = 10^4 so a large-n ablation stays cheap.
+    record["scalar_tail"] = run_scalar_tail_ablation(n=min(n, 10_000), seed=seed)
 
     # ---- batched graph kernel vs serial reference -------------------
     edges = _ring_edges(graph_n)

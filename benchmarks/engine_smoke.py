@@ -5,9 +5,11 @@ Writes a ``BENCH_engine.json`` artifact comparing ensemble throughput
 vectorized ``"batched"`` backend on the acceptance workload (n=10^4,
 k=5, 1000 replicates by default), an ``"ablation"`` section covering
 the kernel axes introduced with the multi-event overhaul — single-event
-vs multi-event lockstep blocks, batched graph/gossip kernels vs their
-serial references, and the numba-compiled tier vs the numpy kernels (numpy-fallback identity is
-verified instead when numba is absent) — plus a
+vs multi-event lockstep blocks, the lockstep kernel's scalar-tail
+hand-off vs the same packed call kept in numpy, batched graph/gossip
+kernels vs their serial references, and the numba-compiled tier vs the
+numpy kernels (numpy-fallback identity is verified instead when numba
+is absent) — plus a
 ``BENCH_scenarios.json`` artifact timing one ensemble per registered
 scenario (usd, graph, zealots, noise, gossip) through ``run_ensemble``.
 The serial sides run small samples — their per-replicate cost is
@@ -21,7 +23,7 @@ Usage::
         [--scenarios-output BENCH_scenarios.json] [--min-speedup 3] \
         [--no-ablation] [--min-multi-event-speedup 1.5] \
         [--min-graph-speedup 3] [--min-gossip-speedup 3] \
-        [--min-compiled-speedup 2]
+        [--min-compiled-speedup 2] [--min-scalar-tail-speedup 1]
 
 Exits non-zero when any measured figure falls outside its threshold
 (pass ``0`` thresholds to record without gating); pass
@@ -70,6 +72,16 @@ def main(argv: list[str] | None = None) -> int:
         "kernel by this factor; skipped (never failed) when numba is "
         "unavailable, 0 records without gating",
     )
+    parser.add_argument(
+        "--min-scalar-tail-speedup",
+        type=float,
+        default=0.0,
+        help="the lockstep kernel handing its narrow tail to the scalar "
+        "loop must be this many times faster than the same packed call "
+        "kept in numpy (best of 3, interleaved); skipped (never failed) "
+        "where the kernel's scalar-log1p probe keeps it from handing off, "
+        "0 records without gating",
+    )
     args = parser.parse_args(argv)
 
     record = run_engine_smoke(
@@ -112,6 +124,17 @@ def main(argv: list[str] | None = None) -> int:
             f"lockstep:     multi-event (block={lockstep['multi_event']['event_block']}) "
             f"{lockstep['speedup']:.2f}x the single-event kernel"
         )
+        tail = ablation["scalar_tail"]
+        if tail["probe"]:
+            print(
+                f"scalar tail:  hand-off at {tail['knee']} live columns "
+                f"{tail['speedup']:.2f}x the plain kernel (bit-identical)"
+            )
+        else:
+            print(
+                "scalar tail:  scalar np.log1p differs from the array path "
+                "here - the kernel never hands off, speedup gate skipped"
+            )
         print(
             f"graph:        batched {ablation['graph']['speedup']:.1f}x serial "
             f"(bit-identical)"
@@ -152,6 +175,11 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"multi-event speedup {lockstep['speedup']:.2f} below "
                 f"{args.min_multi_event_speedup}"
+            )
+        if tail["probe"] and tail["speedup"] < args.min_scalar_tail_speedup:
+            failures.append(
+                f"scalar-tail speedup {tail['speedup']:.2f} below "
+                f"{args.min_scalar_tail_speedup}"
             )
         if ablation["graph"]["speedup"] < args.min_graph_speedup:
             failures.append(

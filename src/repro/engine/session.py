@@ -1099,6 +1099,7 @@ class Engine:
         seed: int | np.random.SeedSequence,
         backend: str | None = None,
         max_interactions: int | None = None,
+        key: str | None = None,
     ) -> list[RunResult] | None:
         """The ensemble's cached results, or ``None`` without simulating.
 
@@ -1110,10 +1111,15 @@ class Engine:
         ``_SESSION_STACK`` push), which makes it safe to call from a
         thread other than the one running the engine — the service
         layer's cache-first fast path relies on exactly that.
+
+        ``key``, when given, is that key already computed by the caller
+        (the service hashes each submission once); it must be the key
+        :meth:`_cell_key` yields for these arguments.
         """
         self._check_open()
-        cell = SweepCell(coerce_spec(workload), trials, max_interactions)
-        _, _, key = self._cell_key(cell, seed, backend)
+        if key is None:
+            cell = SweepCell(coerce_spec(workload), trials, max_interactions)
+            _, _, key = self._cell_key(cell, seed, backend)
         store = self._resolve_cache(None)
         if store is None:
             return None

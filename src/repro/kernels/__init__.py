@@ -32,6 +32,19 @@ refill schedule, and handed to the jitted kernels as plain arrays:
   cross-validated distributionally (:mod:`repro.core.crossval`) — the
   same gate three-majority gossip historically used.
 
+Two scalar ``log1p`` paths exist, and only one of them is this probe's
+business.  *libm* ``log1p`` is what ``math.log1p`` calls and what numba
+compiles; :data:`LOG1P_BITWISE` asks whether it matches the array path.
+*Scalar* ``np.log1p`` — numpy's own ufunc applied to one Python float —
+is what the numpy kernel's scalar tail uses
+(:func:`repro.core.lockstep.lockstep_batch` finishes its last few
+columns in a per-column Python loop); its own import-time probe,
+``repro.core.lockstep._SCALAR_LOG1P_BITWISE``, asks whether *that*
+matches the array path.  The two can disagree: on a host where libm
+matched numpy's array ``log1p`` on only 92% of samples, scalar
+``np.log1p`` matched on all of them, so the scalar tail stays
+bit-identical where the compiled tier cannot.
+
 Writing kernels so they stay testable without numba
 ---------------------------------------------------
 Kernels are defined as plain Python functions and jitted *conditionally*

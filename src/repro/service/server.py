@@ -379,7 +379,7 @@ class SimulationService:
             return await self._respond(record, wait)
 
         if kind == "ensemble":
-            cached = await self._cache_lookup(job)
+            cached = await self._cache_lookup(job, key)
             # Re-check after the await: an identical submitter may have
             # registered this key while the cache read ran.  Between
             # here and _register there are no awaits, so the check is
@@ -415,8 +415,12 @@ class SimulationService:
         task.add_done_callback(self._tasks.discard)
         return await self._respond(record, wait)
 
-    async def _cache_lookup(self, job: _jobs.EnsembleJob):
-        """Cache-first fast path, off the loop and off the engine thread."""
+    async def _cache_lookup(self, job: _jobs.EnsembleJob, key: str):
+        """Cache-first fast path, off the loop and off the engine thread.
+
+        ``key`` is the job key :meth:`_submit` already computed, so the
+        lookup does not hash the submission a second time.
+        """
         return await asyncio.get_running_loop().run_in_executor(
             self._io_executor,
             partial(
@@ -425,6 +429,7 @@ class SimulationService:
                 job.trials,
                 seed=job.seed,
                 max_interactions=job.max_interactions,
+                key=key,
             ),
         )
 

@@ -19,7 +19,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import lockstep as lockstep_module
 from repro.core.config import Configuration
 from repro.core.fastsim import simulate as fast_simulate
 from repro.core.simulator import RunResult
@@ -319,6 +322,121 @@ class TestPackedColumns:
         monkeypatch.setattr(scenarios, "lockstep_batch", corrupted)
         with pytest.raises(RuntimeError, match="padded opinion"):
             usd.run_chunk(packed, "batched", rngs_for(1, 3), None)
+
+
+@st.composite
+def packed_batches(draw):
+    """A packed lockstep call: mixed k with padding, n, zealots, budgets."""
+    width = draw(st.integers(1, 10))
+    K = draw(st.integers(1, 5))
+    counts, zealots, ns, budgets = [], [], [], []
+    for _ in range(width):
+        k = draw(st.integers(1, K))
+        supports = draw(st.lists(st.integers(0, 80), min_size=k, max_size=k))
+        undecided = draw(st.integers(0, 80))
+        stubborn = draw(
+            st.one_of(
+                st.just([0] * k),
+                st.lists(st.integers(0, 3), min_size=k, max_size=k),
+            )
+        )
+        n = sum(supports) + undecided + sum(stubborn)
+        # Zealots of two opinions never absorb: keep their budgets small.
+        cap = 4_000 if any(stubborn) else 10**9
+        budget = draw(st.one_of(st.just(0), st.integers(0, 3_000), st.just(cap)))
+        counts.append([undecided, *supports] + [0] * (K - k))
+        zealots.append(stubborn + [0] * (K - k))
+        ns.append(n)
+        budgets.append(budget)
+    return {
+        "counts": np.array(counts),
+        "zealots": np.array(zealots),
+        "n": np.array(ns),
+        "max_interactions": np.array(budgets),
+        "seed": draw(st.integers(0, 2**31)),
+        "event_block": draw(st.sampled_from([1, 16])),
+        "stream_buffer": draw(st.sampled_from([2, 6, 40, 256])),
+    }
+
+
+def run_packed_batch(batch, knee):
+    kwargs = dict(batch)
+    seed = kwargs.pop("seed")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lockstep_module, "_SCALAR_KNEE", knee)
+        return lockstep_batch(
+            kwargs.pop("counts"), kwargs.pop("zealots"), kwargs.pop("n"),
+            rngs=rngs_for(seed, len(batch["n"])), **kwargs,
+        )
+
+
+class TestScalarTail:
+    """The narrow tail finished per column in Python equals the numpy kernel."""
+
+    @pytest.mark.skipif(
+        not lockstep_module._SCALAR_LOG1P_BITWISE,
+        reason="scalar np.log1p differs from the array path: no hand-off here",
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(packed_batches(), st.sampled_from(["1", "8", "R"]))
+    def test_hand_off_bit_identical_to_plain_kernel(self, batch, knee):
+        plain = run_packed_batch(batch, knee=0)
+        width = len(batch["n"])
+        got = run_packed_batch(batch, knee=width if knee == "R" else int(knee))
+        for want, have in zip(plain, got):
+            assert want.dtype == have.dtype
+            assert np.array_equal(want, have)
+
+    def test_whole_packed_mix_runs_scalar(self, monkeypatch):
+        # Knee R on the packed mix: both retirements, zealots, padding.
+        packed = TestPackedColumns()
+        monkeypatch.setattr(lockstep_module, "_SCALAR_KNEE", 0)
+        plain = packed.packed(16)
+        monkeypatch.setattr(lockstep_module, "_SCALAR_KNEE", len(plain[1]))
+        spy = self.spy(monkeypatch)
+        scalar = packed.packed(16)
+        if lockstep_module._SCALAR_LOG1P_BITWISE:
+            assert spy.calls == len(plain[1])
+        for want, have in zip(plain, scalar):
+            assert np.array_equal(want, have)
+
+    @staticmethod
+    def spy(monkeypatch):
+        original = lockstep_module._finish_column
+
+        def counted(*args, **kwargs):
+            counted.calls += 1
+            return original(*args, **kwargs)
+
+        counted.calls = 0
+        monkeypatch.setattr(lockstep_module, "_finish_column", counted)
+        return counted
+
+    def test_probe_off_never_hands_off(self, monkeypatch):
+        batch = {
+            "counts": np.array([uniform_configuration(200, 3).counts] * 5),
+            "zealots": np.zeros((5, 3), dtype=np.int64),
+            "n": np.full(5, 200),
+            "max_interactions": np.array([10**9, 10**9, 2_000, 0, 10**9]),
+            "seed": 17,
+            "event_block": 16,
+            "stream_buffer": 40,
+        }
+        plain = run_packed_batch(batch, knee=0)
+        monkeypatch.setattr(lockstep_module, "_SCALAR_LOG1P_BITWISE", False)
+        spy = self.spy(monkeypatch)
+        off = run_packed_batch(batch, knee=5)
+        assert spy.calls == 0
+        for want, have in zip(plain, off):
+            assert np.array_equal(want, have)
+        # With the probe passing, the same call does hand off.
+        monkeypatch.undo()
+        if lockstep_module._SCALAR_LOG1P_BITWISE:
+            spy = self.spy(monkeypatch)
+            on = run_packed_batch(batch, knee=5)
+            assert spy.calls == 5
+            for want, have in zip(plain, on):
+                assert np.array_equal(want, have)
 
 
 class TestGraphBatched:

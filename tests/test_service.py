@@ -90,6 +90,42 @@ class TestSchema:
             max_interactions=None,
         )
 
+    @pytest.mark.parametrize(
+        "scenario", [None, {"name": "zealots", "zealots": [0, 5, 1]}]
+    )
+    def test_job_key_is_the_engine_cell_key(self, scenario):
+        # The service hands job.key(variant) to Engine.cached_ensemble in
+        # place of the key the engine would hash itself; the two must
+        # never drift apart.
+        from repro.engine.sweep import SweepCell
+
+        doc = dict(SPEC, max_interactions=50_000)
+        if scenario is not None:
+            doc["scenario"] = scenario
+        job = parse_ensemble(doc)
+        with Engine(backend="batched", cache=False) as eng:
+            _, variant = eng._scenario_variant(job.spec, None)
+            cell = SweepCell(job.spec, job.trials, job.max_interactions)
+            _, _, engine_key = eng._cell_key(cell, job.seed, None)
+        assert job.spec.scenario == (scenario or {"name": "usd"})["name"]
+        assert job.key(variant) == engine_key
+
+    def test_cached_ensemble_takes_a_precomputed_key(self, tmp_path, monkeypatch):
+        job = parse_ensemble(dict(SPEC))
+        with Engine(backend="batched", cache=True, cache_dir=str(tmp_path)) as eng:
+            stored = eng.ensemble(job.spec, job.trials, seed=job.seed)
+            _, variant = eng._scenario_variant(job.spec, None)
+            key = job.key(variant)
+
+            def no_rehash(*args, **kwargs):
+                raise AssertionError("cached_ensemble re-hashed a given key")
+
+            monkeypatch.setattr(eng, "_cell_key", no_rehash)
+            cached = eng.cached_ensemble(
+                job.spec, job.trials, seed=job.seed, key=key
+            )
+        assert results_to_jsonable(cached) == results_to_jsonable(stored)
+
     def test_sweep_axes_and_grid_agree(self):
         by_axes = parse_sweep(
             {"workload": "uniform", "params": {"n": [60, 90], "k": 3},
