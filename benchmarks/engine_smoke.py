@@ -141,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(
             f"gossip:       batched {ablation['gossip']['speedup']:.1f}x serial "
-            f"(bit-identical)"
+            f"(median of {ablation['gossip']['repeats']} interleaved repeats, "
+            f"bit-identical)"
         )
         compiled = ablation.get("compiled", {})
         if compiled.get("available"):

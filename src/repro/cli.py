@@ -74,25 +74,23 @@ startup; nothing mutates process-wide state.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .analysis.report import build_markdown_report
 from .core.phases import PhaseTracker
 from .engine import (
-    EXECUTORS,
     SEED_DERIVATIONS,
     Engine,
+    EngineOptions,
     EnsembleCache,
     SweepSpec,
-    available_backends,
     available_scenarios,
     derive_cell_seeds,
     engine,
     get_backend,
-    get_default_cache_dir,
     get_scenario,
     gossip_spec,
     graph_spec,
@@ -135,66 +133,46 @@ def _int_list(raw: str) -> list[int]:
         ) from None
 
 
-def _add_engine_arguments(command: argparse.ArgumentParser) -> None:
-    """Engine flags shared by every simulating command."""
-    command.add_argument(
-        "--backend",
-        choices=available_backends(),
-        default=None,
-        help="simulation backend for all ensembles (default: jump)",
-    )
-    command.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="worker processes for ensembles (default: 1 = serial)",
-    )
-    command.add_argument(
-        "--executor",
-        choices=EXECUTORS,
-        default=None,
-        help="how ensembles execute: serial, process (multiprocessing "
-        "pool), or remote (socket-connected 'repro worker' processes); "
-        "never changes results (default: process when --jobs > 1, else "
-        "serial)",
-    )
-    command.add_argument(
-        "--workers",
-        default=None,
-        metavar="HOST:PORT",
-        help="listen address for the remote executor's worker pool "
-        "(default: 127.0.0.1 on an ephemeral port, or "
-        "REPRO_ENGINE_WORKERS); point 'repro worker' processes at it",
-    )
-    command.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="serve identical ensembles from the on-disk result cache "
-        "(default: off, or REPRO_ENGINE_CACHE)",
-    )
-    command.add_argument(
-        "--cache-dir",
-        default=None,
-        help="ensemble cache directory (default: .repro-cache, "
-        "or REPRO_ENGINE_CACHE_DIR)",
-    )
-    command.add_argument(
-        "--event-block",
-        type=_positive_int,
-        default=None,
-        help="productive events per numpy pass in the batched lockstep "
-        "kernels; never changes results (default: 16, or "
-        "REPRO_ENGINE_EVENT_BLOCK)",
-    )
-    command.add_argument(
-        "--stream-buffer",
-        type=_positive_int,
-        default=None,
-        help="uniforms each replicate pre-draws per refill in the "
-        "lockstep kernels; never changes results (default: 256, or "
-        "REPRO_ENGINE_STREAM_BUFFER)",
-    )
+def _option_type(name: str, check):
+    """An ``argparse`` type that runs an engine option's value check."""
+
+    def parse(raw: str):
+        try:
+            return check(name, raw)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    parse.__name__ = name
+    return parse
+
+
+def _add_engine_arguments(
+    command: argparse.ArgumentParser, *, serve: bool = False
+) -> None:
+    """The engine flags declared in :class:`EngineOptions`' field metadata.
+
+    Every simulating command takes the shared ones; ``serve`` adds the
+    service admission bounds.  Each flag's destination is its option's
+    name, so :func:`_build_engine` passes them through unchanged, and a
+    value flag is parsed by its option's own check (a bad value is a
+    usage error).  A callable ``choices`` (the backend registry, which
+    can grow) is evaluated here.
+    """
+    for option in fields(EngineOptions):
+        meta = option.metadata
+        if meta["flag"] is None or (meta["serve"] and not serve):
+            continue
+        kwargs = dict(meta["argparse"])
+        if callable(kwargs.get("choices")):
+            kwargs["choices"] = kwargs["choices"]()
+        if "action" not in kwargs:
+            kwargs["type"] = _option_type(option.name, meta["check"])
+        help_text = meta["help"]
+        if meta["env"] is not None:
+            help_text = f"{help_text}; env {meta['env']}"
+        command.add_argument(
+            meta["flag"], dest=option.name, default=None, help=help_text, **kwargs
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,29 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
         "cache-key handles (default: 64)",
     )
     serve_cmd.add_argument(
-        "--max-queue",
-        type=_positive_int,
-        default=None,
-        help="admission control: reject (429) past this many queued+running "
-        "submissions (default: engine option service_max_queue / "
-        "REPRO_SERVICE_MAX_QUEUE)",
-    )
-    serve_cmd.add_argument(
-        "--max-replicates",
-        type=_positive_int,
-        default=None,
-        help="admission control: reject (429) when in-flight replicates "
-        "would exceed this budget (default: engine option "
-        "service_max_replicates / REPRO_SERVICE_MAX_REPLICATES)",
-    )
-    serve_cmd.add_argument(
         "--debug",
         action="store_true",
         help="include server tracebacks in error responses (local "
         "debugging only; by default failures are logged server-side and "
         "clients get a generic message)",
     )
-    _add_engine_arguments(serve_cmd)
+    _add_engine_arguments(serve_cmd, serve=True)
 
     submit_cmd = sub.add_parser(
         "submit",
@@ -555,20 +517,17 @@ def _build_engine(args) -> Engine:
 
     Every subcommand that simulates builds exactly one
     :class:`repro.engine.Engine` here (unset flags fall back to the
-    ``REPRO_ENGINE_*`` environment, then the built-ins) and scopes it
-    with ``with engine(eng):`` so *everything* the command runs —
+    ``REPRO_*`` environment, then the built-ins) and scopes it with
+    ``with engine(eng):`` so *everything* the command runs —
     experiments, the trial runner, sweeps, single simulations — shares
     that session's persistent executor pool and open cache handle.
     """
     return Engine(
-        backend=args.backend,
-        jobs=args.jobs,
-        executor=args.executor,
-        workers=args.workers,
-        cache=args.cache,
-        cache_dir=args.cache_dir,
-        event_block=args.event_block,
-        stream_buffer=args.stream_buffer,
+        **{
+            option.name: getattr(args, option.name, None)
+            for option in fields(EngineOptions)
+            if option.metadata["flag"] is not None
+        }
     )
 
 
@@ -858,18 +817,23 @@ def _command_worker(args) -> int:
     import signal
     import threading
 
-    from .engine import get_default_cache_dir as _default_cache_dir
-    from .engine.remote import WORKER_SECRET_ENV, make_client_tls_context
+    from .engine.remote import make_client_tls_context
 
-    cache_dir = None if args.no_cache else (args.cache_dir or _default_cache_dir())
-    secret = args.secret or os.environ.get(WORKER_SECRET_ENV) or None
-    tls_ca = args.tls_ca or os.environ.get("REPRO_WORKER_TLS_CA") or None
-    tls_cert = args.tls_cert or os.environ.get("REPRO_WORKER_TLS_CERT") or None
-    tls_key = args.tls_key or os.environ.get("REPRO_WORKER_TLS_KEY") or None
+    # The same declaration (and the same blank-means-unset parsing) the
+    # coordinator's session resolves its side of the handshake from.
+    opts = EngineOptions.resolve(
+        cache_dir=args.cache_dir,
+        worker_secret=args.secret,
+        worker_tls_ca=args.tls_ca,
+        worker_tls_cert=args.tls_cert,
+        worker_tls_key=args.tls_key,
+    )
     tls = None
-    if args.tls or tls_ca or tls_cert:
+    if args.tls or opts.worker_tls_ca or opts.worker_tls_cert:
         tls = make_client_tls_context(
-            cafile=tls_ca, certfile=tls_cert, keyfile=tls_key
+            cafile=opts.worker_tls_ca,
+            certfile=opts.worker_tls_cert,
+            keyfile=opts.worker_tls_key,
         )
 
     # Graceful drain: SIGTERM/SIGINT finish the in-flight chunk (the
@@ -893,8 +857,9 @@ def _command_worker(args) -> int:
         served = serve_worker(
             address,
             name=args.name,
-            cache_dir=cache_dir,
-            secret=secret,
+            cache_dir=None if args.no_cache else opts.cache_dir,
+            cache_max_bytes=opts.cache_max_bytes,
+            secret=opts.worker_secret,
             tls=tls,
             drain=drain,
             max_chunks=args.max_chunks,
@@ -927,8 +892,6 @@ def _command_serve(args) -> int:
         service = SimulationService(
             eng,
             inline_limit=args.inline_limit or DEFAULT_INLINE_LIMIT,
-            max_queue=args.max_queue,
-            max_replicates=args.max_replicates,
             debug=args.debug,
         )
 
@@ -997,7 +960,8 @@ def _command_poll(args) -> int:
 
 
 def _command_cache(args) -> int:
-    store = EnsembleCache(args.cache_dir or get_default_cache_dir())
+    opts = EngineOptions.resolve(cache_dir=args.cache_dir)
+    store = EnsembleCache(opts.cache_dir, max_bytes=opts.cache_max_bytes)
     if args.action == "stats":
         stats = store.stats()
         cap = stats["max_bytes"]
@@ -1021,14 +985,14 @@ def _command_cache(args) -> int:
                 f"{entry['missing']} missing ({state})"
             )
         if args.workers:
-            _print_fleet_cache_view(args, store)
+            _print_fleet_cache_view(args, store, opts.worker_secret)
         return 0
     removed = store.clear()
     print(f"removed {removed} entries from {store.root}")
     return 0
 
 
-def _print_fleet_cache_view(args, store) -> None:
+def _print_fleet_cache_view(args, store, secret: str | None) -> None:
     """The ``cache stats --workers`` fleet table.
 
     Binds a worker pool exactly like a remote-executor session would
@@ -1038,9 +1002,8 @@ def _print_fleet_cache_view(args, store) -> None:
     count from the hello, and the served/pushed fabric counters — the
     same rows `Engine.stats()["cache"]["workers"]` reports mid-session.
     """
-    from .engine.remote import WORKER_SECRET_ENV, WorkerPool, cache_token
+    from .engine.remote import WorkerPool, cache_token
 
-    secret = os.environ.get(WORKER_SECRET_ENV) or None
     session_token = cache_token(str(store.root))
     pool = WorkerPool(
         args.workers, session_cache_token=session_token, secret=secret

@@ -1,10 +1,10 @@
 """Typed environment-variable parsing with errors that name the variable.
 
-One helper per type, shared by the engine options and the lockstep
-kernel defaults: an unset or blank variable yields the default, and a
-malformed one raises :class:`ValueError` naming the variable instead of
-resolving silently (``REPRO_ENGINE_CACHE=ture``) or failing with a bare
-``invalid literal for int()``.
+One helper per type, used by the engine options' declarations
+(:mod:`repro.engine.options`): an unset or blank variable yields the
+default, and a malformed one raises :class:`ValueError` naming the
+variable instead of resolving silently (``REPRO_ENGINE_CACHE=ture``)
+or failing with a bare ``invalid literal for int()``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def env_str(name: str, default: str | None = None) -> str | None:
     return raw
 
 
-def env_bool(name: str, default: bool) -> bool:
+def env_bool(name: str, default: bool | None = None) -> bool | None:
     """An on/off variable: one of :data:`BOOL_SPELLINGS`."""
     raw = env_str(name)
     if raw is None:

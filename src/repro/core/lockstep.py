@@ -112,20 +112,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .env import env_int
+__all__ = ["DEFAULT_EVENT_BLOCK", "DEFAULT_STREAM_BUFFER", "lockstep_batch"]
 
-__all__ = [
-    "DEFAULT_EVENT_BLOCK",
-    "DEFAULT_STREAM_BUFFER",
-    "get_default_event_block",
-    "set_default_event_block",
-    "get_default_stream_buffer",
-    "set_default_stream_buffer",
-    "lockstep_batch",
-]
-
-#: Productive events applied per numpy pass when nothing else is
-#: configured.  Profiled with ``benchmarks/kernel_tune.py``: block sizes
+#: Productive events applied per numpy pass unless a caller passes
+#: ``event_block=``.  Never changes results.  Profiled with ``benchmarks/kernel_tune.py``: block sizes
 #: 8-64 land within ~10% of each other (buffers >= 256 likewise), and 16
 #: wins outright at the acceptance width (n=10^4, k=5, 1000-replicate
 #: batches) while keeping the masked work dead replicates cost inside a
@@ -134,6 +124,8 @@ DEFAULT_EVENT_BLOCK = 16
 
 #: Uniforms pre-drawn per replicate per refill; two are consumed per
 #: productive event.  Grown automatically to cover one full event block.
+#: Never changes results either; ``benchmarks/kernel_tune.py`` sweeps
+#: both constants.
 DEFAULT_STREAM_BUFFER = 256
 
 #: Live-column count at which a batch leaves numpy for the scalar tail
@@ -165,83 +157,6 @@ def _probe_scalar_log1p(samples: int = 4096) -> bool:
 #: True when scalar ``np.log1p`` reproduces the array path on this host;
 #: when False the kernel never hands a column to the scalar tail.
 _SCALAR_LOG1P_BITWISE = _probe_scalar_log1p()
-
-_EVENT_BLOCK_OVERRIDE: int | None = None
-
-
-def set_default_event_block(block: int | None) -> None:
-    """Install a process-wide default event block (``None`` leaves as-is)."""
-    global _EVENT_BLOCK_OVERRIDE
-    if block is None:
-        return
-    block = int(block)
-    if block < 1:
-        raise ValueError(f"event_block must be positive, got {block}")
-    _EVENT_BLOCK_OVERRIDE = block
-
-
-def _global_default_event_block() -> int:
-    """Legacy layered resolution: override, environment, built-in."""
-    if _EVENT_BLOCK_OVERRIDE is not None:
-        return _EVENT_BLOCK_OVERRIDE
-    return env_int("REPRO_ENGINE_EVENT_BLOCK", DEFAULT_EVENT_BLOCK, minimum=1)
-
-
-def get_default_event_block() -> int:
-    """Resolved default: scoped engine session, override, environment, built-in.
-
-    The session lookup goes through ``sys.modules`` so this low-level
-    kernel module never imports the engine package (which imports it);
-    when no scoped session is active the legacy layered resolution
-    applies unchanged.
-    """
-    import sys
-
-    session = sys.modules.get("repro.engine.session")
-    if session is not None:
-        opts = session._active_options()
-        if opts is not None:
-            return opts.event_block
-    return _global_default_event_block()
-
-
-_STREAM_BUFFER_OVERRIDE: int | None = None
-
-
-def set_default_stream_buffer(buffer: int | None) -> None:
-    """Install a process-wide default stream buffer (``None`` leaves as-is)."""
-    global _STREAM_BUFFER_OVERRIDE
-    if buffer is None:
-        return
-    buffer = int(buffer)
-    if buffer < 1:
-        raise ValueError(f"stream_buffer must be positive, got {buffer}")
-    _STREAM_BUFFER_OVERRIDE = buffer
-
-
-def _global_default_stream_buffer() -> int:
-    """Legacy layered resolution: override, environment, built-in."""
-    if _STREAM_BUFFER_OVERRIDE is not None:
-        return _STREAM_BUFFER_OVERRIDE
-    return env_int("REPRO_ENGINE_STREAM_BUFFER", DEFAULT_STREAM_BUFFER, minimum=1)
-
-
-def get_default_stream_buffer() -> int:
-    """Resolved default: scoped engine session, override, environment, built-in.
-
-    Same layering (and same ``sys.modules`` indirection) as
-    :func:`get_default_event_block` — the buffer size never changes
-    trajectories, so this is purely a performance knob.
-    """
-    import sys
-
-    session = sys.modules.get("repro.engine.session")
-    if session is not None:
-        opts = session._active_options()
-        if opts is not None:
-            return opts.stream_buffer
-    return _global_default_stream_buffer()
-
 
 def _finish_column(
     counts, zealots, n, neg_n_sq, inter, budget, comb, pos, rng, block, buffer
@@ -324,8 +239,8 @@ def lockstep_batch(
     *,
     rngs: list,
     max_interactions,
-    event_block: int | None = None,
-    stream_buffer: int | None = None,
+    event_block: int = DEFAULT_EVENT_BLOCK,
+    stream_buffer: int = DEFAULT_STREAM_BUFFER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance ``len(rngs)`` independent jump chains in lockstep.
 
@@ -357,12 +272,10 @@ def lockstep_batch(
         Interaction budget per replicate (no-op skips included), scalar
         or ``(R,)``; each must lie in ``[0, 2**53)``.
     event_block:
-        Productive events applied per numpy pass; defaults to
-        :func:`get_default_event_block`.
+        Productive events applied per numpy pass.
     stream_buffer:
-        Uniforms pre-drawn per replicate per refill; defaults to
-        :func:`get_default_stream_buffer`, grown to cover one block.
-        Has no effect on trajectories.
+        Uniforms pre-drawn per replicate per refill, grown to cover one
+        block.  Neither changes trajectories.
 
     Returns
     -------
@@ -383,13 +296,10 @@ def lockstep_batch(
     if replicates == 0:
         empty = np.empty((0, k + 1), dtype=np.int64)
         return empty, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    block = int(event_block) if event_block is not None else get_default_event_block()
+    block = int(event_block)
     if block < 1:
         raise ValueError(f"event_block must be positive, got {block}")
-    buffer = (
-        get_default_stream_buffer() if stream_buffer is None else int(stream_buffer)
-    )
-    buffer = max(buffer, 2 * block)
+    buffer = max(int(stream_buffer), 2 * block)
     if buffer % 2:
         buffer += 1
     # Per-column inputs (shared values broadcast).  Integers below 2^53

@@ -40,10 +40,9 @@ Backends are selected by name (``"agents"``, ``"jump"``, ``"batched"``,
 ``"compiled"`` — the numba-jitted tier, which transparently falls back
 to the numpy kernels when numba is absent)
 and new ones plug in via :func:`register_backend`; scenarios likewise
-via :func:`register_scenario`.  Process-level defaults come from
-:mod:`repro.engine.options` (CLI flags or the ``REPRO_ENGINE_BACKEND``/
-``REPRO_ENGINE_JOBS``/``REPRO_ENGINE_CACHE``/``REPRO_ENGINE_WORKERS``
-environment variables), resolved once at session construction.
+via :func:`register_scenario`.  Every engine option is declared once in
+:class:`EngineOptions` (with its CLI flag and its ``REPRO_*``
+environment variable) and resolved once, at session construction.
 
 Beyond the in-host executors, ``executor="remote"``
 (:mod:`repro.engine.remote`) shards the same chunk queue across
@@ -61,7 +60,6 @@ from .backends import (
     register_backend,
     supports_batch,
 )
-from ..core.lockstep import DEFAULT_EVENT_BLOCK, DEFAULT_STREAM_BUFFER
 from .batched import (
     BatchedBackend,
     CompiledBackend,
@@ -76,16 +74,7 @@ from .options import (
     DEFAULT_BACKEND,
     DEFAULT_CACHE_DIR,
     EngineOptions,
-    engine_defaults,
-    get_default_backend,
-    get_default_cache,
-    get_default_cache_dir,
-    get_default_cache_max_bytes,
-    get_default_event_block,
-    get_default_executor,
-    get_default_jobs,
-    get_default_stream_buffer,
-    get_default_workers,
+    active_options,
 )
 from .remote import (
     DEFAULT_WORKER_TIMEOUT,
@@ -166,19 +155,8 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_BACKEND",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_EVENT_BLOCK",
-    "DEFAULT_STREAM_BUFFER",
     "EXECUTORS",
-    "engine_defaults",
-    "get_default_backend",
-    "get_default_cache",
-    "get_default_cache_dir",
-    "get_default_cache_max_bytes",
-    "get_default_event_block",
-    "get_default_executor",
-    "get_default_jobs",
-    "get_default_stream_buffer",
-    "get_default_workers",
+    "active_options",
     "WorkerPool",
     "serve_worker",
     "parse_address",

@@ -10,13 +10,14 @@ per-event interpreter cost is shared by every live replicate.
 
 Since the multi-event overhaul, :func:`simulate_batch` delegates to the
 shared :func:`repro.core.lockstep.lockstep_batch` kernel, which applies
-a whole *block* of events per pass (``event_block``, see
-``REPRO_ENGINE_EVENT_BLOCK`` / ``Engine(event_block=...)``)
-on transposed ``(k + 1, R)`` state with BLAS cumulative weights.  The
+a whole *block* of events per pass on transposed ``(k + 1, R)`` state with BLAS cumulative weights.  The
 pre-overhaul kernel — one event per pass on ``(R, k + 1)`` state — is
 preserved verbatim as :func:`simulate_batch_single_event`: it is the
 baseline of the kernel ablation benchmark and the regression oracle for
-the legacy stream semantics.
+the legacy stream semantics.  The block size and the per-replicate
+uniform buffer are kernel constants (``DEFAULT_EVENT_BLOCK``,
+``DEFAULT_STREAM_BUFFER`` in :mod:`repro.core.lockstep`), tuned by
+``benchmarks/kernel_tune.py``; neither changes results.
 
 Replicate independence and reproducibility
 ------------------------------------------
@@ -46,7 +47,7 @@ import numpy as np
 from ..core.config import Configuration
 from ..core.fastsim import cumulative_weights, pick_event
 from ..core.fastsim import simulate as _jump_simulate
-from ..core.lockstep import lockstep_batch
+from ..core.lockstep import DEFAULT_EVENT_BLOCK, DEFAULT_STREAM_BUFFER, lockstep_batch
 from ..core.simulator import Observer, RunResult, default_interaction_budget
 from ..kernels.lockstep_jit import lockstep_batch_compiled
 
@@ -91,7 +92,7 @@ def simulate_batch(
     *,
     rngs: list[np.random.Generator],
     max_interactions: int | None = None,
-    event_block: int | None = None,
+    event_block: int = DEFAULT_EVENT_BLOCK,
 ) -> list[RunResult]:
     """Run ``len(rngs)`` independent replicates of the jump chain at once.
 
@@ -107,9 +108,7 @@ def simulate_batch(
         no-ops, exactly as in the serial simulators); defaults to
         :func:`repro.core.simulator.default_interaction_budget`.
     event_block:
-        Productive events applied per numpy pass; defaults to the
-        session default (``REPRO_ENGINE_EVENT_BLOCK`` /
-        ``Engine(event_block=...)``).  Never changes
+        Productive events applied per numpy pass.  Never changes
         results — only how much per-pass overhead is amortized.
     """
     n = config.n
@@ -136,8 +135,8 @@ def simulate_batch_compiled(
     *,
     rngs: list[np.random.Generator],
     max_interactions: int | None = None,
-    event_block: int | None = None,
-    stream_buffer: int | None = None,
+    event_block: int = DEFAULT_EVENT_BLOCK,
+    stream_buffer: int = DEFAULT_STREAM_BUFFER,
 ) -> list[RunResult]:
     """Run ``len(rngs)`` replicates on the compiled lockstep kernel.
 

@@ -36,7 +36,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .options import get_default_cache_max_bytes
 
 __all__ = ["EnsembleCache", "ensemble_key", "seed_token"]
 
@@ -99,23 +98,19 @@ class EnsembleCache:
 
     Tracks ``hits`` and ``misses`` so callers (the CLI, tests) can
     report whether an invocation was served from disk.  When
-    ``max_bytes`` is set (constructor argument,
-    ``Engine(cache_max_bytes=...)`` or the
-    ``REPRO_ENGINE_CACHE_MAX_BYTES`` environment variable) the store
+    ``max_bytes`` is positive (a session passes its ``cache_max_bytes``
+    option, which ``REPRO_ENGINE_CACHE_MAX_BYTES`` sets) the store
     enforces a size cap with LRU eviction: every hit refreshes the
     entry's mtime, and a store that pushes the directory over the cap
-    deletes the stalest entries first.
+    deletes the stalest entries first.  ``None`` (the default) means no
+    cap.
     """
 
     def __init__(
         self, root: str | os.PathLike, *, max_bytes: int | None = None
     ) -> None:
         self.root = Path(root)
-        self.max_bytes = (
-            get_default_cache_max_bytes() if max_bytes is None else int(max_bytes)
-        )
-        if self.max_bytes is not None and self.max_bytes <= 0:
-            self.max_bytes = None
+        self.max_bytes = int(max_bytes) if max_bytes and max_bytes > 0 else None
         self.hits = 0
         self.misses = 0
         self.evictions = 0

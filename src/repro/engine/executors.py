@@ -47,7 +47,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..core.config import Configuration
-from ..core.lockstep import set_default_event_block, set_default_stream_buffer
 from ..core.simulator import RunResult
 from .backends import Backend
 from .cache import EnsembleCache
@@ -103,21 +102,7 @@ def _worker(payload) -> tuple[list, float]:
     sweep scheduler's cost model learns kernel cost, not transport
     overhead; it never influences results.
     """
-    (
-        scenario_name,
-        spec,
-        variant,
-        seeds,
-        max_interactions,
-        event_block,
-        stream_buffer,
-        widths,
-    ) = payload
-    # Spawn-started workers do not inherit the parent's process-wide
-    # overrides, so the parent resolves its kernel knobs once and ships
-    # them with every chunk (results are invariant to both; only speed).
-    set_default_event_block(event_block)
-    set_default_stream_buffer(stream_buffer)
+    scenario_name, spec, variant, seeds, max_interactions, widths = payload
     scenario = get_scenario(scenario_name)
     spec = _resolve_spec(spec)
     rngs = [np.random.default_rng(s) for s in seeds]

@@ -97,8 +97,8 @@ from collections import deque
 
 import numpy as np
 
-from ..core.lockstep import set_default_event_block, set_default_stream_buffer
 from .executors import _SPEC_REF_TAG
+from .options import parse_address
 from .scenarios import get_scenario
 
 __all__ = [
@@ -121,11 +121,15 @@ __all__ = [
 #: Protocol version carried by hello/welcome; a mismatch rejects the
 #: registration instead of corrupting a run halfway through.  v2 added
 #: the cache fabric (cache-probe/cache-hit, serve-cached, cache-push)
-#: and the optional shared-secret challenge/auth handshake.
-PROTOCOL_VERSION = 2
+#: and the optional shared-secret challenge/auth handshake; v3 dropped
+#: the per-chunk ``event_block``/``stream_buffer`` fields (kernel
+#: constants now, not engine options).
+PROTOCOL_VERSION = 3
 
-#: Environment variable naming the optional shared worker secret; both
-#: the coordinator and ``repro worker`` read it.
+#: Environment variable naming the optional shared worker secret (the
+#: ``worker_secret`` engine option); both the coordinator and
+#: ``repro worker`` resolve it through
+#: :class:`~repro.engine.options.EngineOptions`.
 WORKER_SECRET_ENV = "REPRO_WORKER_SECRET"
 
 #: First four bytes of every frame.
@@ -145,17 +149,6 @@ DEFAULT_WORKER_TIMEOUT = 60.0
 
 class ProtocolError(RuntimeError):
     """A malformed frame or an out-of-protocol message."""
-
-
-def parse_address(address: str) -> tuple[str, int]:
-    """``"host:port"`` -> ``(host, port)`` (port 0 = ephemeral)."""
-    text = str(address).strip()
-    host, sep, port = text.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"address must look like HOST:PORT, got {address!r}"
-        )
-    return host, int(port)
 
 
 def cache_token(cache_dir) -> str:
@@ -448,8 +441,6 @@ def _execute_chunk(message: dict) -> dict:
             "chunk carried a shared-memory spec reference; specs must "
             "ship by value over the socket"
         )
-    set_default_event_block(message["event_block"])
-    set_default_stream_buffer(message["stream_buffer"])
     scenario = get_scenario(message["scenario"])
     rngs = [np.random.default_rng(s) for s in message["seeds"]]
     started = time.perf_counter()

@@ -89,7 +89,7 @@ from ..faults.zealots import (
 from ..gossip.engine import GossipResult, run_gossip, run_gossip_batch
 from ..gossip.usd import usd_gossip_round, usd_gossip_round_batch
 from .backends import Backend, get_backend, supports_batch
-from .options import get_default_backend
+from .options import active_options
 
 #: Bits of the ``flags`` slot in the fixed-width result record.
 RECORD_FLAG_CONVERGED = 1
@@ -313,7 +313,7 @@ class Scenario:
         """
         explicit = backend is not None
         if backend is None:
-            backend = get_default_backend()
+            backend = active_options().backend
         name = backend if isinstance(backend, str) else getattr(backend, "name", None)
         if name is None or name in ("agents", "jump", "reference"):
             return "reference"
@@ -600,7 +600,7 @@ class UsdScenario(LockstepScenario):
 
     def variant(self, backend: str | Backend | None) -> str:
         resolved = get_backend(
-            backend if backend is not None else get_default_backend()
+            backend if backend is not None else active_options().backend
         )
         return resolved.name
 
@@ -631,7 +631,7 @@ class UsdScenario(LockstepScenario):
             )
 
     def reference(self, spec, *, rng, max_interactions=None):
-        return get_backend(get_default_backend()).simulate(
+        return get_backend(active_options().backend).simulate(
             spec.config, rng=rng, max_interactions=max_interactions
         )
 

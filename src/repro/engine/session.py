@@ -21,9 +21,9 @@ every call.  This module makes the session the unit of ownership:
     * an open :class:`~repro.engine.cache.EnsembleCache` handle shared
       by every ensemble and sweep of the session;
     * the resolution of names against the backend and scenario
-      registries (while a session method runs, the legacy
-      ``get_default_*`` getters answer from *its* options, so scenario
-      variant resolution and the lockstep kernels see the session's
+      registries (while a session method runs,
+      :func:`~repro.engine.options.active_options` answers from *its*
+      options, so scenario variant resolution sees the session's
       configuration without any global mutation).
 
     Context-manager lifecycle: ``with Engine(jobs=4) as eng: ...`` tears
@@ -118,32 +118,6 @@ def _registry_epoch() -> int:
 #: threads would observe each other's scoped sessions.
 _SESSION_STACK: list["Engine"] = []
 _DEFAULT_SESSION: "Engine | None" = None
-
-
-def _active_options() -> EngineOptions | None:
-    """Options of the innermost active session (``None`` outside any).
-
-    Consulted by the legacy ``get_default_*`` getters in
-    :mod:`repro.engine.options` and by the lockstep kernel's event-block
-    default, so scoped configuration reaches every layer without global
-    mutation.
-    """
-    if _SESSION_STACK:
-        return _SESSION_STACK[-1].options
-    return None
-
-
-def _worker_session_reset() -> None:
-    """Pool-worker initializer: drop the parent's inherited session stack.
-
-    Fork-started workers are cloned while the spawning session is active
-    (its methods hold ``_activate()``), so the inherited stack would
-    shadow the per-payload ``set_default_event_block`` plumbing — a
-    later ``configure(event_block=...)`` would be silently ignored by an
-    already-spawned pool.  Workers have no session of their own: they
-    take every knob from their payloads.
-    """
-    _SESSION_STACK.clear()
 
 
 def _close_default_session() -> None:
@@ -354,26 +328,21 @@ class Engine:
     def configure(self, **overrides) -> EngineOptions:
         """Replace the session's options in place (``None`` values ignored).
 
-        Changing the pool-affecting option (``jobs``) tears the
-        persistent pool down — it respawns with the new
-        configuration on the next process-executor call.  Changing a
-        cache option re-opens the cache handle.  Returns the new options.
+        Changing ``jobs`` tears the persistent pool down (it respawns on
+        the next process-executor call), changing a ``worker*`` option
+        unbinds the worker pool, and changing a ``cache*`` option
+        re-opens the cache handle.  Returns the new options.
         """
         self._check_open()
-        new = self._options.replace(**overrides)
-        if new == self._options:
-            return new
-        if new.pool_key() != self._options.pool_key():
+        old, new = self._options, self._options.replace(**overrides)
+        changed = {
+            name for name, value in vars(new).items() if vars(old)[name] != value
+        }
+        if "jobs" in changed:
             self._shutdown_pool()
-        if new.worker_pool_key() != self._options.worker_pool_key():
+        if any(name.startswith("worker") for name in changed):  # workers, worker_*
             self._shutdown_worker_pool()
-        cache_fields = (new.cache, new.cache_dir, new.cache_max_bytes)
-        old_fields = (
-            self._options.cache,
-            self._options.cache_dir,
-            self._options.cache_max_bytes,
-        )
-        if cache_fields != old_fields:
+        if any(name.startswith("cache") for name in changed):
             self._cache = self._new_cache_handle(new) if new.cache else None
         self._options = new
         return new
@@ -382,10 +351,9 @@ class Engine:
     def _activate(self):
         """Install this session as the innermost one for the duration.
 
-        While active, the legacy ``get_default_*`` getters (and through
-        them scenario variant resolution, the USD reference backend and
-        the lockstep kernels' event block) answer from this session's
-        options.
+        While active, :func:`~repro.engine.options.active_options` (and
+        through it scenario variant resolution and the USD reference
+        backend) answers from this session's options.
         """
         _SESSION_STACK.append(self)
         try:
@@ -396,16 +364,7 @@ class Engine:
     # -- cache handle --------------------------------------------------
     @staticmethod
     def _new_cache_handle(options: EngineOptions) -> EnsembleCache:
-        # max_bytes=0 pins "unlimited" without re-reading the globals
-        # (EnsembleCache treats non-positive caps as no cap).
-        return EnsembleCache(
-            options.cache_dir,
-            max_bytes=(
-                options.cache_max_bytes
-                if options.cache_max_bytes is not None
-                else 0
-            ),
-        )
+        return EnsembleCache(options.cache_dir, max_bytes=options.cache_max_bytes)
 
     @property
     def cache(self) -> EnsembleCache | None:
@@ -575,9 +534,7 @@ class Engine:
             self._stats["pool_reuses"] += 1
             return self._pool
         self._shutdown_pool()
-        self._pool = multiprocessing.Pool(
-            processes=jobs, initializer=_worker_session_reset
-        )
+        self._pool = multiprocessing.Pool(processes=jobs)
         self._pool_key = key
         self._stats["pool_spawns"] += 1
         return self._pool
@@ -610,7 +567,6 @@ class Engine:
         segment for the scheduler report and the cost model, and no
         fleet-served cells.
         """
-        opts = self._options
         payloads = []
         widths_by_unit = []
         broadcast = SpecBroadcast(
@@ -630,8 +586,6 @@ class Engine:
                         unit.variant,
                         unit.seeds,
                         budget,
-                        opts.event_block,
-                        opts.stream_buffer,
                         widths,
                     )
                 )
@@ -920,7 +874,6 @@ class Engine:
         Returns the results by cell, one timing record per chunk and
         the cells a worker's store served.
         """
-        opts = self._options
         messages = []
         for unit in units:
             (segment,) = unit.segments
@@ -930,8 +883,6 @@ class Engine:
                 "variant": unit.variant,
                 "seeds": segment.seeds,
                 "max_interactions": segment.max_interactions,
-                "event_block": opts.event_block,
-                "stream_buffer": opts.stream_buffer,
                 "record": _record_widths(unit.scenario, segment.spec, unit.variant),
             }
             if segment.cell in owners:

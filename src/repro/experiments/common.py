@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.config import Configuration
 from ..core.simulator import Observer, RunResult
-from ..engine import current_engine, engine_defaults
+from ..engine import current_engine
 
 __all__ = [
     "Scale",
@@ -30,7 +30,6 @@ __all__ = [
     "spawn_seed",
     "ratio_spread",
     "engine_simulate",
-    "engine_defaults",
 ]
 
 Scale = str

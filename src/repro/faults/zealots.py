@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.config import Configuration
-from ..core.lockstep import lockstep_batch
+from ..core.lockstep import DEFAULT_EVENT_BLOCK, lockstep_batch
 
 __all__ = [
     "ZealotRunResult",
@@ -180,7 +180,7 @@ def simulate_zealots_batch(
     *,
     rngs: list[np.random.Generator],
     max_interactions: int | None = None,
-    event_block: int | None = None,
+    event_block: int = DEFAULT_EVENT_BLOCK,
     kernel=None,
 ) -> list[ZealotRunResult]:
     """Advance ``len(rngs)`` independent zealot-USD jump chains in lockstep.

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.config import UNDECIDED, Configuration
-from ..core.lockstep import get_default_event_block
+from ..core.lockstep import DEFAULT_EVENT_BLOCK
 from ..core.simulator import default_interaction_budget
 
 __all__ = [
@@ -154,7 +154,7 @@ def run_on_edges_batch(
     k: int,
     n: int | None = None,
     max_interactions: int | None = None,
-    event_block: int | None = None,
+    event_block: int = DEFAULT_EVENT_BLOCK,
 ) -> list[GraphRunResult]:
     """Advance ``len(rngs)`` replicates of the edge-restricted USD in lockstep.
 
@@ -163,9 +163,8 @@ def run_on_edges_batch(
     samples one edge per live replicate, applying all responder updates
     at once — the serial kernel's per-interaction Python cost is shared
     by the whole batch.  Passes are grouped into *blocks* of
-    ``event_block`` interactions (default
-    :func:`repro.core.lockstep.get_default_event_block`, the same knob
-    the lockstep kernel tunes): stream refills, the consensus/retirement
+    ``event_block`` interactions (the lockstep kernel's
+    :data:`~repro.core.lockstep.DEFAULT_EVENT_BLOCK` by default): stream refills, the consensus/retirement
     bookkeeping and batch compaction run once per block instead of once
     per interaction, while convergence is still detected *per event* —
     an adoption converges its replicate exactly when the adopted
@@ -208,9 +207,7 @@ def run_on_edges_batch(
         )
     if max_interactions is None:
         max_interactions = default_interaction_budget(n, max(k, 1))
-    block = (
-        int(event_block) if event_block is not None else get_default_event_block()
-    )
+    block = int(event_block)
     if block < 1:
         raise ValueError(f"event_block must be positive, got {block}")
     stream = max(_EDGE_STREAM, block)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import UNDECIDED, Configuration
+from ..core.lockstep import DEFAULT_EVENT_BLOCK
 from ..core.simulator import default_interaction_budget
 from ..graphs.dynamics import (
     GraphRunResult,
@@ -106,7 +107,7 @@ def run_on_edges_batch_compiled(
     k: int,
     n: int | None = None,
     max_interactions: int | None = None,
-    event_block: int | None = None,
+    event_block: int = DEFAULT_EVENT_BLOCK,
     _force_kernel: bool = False,
 ) -> list[GraphRunResult]:
     """Compiled-tier :func:`~repro.graphs.dynamics.run_on_edges_batch`.

@@ -37,12 +37,7 @@ import math
 
 import numpy as np
 
-from ..core.lockstep import (
-    DEFAULT_STREAM_BUFFER,
-    get_default_event_block,
-    get_default_stream_buffer,
-    lockstep_batch,
-)
+from ..core.lockstep import DEFAULT_EVENT_BLOCK, DEFAULT_STREAM_BUFFER, lockstep_batch
 from . import HAVE_NUMBA, njit, prange
 
 __all__ = ["lockstep_batch_compiled"]
@@ -122,8 +117,8 @@ def lockstep_batch_compiled(
     *,
     rngs: list,
     max_interactions: int,
-    event_block: int | None = None,
-    stream_buffer: int | None = None,
+    event_block: int = DEFAULT_EVENT_BLOCK,
+    stream_buffer: int = DEFAULT_STREAM_BUFFER,
     _force_kernel: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compiled-tier :func:`~repro.core.lockstep.lockstep_batch`.
@@ -150,13 +145,10 @@ def lockstep_batch_compiled(
     if replicates == 0:
         empty = np.empty((0, k + 1), dtype=np.int64)
         return empty, np.empty(0, dtype=np.int64), np.empty(0, dtype=bool)
-    block = int(event_block) if event_block is not None else get_default_event_block()
+    block = int(event_block)
     if block < 1:
         raise ValueError(f"event_block must be positive, got {block}")
-    buffer = (
-        get_default_stream_buffer() if stream_buffer is None else int(stream_buffer)
-    )
-    buffer = max(buffer, 2 * block)
+    buffer = max(int(stream_buffer), 2 * block)
     if buffer % 2:
         buffer += 1
     if max_interactions >= 2**53:

@@ -111,9 +111,10 @@ class SimulationService:
                              (Prometheus text; ``?format=json`` for JSON)
         GET  /healthz        liveness + draining state
 
-    Admission knobs default to the engine's options
-    (``service_max_queue``/``service_max_replicates``, settable per
-    session or via ``REPRO_SERVICE_MAX_QUEUE``/``_MAX_REPLICATES``).
+    Admission bounds are the engine's options ``service_max_queue`` and
+    ``service_max_replicates`` (``Engine(service_max_queue=...)``,
+    ``repro serve --max-queue/--max-replicates`` or
+    ``REPRO_SERVICE_MAX_QUEUE``/``REPRO_SERVICE_MAX_REPLICATES``).
     """
 
     def __init__(
@@ -121,8 +122,6 @@ class SimulationService:
         engine: Engine,
         *,
         inline_limit: int = DEFAULT_INLINE_LIMIT,
-        max_queue: int | None = None,
-        max_replicates: int | None = None,
         debug: bool = False,
     ) -> None:
         self._engine = engine
@@ -132,17 +131,8 @@ class SimulationService:
         #: open endpoint must not leak tracebacks (paths, config, module
         #: layout).  ``repro serve --debug`` inlines them for local use.
         self._debug = bool(debug)
-        options = engine.options
-        self._max_queue = int(
-            options.service_max_queue if max_queue is None else max_queue
-        )
-        self._max_replicates = int(
-            options.service_max_replicates
-            if max_replicates is None
-            else max_replicates
-        )
-        if self._max_queue < 1 or self._max_replicates < 1:
-            raise ValueError("admission limits must be positive")
+        self._max_queue = engine.options.service_max_queue
+        self._max_replicates = engine.options.service_max_replicates
         self._jobs: OrderedDict[str, JobRecord] = OrderedDict()
         self._queue_depth = 0
         self._inflight_replicates = 0

@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.convergence import run_trials
 from repro.core.config import Configuration
 from repro.engine import (
+    Engine,
     EnsembleCache,
     ScenarioSpec,
     Scenario,
@@ -261,13 +262,20 @@ class TestEvictionAndStats:
         assert store.evictions == 0
 
     def test_max_bytes_from_environment(self, tmp_path, monkeypatch):
+        # The variable sets the session's cache_max_bytes option, which
+        # the session hands to its store; a bare store is uncapped.
+        def session_cap():
+            with Engine(cache=True, cache_dir=str(tmp_path)) as eng:
+                return eng.cache.max_bytes
+
         monkeypatch.setenv("REPRO_ENGINE_CACHE_MAX_BYTES", "12345")
-        assert EnsembleCache(tmp_path).max_bytes == 12345
-        monkeypatch.setenv("REPRO_ENGINE_CACHE_MAX_BYTES", "0")
+        assert session_cap() == 12345
         assert EnsembleCache(tmp_path).max_bytes is None
+        monkeypatch.setenv("REPRO_ENGINE_CACHE_MAX_BYTES", "0")
+        assert session_cap() is None
         monkeypatch.setenv("REPRO_ENGINE_CACHE_MAX_BYTES", "junk")
-        with pytest.raises(ValueError):
-            EnsembleCache(tmp_path)
+        with pytest.raises(ValueError, match="REPRO_ENGINE_CACHE_MAX_BYTES"):
+            session_cap()
 
     def test_stats_counts_entries_and_sweep_indexes(self, tmp_path):
         store = EnsembleCache(tmp_path)

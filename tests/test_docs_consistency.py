@@ -5,8 +5,11 @@ a benchmark file, DESIGN.md's experiment index covers the registry, and
 the README advertises the right counts.
 """
 
+import re
+from dataclasses import fields
 from pathlib import Path
 
+from repro.engine import EngineOptions
 from repro.experiments import EXPERIMENTS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -54,6 +57,19 @@ class TestReadme:
         readme = (REPO / "README.md").read_text()
         for example in (REPO / "examples").glob("*.py"):
             assert example.name in readme, f"{example.name} missing from README"
+
+    def test_readme_names_exactly_the_declared_engine_options(self):
+        # Every env var and CLI flag in EngineOptions' field metadata is
+        # documented, and the README names no variable that is not one.
+        readme = (REPO / "README.md").read_text()
+        envs = {f.metadata["env"] for f in fields(EngineOptions)} - {None}
+        flags = {f.metadata["flag"] for f in fields(EngineOptions)} - {None}
+        for name in sorted(envs | flags):
+            assert re.search(re.escape(name) + r"(?![\w-])", readme), (
+                f"{name} missing from README"
+            )
+        named = set(re.findall(r"REPRO_(?:ENGINE|WORKER|SERVICE)_\w*[A-Z]", readme))
+        assert named <= envs, f"README names undeclared {sorted(named - envs)}"
 
     def test_examples_exist(self):
         examples = list((REPO / "examples").glob("*.py"))

@@ -8,10 +8,9 @@ from repro.core.config import Configuration
 from repro.core.fastsim import cumulative_weights, pick_event
 from repro.engine import (
     EngineOptions,
+    active_options,
     available_backends,
     get_backend,
-    get_default_backend,
-    get_default_jobs,
     register_backend,
     replicate_seeds,
     run_ensemble,
@@ -77,7 +76,7 @@ class TestRegistry:
         assert not supports_batch(get_backend("agents"))
 
     def test_default_backend_is_jump(self):
-        assert get_default_backend() == "jump"
+        assert active_options().backend == "jump"
 
 
 class TestSeedDerivation:
@@ -258,14 +257,14 @@ class TestExecutors:
 class TestEngineDefaults:
     def test_env_backend_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_BACKEND", "batched")
-        assert get_default_backend() == "batched"
+        assert active_options().backend == "batched"
 
     def test_invalid_jobs_rejected(self, monkeypatch):
         with pytest.raises(ValueError):
             EngineOptions(jobs=0)
         monkeypatch.setenv("REPRO_ENGINE_JOBS", "0")
         with pytest.raises(ValueError, match="REPRO_ENGINE_JOBS"):
-            get_default_jobs()
+            active_options()
 
 
 class TestRunTrialsIntegration:

@@ -13,8 +13,9 @@ Covers the four promises the ``"compiled"`` tier makes:
 * **Cross-validation gates** — the shared :mod:`repro.core.crossval`
   helper (used by both this suite and the ablation benchmark) passes
   same-process ensembles and fails distinguishable ones.
-* **Stream-buffer plumbing** — ``stream_buffer`` threads through
-  ``EngineOptions`` / env / CLI / cost model without changing results.
+* **Stream-buffer plumbing** — ``stream_buffer`` is a kernel parameter
+  with a constant default that never changes results; no engine option,
+  environment variable or CLI flag reaches it.
 """
 
 import dataclasses
@@ -29,15 +30,11 @@ from repro.core.crossval import (
     compare_ensembles,
     ks_times,
 )
-from repro.core.lockstep import (
-    DEFAULT_STREAM_BUFFER,
-    get_default_stream_buffer,
-    lockstep_batch,
-    set_default_stream_buffer,
-)
+from repro.core.lockstep import lockstep_batch
 from repro.engine import (
     EngineOptions,
-    engine_defaults,
+    active_options,
+    engine,
     get_scenario,
     gossip_spec,
     noise_spec,
@@ -522,48 +519,50 @@ class TestCrossval:
 
 
 class TestStreamBufferPlumbing:
-    def teardown_method(self):
-        # The public setter treats None as leave-as-is (matching
-        # set_default_event_block), so tests reset the raw override.
-        from repro.core import lockstep
-
-        lockstep._STREAM_BUFFER_OVERRIDE = None
-
     def test_options_default_and_validation(self):
-        opts = EngineOptions.resolve()
-        assert opts.stream_buffer == DEFAULT_STREAM_BUFFER
-        assert opts.as_dict()["stream_buffer"] == DEFAULT_STREAM_BUFFER
-        with pytest.raises(ValueError):
-            EngineOptions.resolve(stream_buffer=0)
-        with pytest.raises(ValueError):
-            set_default_stream_buffer(0)
+        # A kernel parameter, not an engine option: the session refuses
+        # it with the error that lists the options it does have.
+        assert "stream_buffer" not in EngineOptions.resolve().as_dict()
+        with pytest.raises(TypeError, match="available: .*'backend'"):
+            with engine(stream_buffer=8):
+                pass
+        with pytest.raises(TypeError, match="unknown engine option"):
+            EngineOptions.resolve(stream_buffer=8)
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_STREAM_BUFFER", "512")
-        assert EngineOptions.resolve().stream_buffer == 512
+        # The kernel constant is not overridable from the environment: a
+        # stale variable neither fails resolution nor moves a result.
+        counts = uniform_configuration(30, 2).counts
+        zeal = np.zeros(2, dtype=np.int64)
+
+        def run():
+            return lockstep_batch(
+                counts, zeal, 30, rngs=rngs_for(4, 3), max_interactions=10**6
+            )
+
+        want = run()
         monkeypatch.setenv("REPRO_ENGINE_STREAM_BUFFER", "-4")
-        with pytest.raises(ValueError):
-            get_default_stream_buffer()
+        EngineOptions.resolve()
+        for a, b in zip(want, run()):
+            assert np.array_equal(a, b)
 
     def test_engine_defaults_round_trip(self):
-        set_default_stream_buffer(128)
-        assert engine_defaults()["stream_buffer"] == 128
-        assert EngineOptions.resolve().stream_buffer == 128
-        # None means "leave as-is", mirroring set_default_event_block.
-        set_default_stream_buffer(None)
-        assert engine_defaults()["stream_buffer"] == 128
-        from repro.core import lockstep
-
-        lockstep._STREAM_BUFFER_OVERRIDE = None
-        assert engine_defaults()["stream_buffer"] == DEFAULT_STREAM_BUFFER
+        # The diagnostics snapshot (what benchmark records store as
+        # "engine_defaults") rebuilds the options it was taken from.
+        with engine(backend="batched", jobs=2, cache_max_bytes=4096):
+            snapshot = active_options().as_dict()
+        assert snapshot["backend"] == "batched"
+        assert snapshot["executor"] == "process"
+        assert EngineOptions(**snapshot) == EngineOptions(
+            backend="batched", jobs=2, cache_max_bytes=4096
+        )
 
     def test_cli_flag(self):
         from repro.cli import build_parser
 
-        args = build_parser().parse_args(["simulate", "--stream-buffer", "64"])
-        assert args.stream_buffer == 64
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--stream-buffer", "0"])
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["simulate", "--stream-buffer", "64"])
+        assert info.value.code == 2
 
     def test_numpy_kernel_buffer_invariance(self):
         counts = uniform_configuration(30, 2).counts

@@ -26,14 +26,9 @@ from repro.core import lockstep as lockstep_module
 from repro.core.config import Configuration
 from repro.core.fastsim import simulate as fast_simulate
 from repro.core.simulator import RunResult
-from repro.core.lockstep import (
-    DEFAULT_EVENT_BLOCK,
-    get_default_event_block,
-    lockstep_batch,
-    set_default_event_block,
-)
+from repro.core.lockstep import DEFAULT_EVENT_BLOCK, lockstep_batch
 from repro.engine import (
-    engine_defaults,
+    Engine,
     get_scenario,
     gossip_spec,
     graph_spec,
@@ -189,24 +184,16 @@ class TestEventBlockInvariance:
         )
 
     def test_event_block_option_plumbing(self, monkeypatch):
-        from repro.core import lockstep
-
-        monkeypatch.setattr(lockstep, "_EVENT_BLOCK_OVERRIDE", None)
-        monkeypatch.delenv("REPRO_ENGINE_EVENT_BLOCK", raising=False)
-        assert get_default_event_block() == DEFAULT_EVENT_BLOCK
-        monkeypatch.setenv("REPRO_ENGINE_EVENT_BLOCK", "4")
-        assert get_default_event_block() == 4
-        set_default_event_block(9)
-        try:
-            assert get_default_event_block() == 9
-            assert engine_defaults()["event_block"] == 9
-        finally:
-            monkeypatch.setattr(lockstep, "_EVENT_BLOCK_OVERRIDE", None)
+        # event_block is a kernel parameter defaulting to the constant,
+        # not an engine option: the environment does not reach it, and a
+        # session refuses it with the error listing its real options.
+        want = simulate_batch(
+            self.CONFIG, rngs=rngs_for(3, 4), event_block=DEFAULT_EVENT_BLOCK
+        )
         monkeypatch.setenv("REPRO_ENGINE_EVENT_BLOCK", "0")
-        with pytest.raises(ValueError):
-            get_default_event_block()
-        with pytest.raises(ValueError):
-            set_default_event_block(0)
+        assert results_equal(simulate_batch(self.CONFIG, rngs=rngs_for(3, 4)), want)
+        with pytest.raises(TypeError, match="available: .*'backend'"):
+            Engine(event_block=32)
 
     def test_invalid_event_block_rejected(self):
         with pytest.raises(ValueError):
@@ -715,27 +702,11 @@ class TestResultTransport:
         finally:
             _BACKENDS.pop("tracing-test-backend", None)
 
-    def test_sweep_cli_applies_event_block(self, monkeypatch):
-        # The CLI freezes its flags into one Engine session; while that
-        # session runs, the default getters (and through them the
-        # lockstep kernels) answer from it — and NOTHING leaks into the
-        # process-wide defaults after the command returns.
-        from repro.cli import _build_engine, build_parser, main
-        from repro.core import lockstep
-        from repro.engine import engine
+    def test_sweep_cli_rejects_event_block(self):
+        # The kernel block size is no CLI flag on any simulating command.
+        from repro.cli import build_parser
 
-        monkeypatch.setattr(lockstep, "_EVENT_BLOCK_OVERRIDE", None)
-        monkeypatch.delenv("REPRO_ENGINE_EVENT_BLOCK", raising=False)
-        argv = [
-            "sweep", "--param", "n=40", "--param", "k=2", "--trials", "2",
-            "--event-block", "7", "--no-cache",
-        ]
-        args = build_parser().parse_args(argv)
-        with _build_engine(args) as eng:
-            assert eng.options.event_block == 7
-            with engine(eng):
-                # Scoped: the kernels' defaults answer from the session.
-                assert get_default_event_block() == 7
-        assert main(argv) == 0
-        # Restored: the command mutated no process-wide state.
-        assert get_default_event_block() == lockstep.DEFAULT_EVENT_BLOCK
+        for command in (["simulate"], ["sweep", "--param", "n=40"]):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args([*command, "--event-block", "7"])
+            assert info.value.code == 2

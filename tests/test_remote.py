@@ -302,22 +302,24 @@ class TestWorkerPool:
             )
 
     def test_protocol_mismatch_is_rejected(self):
-        with WorkerPool() as pool:
-            sock = socket.create_connection(pool.address, timeout=10)
-            try:
-                send_frame(
-                    sock,
-                    {"type": "hello", "protocol": PROTOCOL_VERSION + 1,
-                     "name": "old"},
-                )
-                for _ in range(50):
-                    pool._poll(0.05)
-                    if not pool._conns:
-                        break
-                assert pool.worker_count() == 0
-                assert not pool._conns  # connection was dropped entirely
-            finally:
-                sock.close()
+        # A newer peer, and a protocol-2 peer that would still expect
+        # per-chunk event_block/stream_buffer fields.
+        for protocol in (PROTOCOL_VERSION + 1, 2):
+            with WorkerPool() as pool:
+                sock = socket.create_connection(pool.address, timeout=10)
+                try:
+                    send_frame(
+                        sock,
+                        {"type": "hello", "protocol": protocol, "name": "old"},
+                    )
+                    for _ in range(50):
+                        pool._poll(0.05)
+                        if not pool._conns:
+                            break
+                    assert pool.worker_count() == 0
+                    assert not pool._conns  # connection was dropped entirely
+                finally:
+                    sock.close()
 
     def test_worker_error_aborts_run(self):
         spec = usd_spec(uniform_configuration(60, 2))
@@ -335,8 +337,6 @@ class TestWorkerPool:
                             "variant": "reference",
                             "seeds": [np.random.SeedSequence(1)],
                             "max_interactions": 10,
-                            "event_block": None,
-                            "stream_buffer": None,
                             "record": None,
                         }
                     ]
@@ -355,8 +355,6 @@ class TestWorkerPool:
                     "variant": "reference",
                     "seeds": [],
                     "max_interactions": None,
-                    "event_block": None,
-                    "stream_buffer": None,
                     "record": None,
                 }
             )
@@ -378,8 +376,6 @@ class TestWorkerPool:
                         "variant": scenario.variant(None),
                         "seeds": seeds,
                         "max_interactions": None,
-                        "event_block": None,
-                        "stream_buffer": None,
                         "record": (iw, fw),
                     }
                 ]
@@ -675,6 +671,35 @@ class TestHandshakeHardening:
         monkeypatch.delenv(WORKER_SECRET_ENV)
         assert EngineOptions.resolve().worker_secret is None
 
+    def test_blank_secret_means_no_secret_on_both_sides(self, monkeypatch, tmp_path):
+        # The session, ``repro worker`` and ``repro cache stats --workers``
+        # all parse the variable through the options declaration.
+        import repro.cli as cli
+        import repro.engine.remote as remote
+
+        monkeypatch.setenv(WORKER_SECRET_ENV, "   ")
+        assert EngineOptions.resolve().worker_secret is None
+        seen = {}
+
+        def fake_serve_worker(address, **kwargs):
+            seen["worker"] = kwargs["secret"]
+            return 0
+
+        class Refused(Exception):
+            pass
+
+        def fake_pool(address, **kwargs):
+            seen["cache stats"] = kwargs["secret"]
+            raise Refused
+
+        monkeypatch.setattr(cli, "serve_worker", fake_serve_worker)
+        monkeypatch.setattr(remote, "WorkerPool", fake_pool)
+        assert cli.main(["worker", "127.0.0.1:1", "--no-cache"]) == 0
+        with pytest.raises(Refused):
+            cli.main(["cache", "stats", "--cache-dir", str(tmp_path),
+                      "--workers", "127.0.0.1:0"])
+        assert seen == {"worker": None, "cache stats": None}
+
 
 # ----------------------------------------------------------------------
 # Cache fabric: probe, serve-cached, push, and affinity placement
@@ -767,8 +792,6 @@ class TestCacheFabricProtocol:
                         "variant": scenario.variant(None),
                         "seeds": np.random.SeedSequence(5).spawn(6),
                         "max_interactions": None,
-                        "event_block": None,
-                        "stream_buffer": None,
                         "record": (iw, fw),
                         "cache_key": key,
                         "cache_owners": ["warm"],

@@ -274,10 +274,24 @@ class TestCoalescing:
 # Admission control
 # ----------------------------------------------------------------------
 class TestAdmission:
+    def test_serve_flags_set_engine_admission_options(self):
+        from repro.cli import _build_engine, build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "127.0.0.1:0", "--max-queue", "3", "--max-replicates", "40"]
+        )
+        with _build_engine(args) as eng:
+            assert eng.options.service_max_queue == 3
+            assert eng.options.service_max_replicates == 40
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--max-queue", "3"])
+
     def test_queue_full_rejected_with_retry_hint(self, tmp_path):
-        with Engine(cache=True, cache_dir=str(tmp_path)) as eng:
+        with Engine(
+            cache=True, cache_dir=str(tmp_path), service_max_queue=1
+        ) as eng:
             gate = gate_ensembles(eng)
-            with BackgroundService(eng, max_queue=1) as endpoint:
+            with BackgroundService(eng) as endpoint:
                 config = (
                     ServiceConfig.builder(endpoint).retries(0).build()
                 )
@@ -294,9 +308,11 @@ class TestAdmission:
                     assert final["status"] == "done"
 
     def test_replicate_budget_rejected(self, tmp_path):
-        with Engine(cache=True, cache_dir=str(tmp_path)) as eng:
+        with Engine(
+            cache=True, cache_dir=str(tmp_path), service_max_replicates=10
+        ) as eng:
             gate = gate_ensembles(eng)
-            with BackgroundService(eng, max_replicates=10) as endpoint:
+            with BackgroundService(eng) as endpoint:
                 config = (
                     ServiceConfig.builder(endpoint).retries(0).build()
                 )
@@ -314,9 +330,11 @@ class TestAdmission:
                     )
 
     def test_rejected_client_retries_and_succeeds(self, tmp_path):
-        with Engine(cache=True, cache_dir=str(tmp_path)) as eng:
+        with Engine(
+            cache=True, cache_dir=str(tmp_path), service_max_queue=1
+        ) as eng:
             gate = gate_ensembles(eng)
-            with BackgroundService(eng, max_queue=1) as endpoint:
+            with BackgroundService(eng) as endpoint:
                 config = (
                     ServiceConfig.builder(endpoint)
                     .retries(50)
@@ -332,8 +350,10 @@ class TestAdmission:
                     assert answer["status"] == "done"
 
     def test_oversized_single_submission_rejected_outright(self, tmp_path):
-        with Engine(cache=True, cache_dir=str(tmp_path)) as eng:
-            with BackgroundService(eng, max_replicates=4) as endpoint:
+        with Engine(
+            cache=True, cache_dir=str(tmp_path), service_max_replicates=4
+        ) as eng:
+            with BackgroundService(eng) as endpoint:
                 config = (
                     ServiceConfig.builder(endpoint).retries(0).build()
                 )

@@ -28,9 +28,8 @@ from repro.engine import (
     engine,
     get_backend,
     get_scenario,
-    get_default_backend,
+    active_options,
     graph_spec,
-    get_default_jobs,
     replicate_seeds,
     run_ensemble,
     run_sweep,
@@ -80,8 +79,8 @@ class TestEngineOptions:
 
     def test_none_overrides_are_ignored(self):
         opts = EngineOptions.resolve(backend=None, jobs=None)
-        assert opts.backend == get_default_backend()
-        assert opts.jobs == get_default_jobs()
+        assert opts.backend == active_options().backend
+        assert opts.jobs == active_options().jobs
 
     def test_replace_and_frozen(self):
         opts = EngineOptions()
@@ -96,7 +95,7 @@ class TestEngineOptions:
         with pytest.raises(ValueError):
             EngineOptions(jobs=0)
         with pytest.raises(ValueError):
-            EngineOptions(event_block=0)
+            EngineOptions(service_max_queue=0)
         with pytest.raises(TypeError):
             EngineOptions.resolve(warp_factor=9)
         with pytest.raises(TypeError):
@@ -108,20 +107,12 @@ class TestEngineOptions:
             ("REPRO_ENGINE_JOBS", "two"),
             ("REPRO_ENGINE_CACHE", "ture"),
             ("REPRO_ENGINE_CACHE_MAX_BYTES", "lots"),
-            ("REPRO_ENGINE_EVENT_BLOCK", "x"),
-            ("REPRO_ENGINE_STREAM_BUFFER", "0"),
             ("REPRO_ENGINE_WORKERS", "no-port"),
             ("REPRO_SERVICE_MAX_QUEUE", "many"),
             ("REPRO_SERVICE_MAX_REPLICATES", "0"),
         ],
     )
     def test_malformed_env_var_is_named(self, monkeypatch, name, value):
-        from repro.core import lockstep
-
-        # In-process workers install kernel overrides that shadow the
-        # environment; clear them so the variable is actually read.
-        monkeypatch.setattr(lockstep, "_EVENT_BLOCK_OVERRIDE", None)
-        monkeypatch.setattr(lockstep, "_STREAM_BUFFER_OVERRIDE", None)
         monkeypatch.setenv(name, value)
         with pytest.raises(ValueError, match=name):
             EngineOptions.resolve()
@@ -218,17 +209,6 @@ def coerce_usd(config):
     return usd_spec(config)
 
 
-def _event_block_probe(block):
-    """Pool-worker probe: does the shipped event block actually apply?"""
-    from repro.core.lockstep import (
-        get_default_event_block,
-        set_default_event_block,
-    )
-
-    set_default_event_block(block)
-    return get_default_event_block()
-
-
 class TestPersistentPool:
     CONFIG = Configuration.from_supports([60, 30])
 
@@ -268,8 +248,8 @@ class TestPersistentPool:
         with Engine(jobs=2) as eng:
             eng.ensemble(self.CONFIG, 6, seed=3, executor="process")
             before = eng.worker_pids()
-            eng.configure(event_block=8)
-            assert eng.worker_pids() == before  # kernel knobs ship per chunk
+            eng.configure(backend="batched")
+            assert eng.worker_pids() == before  # the backend ships per chunk
             eng.configure(jobs=3)
             assert eng.worker_pids() == ()  # torn down, lazily respawned
             eng.ensemble(self.CONFIG, 6, seed=3, executor="process")
@@ -313,16 +293,6 @@ class TestPersistentPool:
         want = run_ensemble(self.CONFIG, 4, seed=3, executor="serial")
         assert results_key(got) == results_key(want)
 
-    def test_workers_honor_shipped_event_block(self):
-        # Fork-started workers inherit the parent's active-session stack;
-        # the pool initializer must clear it, or the session's frozen
-        # event block would shadow the per-payload
-        # set_default_event_block plumbing inside the workers.
-        with Engine(jobs=2, event_block=16) as eng:
-            eng.ensemble(self.CONFIG, 4, seed=1, executor="process")
-            pool = eng._acquire_pool(2)
-            assert pool.map(_event_block_probe, [33, 33]) == [33, 33]
-
     def test_closed_engine_refuses_work(self):
         eng = Engine()
         eng.close()
@@ -337,16 +307,16 @@ class TestScopedOverrides:
         base = current_engine().options
         with engine(backend="batched", jobs=2) as eng:
             assert current_engine() is eng
-            assert get_default_backend() == "batched"
-            assert get_default_jobs() == 2
+            assert active_options().backend == "batched"
+            assert active_options().jobs == 2
         assert current_engine().options == base
-        assert get_default_backend() == base.backend
+        assert active_options().backend == base.backend
 
     def test_scoped_options_restored_on_exception(self):
         base = current_engine().options
         with pytest.raises(RuntimeError, match="boom"):
             with engine(backend="batched"):
-                assert get_default_backend() == "batched"
+                assert active_options().backend == "batched"
                 raise RuntimeError("boom")
         assert current_engine().options == base
 
@@ -355,8 +325,8 @@ class TestScopedOverrides:
             with engine(jobs=2) as inner:
                 assert inner.options.backend == "batched"
                 assert inner.options.jobs == 2
-            assert get_default_jobs() == outer.options.jobs
-            assert get_default_backend() == "batched"
+            assert active_options().jobs == outer.options.jobs
+            assert active_options().backend == "batched"
 
     def test_scoped_backend_reaches_variant_resolution(self):
         # The session's backend must drive scenario variant resolution
@@ -366,16 +336,6 @@ class TestScopedOverrides:
         with engine(backend="batched"):
             assert get_scenario("zealots").variant(None) == "batched"
         assert get_scenario("zealots").variant(None) == "reference"
-
-    def test_scoped_event_block_reaches_lockstep(self):
-        from repro.core.lockstep import (
-            _global_default_event_block,
-            get_default_event_block,
-        )
-
-        with engine(event_block=5):
-            assert get_default_event_block() == 5
-        assert get_default_event_block() == _global_default_event_block()
 
     def test_existing_engine_can_be_installed(self):
         eng = Engine(backend="batched")
