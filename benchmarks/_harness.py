@@ -55,6 +55,9 @@ from repro.workloads import uniform_configuration
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+# Interleaved repeats of each gossip arm; the ablation gates on their medians.
+_GOSSIP_REPEATS = 5
+
 
 def bench_scale() -> str:
     """Benchmark scale: ``quick`` by default, ``full`` via environment."""
@@ -238,7 +241,6 @@ def run_kernel_ablation(
     graph_budget: int = 100_000,
     gossip_n: int = 96,
     gossip_replicates: int = 512,
-    gossip_repeats: int = 5,
     seed: int = 20230224,
     output: str | os.PathLike | None = None,
 ) -> dict:
@@ -259,7 +261,7 @@ def run_kernel_ablation(
       bit-identical.
     * **gossip** — per-replicate serial rounds vs the stacked-replicate
       round engine, asserted bit-identical on every repeat.  The batched
-      arm takes only ~0.05 s, so both arms run ``gossip_repeats`` times,
+      arm takes only ~0.05 s, so both arms run ``_GOSSIP_REPEATS`` times,
       interleaved, and ``speedup`` is the ratio of their medians: one
       slow host phase moves one sample, not the gate.
     * **compiled** — the numba-jitted tier against its numpy baseline on
@@ -390,7 +392,7 @@ def run_kernel_ablation(
         )
 
     gossip_times = {"serial": [], "batched": []}
-    for repeat in range(gossip_repeats):
+    for repeat in range(_GOSSIP_REPEATS):
         arms = [("serial", gossip_serial), ("batched", gossip_batched)]
         outputs = {}
         for name, arm in arms if repeat % 2 == 0 else arms[::-1]:
@@ -405,7 +407,7 @@ def run_kernel_ablation(
     gossip_batch_seconds = float(np.median(gossip_times["batched"]))
     record["gossip"] = {
         "workload": {"n": gossip_n, "k": 3, "replicates": gossip_replicates},
-        "repeats": gossip_repeats,
+        "repeats": _GOSSIP_REPEATS,
         "serial": {
             "seconds": gossip_serial_seconds,
             "seconds_per_repeat": gossip_times["serial"],

@@ -153,10 +153,11 @@ def _add_engine_arguments(
 
     Every simulating command takes the shared ones; ``serve`` adds the
     service admission bounds.  Each flag's destination is its option's
-    name, so :func:`_build_engine` passes them through unchanged, and a
-    value flag is parsed by its option's own check (a bad value is a
-    usage error).  A callable ``choices`` (the backend registry, which
-    can grow) is evaluated here.
+    name, so :func:`_build_engine` passes them through unchanged.  A flag
+    with ``choices`` accepts exactly those names; any other value flag is
+    parsed by its option's own check (a bad value is a usage error).  A
+    callable ``choices`` (the backend registry, which can grow) is
+    evaluated here.
     """
     for option in fields(EngineOptions):
         meta = option.metadata
@@ -165,7 +166,7 @@ def _add_engine_arguments(
         kwargs = dict(meta["argparse"])
         if callable(kwargs.get("choices")):
             kwargs["choices"] = kwargs["choices"]()
-        if "action" not in kwargs:
+        if "action" not in kwargs and "choices" not in kwargs:
             kwargs["type"] = _option_type(option.name, meta["check"])
         help_text = meta["help"]
         if meta["env"] is not None:

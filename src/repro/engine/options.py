@@ -1,8 +1,9 @@
 """Engine configuration: every option declared once, in :class:`EngineOptions`.
 
 Each field's ``metadata`` names its environment variable, CLI flag, help
-text and value check, and marks the secret.  ``resolve``, ``as_dict``
-and the CLI's flags and ``Engine(...)`` call are generated from it.  The
+text, value check and what a change rebuilds, and marks the secret.
+``resolve``, ``as_dict``, ``Engine.configure``'s rebuilds and the CLI's
+flags and ``Engine(...)`` call are generated from it.  The
 environment is read once, when a session is built; a malformed variable
 raises ``ValueError`` naming it.
 """
@@ -16,8 +17,14 @@ from functools import partial
 from ..core.env import env_bool, env_int, env_str
 from .backends import available_backends
 
-__all__ = ["DEFAULT_BACKEND", "DEFAULT_CACHE_DIR", "EXECUTORS", "EngineOptions",
-           "active_options", "parse_address"]
+__all__ = [
+    "DEFAULT_BACKEND",
+    "DEFAULT_CACHE_DIR",
+    "EXECUTORS",
+    "EngineOptions",
+    "active_options",
+    "parse_address",
+]
 
 #: Backend and ensemble-cache directory used when nothing else is specified.
 DEFAULT_BACKEND = "jump"
@@ -86,18 +93,45 @@ def _env_cap(env: str) -> int | None:
 
 
 def _env_workers(env: str) -> str | None:
+    value = env_str(env)
     try:
-        return None if env_str(env) is None else _workers("workers", env_str(env))
+        return None if value is None else _workers("workers", value)
     except ValueError as error:  # name the variable, not the option
         raise ValueError(f"{env}: {error}") from None
 
 
-def _option(default, check, env=None, parse=env_str, *, flag=None, help=None,
-            secret=False, serve=False, **argparse_kwargs):
-    """One declared option (``serve``: the flag is ``repro serve``'s alone)."""
-    return field(default=default, metadata={
-        "check": check, "env": env, "parse": parse, "flag": flag, "help": help,
-        "secret": secret, "serve": serve, "argparse": argparse_kwargs})
+def _option(
+    default,
+    check,
+    env=None,
+    parse=env_str,
+    *,
+    flag=None,
+    help=None,
+    secret=False,
+    serve=False,
+    rebind=None,
+    **argparse_kwargs,
+):
+    """One declared option.
+
+    ``serve``: the flag is ``repro serve``'s alone.  ``rebind``: what
+    :meth:`Engine.configure` rebuilds when the value changes ("pool", the
+    process pool; "workers", the remote worker pool; "cache", the cache
+    handle).
+    """
+    metadata = {
+        "check": check,
+        "env": env,
+        "parse": parse,
+        "flag": flag,
+        "help": help,
+        "secret": secret,
+        "serve": serve,
+        "rebind": rebind,
+        "argparse": argparse_kwargs,
+    }
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -106,56 +140,111 @@ class EngineOptions:
     :meth:`resolve` or field values, derive with :meth:`replace`)."""
 
     backend: str = _option(
-        DEFAULT_BACKEND, _backend, "REPRO_ENGINE_BACKEND", flag="--backend",
-        choices=available_backends, help="simulation backend (default: jump)")
+        DEFAULT_BACKEND,
+        _backend,
+        "REPRO_ENGINE_BACKEND",
+        flag="--backend",
+        choices=available_backends,
+        help="simulation backend (default: jump)",
+    )
     jobs: int = _option(
-        1, _positive, "REPRO_ENGINE_JOBS", _env_positive, flag="--jobs",
-        help="worker processes for ensembles (default: 1 = serial)")
+        1,
+        _positive,
+        "REPRO_ENGINE_JOBS",
+        _env_positive,
+        flag="--jobs",
+        rebind="pool",
+        help="worker processes for ensembles (default: 1 = serial)",
+    )
     executor: str | None = _option(
-        None, _executor, flag="--executor", choices=EXECUTORS,
+        None,
+        _executor,
+        flag="--executor",
+        choices=EXECUTORS,
         help="serial, process (multiprocessing pool) or remote ('repro worker' "
-        "processes); never changes results (default: process if --jobs > 1)")
+        "processes); never changes results (default: process if --jobs > 1)",
+    )
     workers: str | None = _option(
-        None, _workers, "REPRO_ENGINE_WORKERS", _env_workers, flag="--workers",
-        metavar="HOST:PORT", help="listen address of the remote executor's "
-        "worker pool (default: 127.0.0.1, ephemeral port)")
+        None,
+        _workers,
+        "REPRO_ENGINE_WORKERS",
+        _env_workers,
+        flag="--workers",
+        rebind="workers",
+        metavar="HOST:PORT",
+        help="listen address of the remote executor's worker pool "
+        "(default: 127.0.0.1, ephemeral port)",
+    )
     cache: bool = _option(
-        False, lambda name, value: bool(value), "REPRO_ENGINE_CACHE", env_bool,
-        flag="--cache", action=argparse.BooleanOptionalAction,
-        help="serve identical ensembles from the on-disk cache (default: off)")
+        False,
+        lambda name, value: bool(value),
+        "REPRO_ENGINE_CACHE",
+        env_bool,
+        flag="--cache",
+        rebind="cache",
+        action=argparse.BooleanOptionalAction,
+        help="serve identical ensembles from the on-disk cache (default: off)",
+    )
     cache_dir: str = _option(
-        DEFAULT_CACHE_DIR, lambda name, value: str(value), "REPRO_ENGINE_CACHE_DIR",
-        flag="--cache-dir", help="ensemble cache directory (default: .repro-cache)")
+        DEFAULT_CACHE_DIR,
+        lambda name, value: str(value),
+        "REPRO_ENGINE_CACHE_DIR",
+        flag="--cache-dir",
+        rebind="cache",
+        help="ensemble cache directory (default: .repro-cache)",
+    )
     cache_max_bytes: int | None = _option(
-        None, _cap, "REPRO_ENGINE_CACHE_MAX_BYTES", _env_cap)
-    worker_secret: str | None = _option(None, _text, "REPRO_WORKER_SECRET", secret=True)
-    worker_tls_cert: str | None = _option(None, _text, "REPRO_WORKER_TLS_CERT")
-    worker_tls_key: str | None = _option(None, _text, "REPRO_WORKER_TLS_KEY")
-    worker_tls_ca: str | None = _option(None, _text, "REPRO_WORKER_TLS_CA")
+        None, _cap, "REPRO_ENGINE_CACHE_MAX_BYTES", _env_cap, rebind="cache"
+    )
+    worker_secret: str | None = _option(
+        None, _text, "REPRO_WORKER_SECRET", secret=True, rebind="workers"
+    )
+    worker_tls_cert: str | None = _option(
+        None, _text, "REPRO_WORKER_TLS_CERT", rebind="workers"
+    )
+    worker_tls_key: str | None = _option(
+        None, _text, "REPRO_WORKER_TLS_KEY", rebind="workers"
+    )
+    worker_tls_ca: str | None = _option(
+        None, _text, "REPRO_WORKER_TLS_CA", rebind="workers"
+    )
     service_max_queue: int = _option(
-        64, _positive, "REPRO_SERVICE_MAX_QUEUE", _env_positive, flag="--max-queue",
-        serve=True, help="admission control: reject (429) past this many "
-        "queued+running submissions (default: 64)")
+        64,
+        _positive,
+        "REPRO_SERVICE_MAX_QUEUE",
+        _env_positive,
+        flag="--max-queue",
+        serve=True,
+        help="admission control: reject (429) past this many queued+running "
+        "submissions (default: 64)",
+    )
     service_max_replicates: int = _option(
-        100_000, _positive, "REPRO_SERVICE_MAX_REPLICATES", _env_positive,
-        flag="--max-replicates", serve=True, help="admission control: reject "
-        "(429) when in-flight replicates would exceed this (default: 100000)")
+        100_000,
+        _positive,
+        "REPRO_SERVICE_MAX_REPLICATES",
+        _env_positive,
+        flag="--max-replicates",
+        serve=True,
+        help="admission control: reject (429) when in-flight replicates would "
+        "exceed this (default: 100000)",
+    )
 
     def __post_init__(self) -> None:
         # Checked values go to the instance dict (``executor``: the raw one).
         for option in fields(self):
             value = self.__dict__[option.name]
             if value is not None or option.default is not None:
-                self.__dict__[option.name] = option.metadata["check"](option.name, value)
+                check = option.metadata["check"]
+                self.__dict__[option.name] = check(option.name, value)
         if self.worker_tls_key and not self.worker_tls_cert:
-            raise ValueError("worker_tls_key requires worker_tls_cert (its certificate)")
+            raise ValueError("worker_tls_key requires worker_tls_cert")
 
     @classmethod
     def _check_names(cls, overrides: dict) -> None:
         known = sorted(option.name for option in fields(cls))
-        if not set(overrides) <= set(known):
-            raise TypeError(f"unknown engine option(s) "
-                            f"{sorted(set(overrides) - set(known))}; available: {known}")
+        unknown = sorted(set(overrides) - set(known))
+        if unknown:
+            raise TypeError(f"unknown engine option(s) {unknown}; available: {known}")
 
     @classmethod
     def resolve(cls, **overrides) -> "EngineOptions":
@@ -165,7 +254,10 @@ class EngineOptions:
         values = {}
         for option in fields(cls):
             env = option.metadata["env"]
-            if env is not None and (value := option.metadata["parse"](env)) is not None:
+            if env is None:
+                continue
+            value = option.metadata["parse"](env)
+            if value is not None:
                 values[option.name] = value
         values.update((k, v) for k, v in overrides.items() if v is not None)
         return cls(**values)
@@ -180,16 +272,26 @@ class EngineOptions:
 
     def as_dict(self) -> dict:
         """Plain-dictionary snapshot for reports; the secret is masked."""
-        return {option.name: "***" if option.metadata["secret"] and value else value
-                for option in fields(self) for value in (getattr(self, option.name),)}
+        snapshot = {}
+        for option in fields(self):
+            value = getattr(self, option.name)
+            masked = option.metadata["secret"] and value
+            snapshot[option.name] = "***" if masked else value
+        return snapshot
 
 
-# ``executor`` reads as the explicit selection, else "process" when jobs > 1,
-# else "serial": a property fronts the field's storage (set by ``__init__``).
-EngineOptions.executor = property(
-    lambda self: self.__dict__["executor"] or ("serial", "process")[self.jobs > 1],
-    lambda self, value: self.__dict__.__setitem__("executor", value),
-)
+def _executor_get(self: EngineOptions) -> str:
+    """The explicit selection, else "process" when ``jobs > 1``, else "serial"."""
+    if self.__dict__["executor"] is not None:
+        return self.__dict__["executor"]
+    return "process" if self.jobs > 1 else "serial"
+
+
+def _executor_set(self: EngineOptions, value) -> None:
+    self.__dict__["executor"] = value  # the dataclass ``__init__`` stores the raw value
+
+
+EngineOptions.executor = property(_executor_get, _executor_set)
 
 
 def active_options() -> EngineOptions:

@@ -71,6 +71,7 @@ import os
 import pickle
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import NamedTuple
 
 import numpy as np
@@ -328,21 +329,23 @@ class Engine:
     def configure(self, **overrides) -> EngineOptions:
         """Replace the session's options in place (``None`` values ignored).
 
-        Changing ``jobs`` tears the persistent pool down (it respawns on
-        the next process-executor call), changing a ``worker*`` option
-        unbinds the worker pool, and changing a ``cache*`` option
-        re-opens the cache handle.  Returns the new options.
+        Each changed option rebuilds what its declaration's ``rebind``
+        names: "pool" tears the persistent pool down (it respawns on the
+        next process-executor call), "workers" unbinds the worker pool and
+        "cache" re-opens the cache handle.  Returns the new options.
         """
         self._check_open()
         old, new = self._options, self._options.replace(**overrides)
-        changed = {
-            name for name, value in vars(new).items() if vars(old)[name] != value
+        rebind = {
+            option.metadata["rebind"]
+            for option in fields(EngineOptions)
+            if vars(old)[option.name] != vars(new)[option.name]
         }
-        if "jobs" in changed:
+        if "pool" in rebind:
             self._shutdown_pool()
-        if any(name.startswith("worker") for name in changed):  # workers, worker_*
+        if "workers" in rebind:
             self._shutdown_worker_pool()
-        if any(name.startswith("cache") for name in changed):
+        if "cache" in rebind:
             self._cache = self._new_cache_handle(new) if new.cache else None
         self._options = new
         return new

@@ -64,6 +64,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "E1", "--scale", "huge"])
 
+    def test_executor_flag_takes_only_its_choices(self):
+        # "multiprocessing" is a library alias of "process", not a CLI name.
+        args = build_parser().parse_args(["simulate", "--executor", "process"])
+        assert args.executor == "process"
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["simulate", "--executor", "multiprocessing"])
+        assert info.value.code == 2
+
 
 class TestMain:
     def test_list(self, capsys):

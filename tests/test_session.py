@@ -260,6 +260,19 @@ class TestPersistentPool:
         assert stats["pool"]["spawns"] == 2
         assert stats["options"]["jobs"] == 3
 
+    def test_configure_rebuilds_what_each_option_declares(self, tmp_path):
+        from dataclasses import fields
+
+        rebind = {f.name: f.metadata["rebind"] for f in fields(EngineOptions)}
+        assert set(rebind.values()) == {None, "pool", "workers", "cache"}
+        assert rebind["jobs"] == "pool" and rebind["backend"] is None
+        assert rebind["workers"] == rebind["worker_secret"] == "workers"
+        assert rebind["cache_dir"] == rebind["cache_max_bytes"] == "cache"
+        with Engine(cache=True, cache_dir=str(tmp_path / "a")) as eng:
+            eng.configure(cache_dir=str(tmp_path / "b"))
+            root = eng.stats()["cache"]["root"]
+        assert root == str(tmp_path / "b")
+
     def test_respawn_when_registry_grows(self):
         # Forked workers snapshot the registries; registering a backend
         # after the fork must respawn the pool so workers can resolve it.
