@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 
-__all__ = ["EnsembleCache", "ensemble_key", "seed_token"]
+__all__ = ["EnsembleCache", "ensemble_key", "seed_from_token", "seed_token"]
 
 #: Bumped whenever the on-disk format or the engine's sampling changes
 #: incompatibly; old entries then simply miss.  Format 2: the multi-event
@@ -70,6 +70,27 @@ def seed_token(seed):
             entropy = int(entropy)
         return {"entropy": entropy, "spawn_key": [int(k) for k in seed.spawn_key]}
     return int(seed)
+
+
+def seed_from_token(token) -> np.random.SeedSequence:
+    """The ``SeedSequence`` whose :func:`seed_token` is ``token``.
+
+    Its children, and so every generator built from it, are the
+    original's.  Raises ``ValueError`` unless ``token`` is the
+    ``{"entropy", "spawn_key"}`` object with integer values.
+    """
+
+    def integers(values) -> bool:
+        return isinstance(values, list) and all(type(v) is int for v in values)
+
+    if not (
+        isinstance(token, dict)
+        and set(token) == {"entropy", "spawn_key"}
+        and (type(token["entropy"]) is int or integers(token["entropy"]))
+        and integers(token["spawn_key"])
+    ):
+        raise ValueError("a seed token is {'entropy': ints, 'spawn_key': ints}")
+    return np.random.SeedSequence(token["entropy"], spawn_key=token["spawn_key"])
 
 
 def ensemble_key(

@@ -15,7 +15,7 @@ module keeps the pieces that pipeline composes:
   and returns each cell segment as a fixed-width record block
   (:func:`~repro.engine.remote.encode_result_block` bytes) when the
   scenario has a record codec for the variant, else as the pickled
-  result list — the same rule the socket workers follow;
+  result list (socket workers return record blocks only);
 * :class:`SpecBroadcast`, which ships large specs to the pool once per
   call through ``multiprocessing.shared_memory``;
 * :func:`run_ensemble` — the historical free-function entry point, now a

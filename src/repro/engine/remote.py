@@ -15,60 +15,39 @@ Wire format
 -----------
 Every message is one *frame*::
 
-    +----------+----------------+----------------------+
-    | magic(4) | length(4, BE)  | pickled message dict |
-    +----------+----------------+----------------------+
+    +----------+-------------+-------------+-------------+------------+
+    | magic(4) | hlen(4, BE) | blen(4, BE) | JSON header | body bytes |
+    +----------+-------------+-------------+-------------+------------+
 
-Frames with a wrong magic, an oversized length or a truncated body are
-rejected (:class:`ProtocolError`); a clean EOF is only legal on a frame
-boundary.  The conversation is deliberately small:
+The header is a UTF-8 JSON object with a string ``type``.  The body is
+a fixed-width record block on ``result`` and ``cache-push`` frames and
+empty on every other frame.  :class:`FrameDecoder` is the one parser
+and reads nothing but JSON and raw bytes.  A wrong magic, an oversized
+length, a header that is not a JSON object, a field of the wrong type,
+a block of the wrong size or a spec its scenario's ``validate`` refuses
+is a :class:`ProtocolError`, and the pool drops that connection.  Specs
+travel as :meth:`ScenarioSpec.to_json` (the object ``key()`` hashes),
+seeds as :func:`~repro.engine.cache.seed_token` values and results as
+record blocks whose widths both ends derive from the cell
+(:func:`cell_codec`), so a cell without a record codec cannot run
+remotely.  The conversation (``<-`` marks pool -> worker):
 
-``hello``  worker -> pool
-    Name (the cost model's worker key), pid, host, protocol version and
-    a content token of the worker's ensemble-cache directory, so the
-    pool can report which workers share the session's store.
-``challenge`` / ``auth``  pool <-> worker
-    Optional shared-secret handshake: when the pool holds a secret it
-    answers ``hello`` with a random nonce and only registers the worker
-    after a constant-time check of ``HMAC-SHA256(secret, nonce)``.
-``welcome``  pool -> worker
-    Accepts the registration (protocol echo).
-``reject``  pool -> worker
-    Registration refused (protocol mismatch, bad secret) with a
-    human-readable reason, so an old worker fails loudly instead of
-    hanging on a silently dropped connection.
-``cache-probe`` / ``cache-hit``  pool <-> worker
-    Before enqueueing a sweep the pool asks each worker which cell keys
-    its local ensemble store can serve; the worker answers with the
-    subset it holds.
-``serve-cached``  pool -> worker
-    Cache-first dispatch: the owning worker loads the named cell from
-    its own store and replies the usual ``result`` frame (flagged
-    ``served``) — no simulation, no upload from the coordinator.  A
-    worker that advertised a key it cannot actually serve replies
-    ``cache-miss`` and the pool requeues the cell as a cold chunk.
-``cache-push``  pool -> worker
-    Write-back replication after a cold run: the coordinator pushes a
-    newly computed cell entry to workers whose store token differs, so
-    the next sweep is warm fleet-wide.  Fire-and-forget; the worker's
-    own LRU byte cap bounds what it keeps.
-``chunk``  pool -> worker
-    One queue slice: scenario name, the **spec by value** (never a
-    shared-memory ref — those only resolve on the parent's host),
-    variant, pickled ``SeedSequence`` children, budget, kernel knobs and
-    the fixed-width record widths (``None`` selects the pickle
-    fallback for cells without a record codec).
-``result``  worker -> pool
-    The chunk's results: a fixed-width record block (``int64`` slots
-    then ``float64`` extras per replicate — the same bytes a
-    process-pool worker returns) or pickled
-    results on the fallback path, plus the measured kernel seconds for
-    the cost model.
-``error``  worker -> pool
-    A traceback; the pool aborts the run (a deterministic failure would
-    requeue forever).
-``bye``  either direction
-    Clean shutdown.
+``hello``                 name, pid, host, protocol, cache-store token
+``challenge`` <- ``auth`` optional HMAC-SHA256 of a hex nonce under the
+                          shared secret, checked in constant time
+``welcome`` / ``reject``  <- registration accepted, or refused with a
+                          reason (protocol skew, bad secret)
+``cache-probe`` <-        which of these cell keys does your store hold?
+``cache-hit``             the subset it holds
+``serve-cached`` <-       answer one cell from the store: a ``result``
+                          flagged ``served``, or ``cache-miss`` and the
+                          pool requeues the cell as a cold chunk
+``cache-push`` <-         a cold cell's key, spec, variant and block;
+                          fire-and-forget, kept under the store's LRU cap
+``chunk`` <-              spec, variant, seed tokens and budget
+``result``                the chunk's record block and kernel seconds
+``error``                 a traceback; the pool aborts the run
+``bye``                   clean shutdown, either direction
 
 Determinism
 -----------
@@ -84,22 +63,27 @@ rely on.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import hmac
+import json
+import math
 import os
-import pickle
+import re
 import selectors
 import socket
 import ssl
+import struct
 import time
 import traceback
 from collections import deque
 
 import numpy as np
 
-from .executors import _SPEC_REF_TAG
+from .cache import EnsembleCache, seed_from_token, seed_token
+from .executors import _record_widths
 from .options import parse_address
-from .scenarios import get_scenario
+from .scenarios import ScenarioSpec, get_scenario
 
 __all__ = [
     "FrameDecoder",
@@ -108,39 +92,43 @@ __all__ = [
     "WorkerPool",
     "auth_digest",
     "cache_token",
+    "cell_codec",
     "decode_result_block",
     "encode_result_block",
     "make_client_tls_context",
     "make_server_tls_context",
     "parse_address",
-    "recv_frame",
     "send_frame",
     "serve_worker",
 ]
 
 #: Protocol version carried by hello/welcome; a mismatch rejects the
 #: registration instead of corrupting a run halfway through.  v2 added
-#: the cache fabric (cache-probe/cache-hit, serve-cached, cache-push)
-#: and the optional shared-secret challenge/auth handshake; v3 dropped
-#: the per-chunk ``event_block``/``stream_buffer`` fields (kernel
-#: constants now, not engine options).
-PROTOCOL_VERSION = 3
+#: the cache fabric and the shared-secret handshake, v3 dropped the
+#: per-chunk kernel knobs, v4 made every frame JSON plus a record block.
+PROTOCOL_VERSION = 4
 
-#: Environment variable naming the optional shared worker secret (the
-#: ``worker_secret`` engine option); both the coordinator and
-#: ``repro worker`` resolve it through
-#: :class:`~repro.engine.options.EngineOptions`.
+#: Environment variable of the optional shared worker secret (the
+#: ``worker_secret`` engine option, read by both ends).
 WORKER_SECRET_ENV = "REPRO_WORKER_SECRET"
 
 #: First four bytes of every frame.
 FRAME_MAGIC = b"RPRW"
 
-#: Upper bound on one frame's payload.  Big enough for a 10^6-edge graph
-#: spec or a 10^5-replicate record block, small enough that a garbage
-#: length field cannot make the pool try to buffer terabytes.
+#: Upper bound on one frame's header plus body: room for a 10^6-edge
+#: graph spec or a 10^5-replicate record block, not for terabytes.
 MAX_FRAME = 256 * 1024 * 1024
 
-_HEADER_SIZE = 8
+#: Upper bound on a frame from a connection that has not registered
+#: yet: a hello or an auth is a few hundred bytes.
+HANDSHAKE_FRAME = 64 * 1024
+
+#: Magic, header length and body length.
+_PREFIX = struct.Struct(">4sII")
+
+#: Shape of an ensemble key (a SHA-256 hex digest), the only names a
+#: peer may make a worker's store look up or write.
+_KEY_SHAPE = re.compile(r"[0-9a-f]{64}")
 
 #: How long :meth:`WorkerPool.run` waits for at least one registered
 #: worker before giving up on a non-empty queue.
@@ -154,10 +142,8 @@ class ProtocolError(RuntimeError):
 def cache_token(cache_dir) -> str:
     """Content token of a cache directory (same store <=> same token).
 
-    Hashes the *resolved* path, so two processes pointing at one
-    directory through different relative paths or symlinks still
-    compare equal — which is all the pool needs to report whether a
-    worker shares the session's content-addressed ensemble store.
+    Hashes the *resolved* path, so relative paths and symlinks to one
+    directory compare equal.
     """
     resolved = os.path.realpath(os.path.abspath(str(cache_dir)))
     return hashlib.sha256(resolved.encode()).hexdigest()[:16]
@@ -188,12 +174,11 @@ def make_server_tls_context(
 ) -> ssl.SSLContext:
     """Coordinator-side TLS context for the worker-pool listener.
 
-    ``certfile``/``keyfile`` identify the coordinator to connecting
-    workers.  ``cafile`` turns on mutual TLS: workers must present a
-    client certificate signed by that CA (self-signed deployments pass
-    the worker certificate itself).  The HMAC handshake keeps covering
-    authentication-by-shared-secret; TLS adds channel encryption and,
-    with ``cafile``, certificate-pinned peers.
+    ``certfile``/``keyfile`` identify the coordinator.  ``cafile`` turns
+    on mutual TLS: workers must present a client certificate signed by
+    that CA (self-signed deployments pass the worker certificate).  TLS
+    adds encryption and pinned peers; the HMAC handshake still
+    authenticates the worker.
     """
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     context.load_cert_chain(certfile, keyfile)
@@ -210,13 +195,11 @@ def make_client_tls_context(
 ) -> ssl.SSLContext:
     """Worker-side TLS context for connecting to a TLS pool.
 
-    ``cafile`` pins the coordinator: only a pool certificate signed by
-    that CA is accepted (for a self-signed coordinator, pass its
-    certificate).  Pinning replaces hostname checking — fleets connect
-    by address, often a bare IP, so the pin *is* the identity.  Without
-    ``cafile`` the system trust store applies, hostname check included.
-    ``certfile``/``keyfile`` present a client certificate for pools that
-    demand mutual TLS.
+    ``cafile`` pins the coordinator (for a self-signed one, pass its
+    certificate) and replaces hostname checking: fleets connect by
+    address, so the pin *is* the identity.  Without it the system trust
+    store and hostname check apply.  ``certfile``/``keyfile`` present a
+    client certificate for pools that demand mutual TLS.
     """
     context = ssl.SSLContext(ssl.PROTOCOL_TLS_CLIENT)
     if cafile:
@@ -233,95 +216,70 @@ def make_client_tls_context(
 # Framing
 # ----------------------------------------------------------------------
 def encode_frame(message: dict) -> bytes:
-    """One wire frame: magic + big-endian length + pickled message."""
-    blob = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) > MAX_FRAME:
+    """One frame: ``message["block"]`` (bytes) is the body, the rest JSON."""
+    fields = dict(message)
+    body = bytes(fields.pop("block", b""))
+    header = json.dumps(fields, separators=(",", ":")).encode("utf-8")
+    if len(header) + len(body) > MAX_FRAME:
         raise ProtocolError(
-            f"message of {len(blob)} bytes exceeds MAX_FRAME ({MAX_FRAME})"
+            f"message of {len(header) + len(body)} bytes exceeds MAX_FRAME"
         )
-    return FRAME_MAGIC + len(blob).to_bytes(4, "big") + blob
+    return _PREFIX.pack(FRAME_MAGIC, len(header), len(body)) + header + body
 
 
-def send_frame(sock: socket.socket, message: dict) -> int:
-    """Send one framed message; returns the bytes put on the wire."""
-    frame = encode_frame(message)
-    sock.sendall(frame)
-    return len(frame)
-
-
-def _recv_exact(sock: socket.socket, size: int) -> bytes | None:
-    """``size`` bytes, or ``None`` on EOF before the first byte."""
-    chunks = []
-    remaining = size
-    while remaining:
-        data = sock.recv(min(remaining, 1 << 20))
-        if not data:
-            if remaining == size:
-                return None
-            raise ProtocolError(
-                f"connection closed mid-frame ({size - remaining}/{size} bytes)"
-            )
-        chunks.append(data)
-        remaining -= len(data)
-    return b"".join(chunks)
-
-
-def recv_frame(sock: socket.socket) -> dict | None:
-    """Blocking receive of one frame (``None`` on clean EOF)."""
-    header = _recv_exact(sock, _HEADER_SIZE)
-    if header is None:
-        return None
-    if header[:4] != FRAME_MAGIC:
-        raise ProtocolError(f"bad frame magic {header[:4]!r}")
-    length = int.from_bytes(header[4:8], "big")
-    if length > MAX_FRAME:
-        raise ProtocolError(f"frame of {length} bytes exceeds MAX_FRAME")
-    body = _recv_exact(sock, length) if length else b""
-    if body is None:
-        raise ProtocolError("connection closed between header and body")
-    message = pickle.loads(body)
-    if not isinstance(message, dict):
-        raise ProtocolError(f"frame payload must be a dict, got {type(message)}")
-    return message
+def send_frame(sock: socket.socket, message: dict) -> None:
+    """Send one framed message."""
+    sock.sendall(encode_frame(message))
 
 
 class FrameDecoder:
-    """Incremental frame parser for the pool's non-blocking reads.
+    """The one frame parser: incremental, for blocking and polled reads.
 
     Feed raw socket bytes, get complete messages back; partial frames
-    wait in the buffer.  The same validation as :func:`recv_frame`
-    applies — a wrong magic or an oversized length raises
-    :class:`ProtocolError` immediately (the stream is unrecoverable
-    after either, so the caller drops the connection).
+    wait in the buffer.  A wrong magic, a header plus body longer than
+    ``max_frame`` or a header that is not a JSON object with a string
+    ``type`` raises :class:`ProtocolError` (the stream is unrecoverable
+    after any of them, so the caller drops the connection).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_frame: int = MAX_FRAME) -> None:
         self._buffer = bytearray()
+        self.max_frame = max_frame
 
     def feed(self, data: bytes) -> list[dict]:
         self._buffer.extend(data)
         messages = []
-        while True:
-            if len(self._buffer) < _HEADER_SIZE:
+        while len(self._buffer) >= _PREFIX.size:
+            magic, header_length, body_length = _PREFIX.unpack_from(self._buffer)
+            if magic != FRAME_MAGIC:
+                raise ProtocolError(f"bad frame magic {magic!r}")
+            if header_length + body_length > self.max_frame:
+                raise ProtocolError(
+                    f"frame of {header_length + body_length} bytes "
+                    f"exceeds {self.max_frame}"
+                )
+            split = _PREFIX.size + header_length
+            end = split + body_length
+            if len(self._buffer) < end:
                 break
-            if bytes(self._buffer[:4]) != FRAME_MAGIC:
+            header = bytes(self._buffer[_PREFIX.size : split])
+            body = bytes(self._buffer[split:end])
+            del self._buffer[:end]
+            try:
+                message = json.loads(header.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
+                raise ProtocolError(f"frame header is not JSON: {exc}") from None
+            if not (
+                isinstance(message, dict)
+                and isinstance(message.get("type"), str)
+                and "block" not in message
+            ):
                 raise ProtocolError(
-                    f"bad frame magic {bytes(self._buffer[:4])!r}"
+                    "frame header must be a JSON object with a string "
+                    "'type' and no 'block'"
                 )
-            length = int.from_bytes(self._buffer[4:8], "big")
-            if length > MAX_FRAME:
-                raise ProtocolError(
-                    f"frame of {length} bytes exceeds MAX_FRAME"
-                )
-            if len(self._buffer) < _HEADER_SIZE + length:
-                break
-            body = bytes(self._buffer[_HEADER_SIZE : _HEADER_SIZE + length])
-            del self._buffer[: _HEADER_SIZE + length]
-            message = pickle.loads(body)
-            if not isinstance(message, dict):
-                raise ProtocolError(
-                    f"frame payload must be a dict, got {type(message)}"
-                )
+            if body:
+                message["block"] = body
             messages.append(message)
         return messages
 
@@ -331,54 +289,151 @@ class FrameDecoder:
         return len(self._buffer)
 
 
-#: Returned by :meth:`_FrameReader.next` when the drain event fired.
+#: Yielded by :func:`_read_frames` once the drain event is set.
 _DRAINED = object()
 
 
-class _FrameReader:
-    """Blocking frame reader with an optional drain watch.
+def _read_frames(sock: socket.socket, drain=None, poll: float = 0.5):
+    """Messages from ``sock``; ``None`` on clean EOF, ``_DRAINED`` on drain.
 
-    Without a drain event this is :func:`recv_frame` with a buffer.
-    With one, the socket gets a short timeout and the event is checked
-    between timeouts, so a SIGTERM-initiated drain wakes an *idle*
-    worker within ``poll`` seconds instead of leaving it parked in
-    ``recv`` until the next frame happens to arrive.  The drain is only
-    honored between frames handed to the caller — a chunk the caller is
-    already executing always finishes — and takes precedence over
-    frames still sitting in the buffer: unanswered dispatches are the
-    coordinator's to requeue (bit-identically, since seeds travel
-    inside chunks).
+    With a drain event the socket polls every ``poll`` seconds, so a
+    drain wakes an idle worker.  It is honored between messages (a chunk
+    being run always finishes) and before buffered ones, which the
+    coordinator requeues (bit-identically: seeds travel inside chunks).
     """
-
-    def __init__(self, sock: socket.socket, *, drain=None, poll: float = 0.5):
-        self._sock = sock
-        self._drain = drain
-        self._decoder = FrameDecoder()
-        self._pending: deque = deque()
-        if drain is not None:
-            sock.settimeout(poll)
-
-    def next(self) -> dict | None | object:
-        """Next message, ``None`` on clean EOF, ``_DRAINED`` on drain."""
-        while True:
-            if self._drain is not None and self._drain.is_set():
-                return _DRAINED
-            if self._pending:
-                return self._pending.popleft()
+    decoder = FrameDecoder()
+    pending: deque = deque()
+    if drain is not None:
+        sock.settimeout(poll)
+    while True:
+        if drain is not None and drain.is_set():
+            yield _DRAINED
+        elif pending:
+            yield pending.popleft()
+        else:
             try:
-                data = self._sock.recv(1 << 20)
-            except TimeoutError:
-                continue  # just a drain-poll wakeup
-            except ssl.SSLWantReadError:
-                continue
-            if not data:
-                if self._decoder.pending_bytes:
-                    raise ProtocolError(
-                        "connection closed mid-frame "
-                        f"({self._decoder.pending_bytes} bytes buffered)"
-                    )
-                return None
-            self._pending.extend(self._decoder.feed(data))
+                data = sock.recv(1 << 20)
+            except (TimeoutError, ssl.SSLWantReadError):
+                continue  # a drain-poll wakeup
+            if data:
+                pending.extend(decoder.feed(data))
+            elif decoder.pending_bytes:
+                raise ProtocolError(
+                    f"connection closed mid-frame ({decoder.pending_bytes} "
+                    "bytes buffered)"
+                )
+            else:
+                yield None
+
+
+# ----------------------------------------------------------------------
+# Message fields
+# ----------------------------------------------------------------------
+def cell_codec(spec: ScenarioSpec, variant: str) -> tuple:
+    """``(scenario, (int_width, float_width))`` of a cell on the socket.
+
+    Results cross the socket only as record blocks, and both ends derive
+    the widths from the cell; a cell whose scenario has no record codec
+    for ``variant`` raises ``ValueError`` naming both.
+    """
+    scenario = get_scenario(spec.scenario)
+    widths = _record_widths(scenario, spec, variant)
+    if widths is None:
+        raise ValueError(
+            f"scenario {spec.scenario!r} has no record codec for variant "
+            f"{variant!r}, and the remote executor returns results only as "
+            "record blocks; run it on the serial or process executor"
+        )
+    return scenario, widths
+
+
+def _field(message: dict, name: str, kind, *, optional: bool = False):
+    """``message[name]``, which must be a ``kind`` (a bool is no number)."""
+    value = message.get(name)
+    if optional and value is None:
+        return None
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ProtocolError(
+            f"{message.get('type')} field {name!r} has the wrong type "
+            f"({type(value).__name__})"
+        )
+    return value
+
+
+def _is_key(value) -> bool:
+    """Whether ``value`` has the shape of an ensemble key (SHA-256 hex)."""
+    return isinstance(value, str) and _KEY_SHAPE.fullmatch(value) is not None
+
+
+def _keys(message: dict) -> list[str]:
+    """``message["keys"]``, which must be a list of ensemble keys."""
+    keys = _field(message, "keys", list)
+    if not all(map(_is_key, keys)):
+        raise ProtocolError(f"{message.get('type')} keys hold a non-key")
+    return keys
+
+
+@contextlib.contextmanager
+def _decoding(what: str):
+    """Re-raise any failure to decode the peer's ``what`` as a ProtocolError.
+
+    Decoding is a pure function of the peer's bytes, so whatever it
+    raises (an unknown scenario, a spec ``validate`` refuses, a bad seed
+    token) means the peer sent garbage.
+    """
+    try:
+        yield
+    except ProtocolError:
+        raise
+    except Exception as exc:
+        raise ProtocolError(f"undecodable {what}: {exc!r}") from None
+
+
+def _decode_cell(message: dict) -> tuple:
+    """``(scenario, spec, variant, widths)`` of a chunk, serve or push."""
+    if not isinstance(message.get("spec"), dict):
+        raise ProtocolError("spec must be a JSON spec object")
+    variant = _field(message, "variant", str)
+    with _decoding("spec"):
+        spec = ScenarioSpec.from_json(message["spec"])
+        scenario, widths = cell_codec(spec, variant)
+        scenario.validate(spec)
+    return scenario, spec, variant, widths
+
+
+def _decode_chunk(message: dict) -> tuple:
+    """``(scenario, spec, variant, widths, seeds, budget)`` of a chunk."""
+    scenario, spec, variant, widths = _decode_cell(message)
+    tokens = _field(message, "seeds", list)
+    with _decoding("seed tokens"):
+        seeds = [seed_from_token(token) for token in tokens]
+    budget = _field(message, "max_interactions", int, optional=True)
+    return scenario, spec, variant, widths, seeds, budget
+
+
+def _decode_result(message: dict, chunk: dict) -> dict:
+    """``{"seconds", "results", "served"}`` of ``chunk``'s result frame."""
+    with _decoding("result seconds"):
+        seconds = float(_field(message, "seconds", (int, float)))
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ProtocolError(f"result seconds {seconds} are not finite and >= 0")
+    scenario, widths = cell_codec(chunk["spec"], chunk["variant"])
+    block, trials = message.get("block", b""), len(chunk["seeds"])
+    return {
+        "seconds": seconds,
+        "results": decode_result_block(scenario, chunk["spec"], block, trials, *widths),
+        "served": bool(_field(message, "served", bool, optional=True)),
+    }
+
+
+def _decode_cache_push(message: dict) -> tuple[str, list]:
+    """``(key, results)`` of a ``cache-push`` frame."""
+    if not _is_key(message.get("key")):
+        raise ProtocolError("cache-push key is not an ensemble key")
+    scenario, spec, _variant, widths = _decode_cell(message)
+    trials = _field(message, "trials", int)
+    block = message.get("block", b"")
+    return message["key"], decode_result_block(scenario, spec, block, trials, *widths)
 
 
 # ----------------------------------------------------------------------
@@ -400,8 +455,8 @@ def encode_result_block(
     """Results -> one contiguous record block (ints plane, floats plane).
 
     The record codec *is* the result format of every out-of-process
-    executor: socket workers and process-pool workers both return these
-    bytes whenever the scenario has a codec for the variant.
+    executor: socket workers always, and process-pool workers whenever
+    the scenario has a codec for the variant, return these bytes.
     """
     trials = len(results)
     buffer = bytearray(max(trials * 8 * (int_width + float_width), 1))
@@ -414,18 +469,19 @@ def encode_result_block(
 def decode_result_block(
     scenario, spec, block: bytes, trials: int, int_width: int, float_width: int
 ) -> list:
-    """Inverse of :func:`encode_result_block`."""
+    """Inverse of :func:`encode_result_block`; raises only ProtocolError."""
     expected = max(trials * 8 * (int_width + float_width), 1)
-    if len(block) != expected:
+    if trials < 0 or len(block) != expected:
         raise ProtocolError(
             f"record block of {len(block)} bytes, expected {expected} "
             f"({trials} trials x ({int_width} ints + {float_width} floats))"
         )
     ints, floats = _record_views(bytearray(block), trials, int_width, float_width)
-    return [
-        scenario.decode_record(spec, ints[row], floats[row])
-        for row in range(trials)
-    ]
+    with _decoding("record block"):
+        return [
+            scenario.decode_record(spec, ints[row], floats[row])
+            for row in range(trials)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -433,33 +489,17 @@ def decode_result_block(
 # ----------------------------------------------------------------------
 def _execute_chunk(message: dict) -> dict:
     """Run one dispatched chunk and build its result message."""
-    spec = message["spec"]
-    if isinstance(spec, tuple) and spec and spec[0] == _SPEC_REF_TAG:
-        # A shared-memory broadcast ref only resolves on the host that
-        # created the block; shipping one over a socket is a session bug.
-        raise ProtocolError(
-            "chunk carried a shared-memory spec reference; specs must "
-            "ship by value over the socket"
-        )
-    scenario = get_scenario(message["scenario"])
-    rngs = [np.random.default_rng(s) for s in message["seeds"]]
+    scenario, spec, variant, widths, seeds, budget = _decode_chunk(message)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     started = time.perf_counter()
-    results = scenario.run_chunk(
-        spec, message["variant"], rngs, message["max_interactions"]
-    )
+    results = scenario.run_chunk(spec, variant, rngs, budget)
     seconds = time.perf_counter() - started
-    reply = {"type": "result", "id": message["id"], "seconds": seconds}
-    record = message.get("record")
-    if record is not None:
-        int_width, float_width = record
-        reply["transport"] = "records"
-        reply["block"] = encode_result_block(
-            scenario, spec, results, int_width, float_width
-        )
-    else:
-        reply["transport"] = "pickle"
-        reply["results"] = results
-    return reply
+    return {
+        "type": "result",
+        "id": message["id"],
+        "seconds": seconds,
+        "block": encode_result_block(scenario, spec, results, *widths),
+    }
 
 
 def _serve_cached_reply(store, message: dict) -> dict:
@@ -470,40 +510,29 @@ def _serve_cached_reply(store, message: dict) -> dict:
     shape — the pool falls back to a cold chunk, so a stale store can
     cost time but never bits.
     """
-    index = message.get("id")
     key = message.get("key")
-    miss = {"type": "cache-miss", "id": index, "key": key}
+    if not _is_key(key):
+        raise ProtocolError("serve-cached key is not an ensemble key")
+    scenario, spec, _variant, widths = _decode_cell(message)
+    trials = _field(message, "trials", int)
+    miss = {"type": "cache-miss", "id": message["id"], "key": key}
     if store is None:
         return miss
     started = time.perf_counter()
     try:
         results = store.load(key)
+        if not isinstance(results, list) or len(results) != trials:
+            return miss
+        block = encode_result_block(scenario, spec, results, *widths)
     except Exception:
         return miss
-    if not isinstance(results, list) or len(results) != message.get("trials"):
-        return miss
-    reply = {
+    return {
         "type": "result",
-        "id": index,
+        "id": message["id"],
         "served": True,
-        "seconds": 0.0,
+        "seconds": time.perf_counter() - started,
+        "block": block,
     }
-    record = message.get("record")
-    if record is not None:
-        scenario = get_scenario(message["scenario"])
-        int_width, float_width = record
-        try:
-            reply["transport"] = "records"
-            reply["block"] = encode_result_block(
-                scenario, message["spec"], results, int_width, float_width
-            )
-        except Exception:
-            return miss
-    else:
-        reply["transport"] = "pickle"
-        reply["results"] = results
-    reply["seconds"] = time.perf_counter() - started
-    return reply
 
 
 def _send_bye(sock: socket.socket) -> None:
@@ -533,42 +562,27 @@ def serve_worker(
 
     Blocks until the pool says ``bye``, closes the connection, or
     ``max_chunks`` results have been served; returns the number of
-    chunks completed.  This is the body of the ``repro worker`` CLI
-    subcommand, and is equally runnable on a thread for in-process
-    workers (tests, single-box smoke runs) — the protocol is identical
-    either way.
+    chunks completed.  This is the body of ``repro worker`` and runs
+    just as well on a thread (tests, single-box smoke runs).
 
-    ``name`` keys the session cost model's per-worker coefficients;
-    it defaults to the machine's hostname so one host's history warms
-    every later worker on that host.  ``cache_dir`` opens the worker's
-    own content-addressed ensemble store: its token travels in the
-    hello, ``cache-probe`` frames are answered from it, ``serve-cached``
-    dispatches are decoded out of it, and ``cache-push`` replication
-    lands in it (bounded by ``cache_max_bytes`` / the store's LRU cap).
-    ``secret`` answers the pool's HMAC challenge; when the pool demands
-    one and the worker has none, the connection fails with an error
-    naming ``REPRO_WORKER_SECRET``.  ``tls`` wraps the connection in an
-    :class:`ssl.SSLContext` built by :func:`make_client_tls_context`
-    (plaintext remains the default — a TLS pool simply fails the
-    handshake of a plaintext worker and vice versa).  ``drain`` is a
-    :class:`threading.Event`-like object: once set, the worker finishes
-    the chunk it is executing (dispatches not yet started are the
-    pool's to requeue), says ``bye`` and returns normally — the
-    graceful-shutdown path ``repro worker`` wires to SIGTERM/SIGINT.
-    ``claim_all`` is a test hook: the
-    probe reply advertises *every* probed key whether or not the store
-    holds it — the lying-worker case the pool's cache-miss fallback
-    must absorb.  ``abort_after`` is the fault-injection hook: after
-    that many completed chunks the worker drops the connection *on
-    receipt* of the next chunk or serve-cached dispatch, without
-    replying — exactly the mid-chunk death the pool's requeue path must
-    absorb.
+    ``name`` keys the session cost model's per-worker coefficients
+    (default: the hostname).  ``cache_dir`` opens the worker's own
+    ensemble store: its token travels in the hello, and probes, serves
+    and pushes use it (``cache_max_bytes`` caps it, LRU).  ``secret``
+    answers the pool's HMAC challenge; a pool that demands one fails a
+    secretless worker with an error naming ``REPRO_WORKER_SECRET``.
+    ``tls`` wraps the connection (:func:`make_client_tls_context`).
+    Once ``drain`` (a :class:`threading.Event`) is set the worker
+    finishes its current chunk, says ``bye`` and returns — the path
+    ``repro worker`` wires to SIGTERM/SIGINT.  Two test hooks:
+    ``claim_all`` makes probe replies advertise every key (a lying
+    worker), and ``abort_after`` drops the connection on receipt of
+    the dispatch after that many chunks, without replying (a worker
+    dying mid-chunk).
     """
     secret_bytes = _coerce_secret(secret)
     store = None
     if cache_dir is not None:
-        from .cache import EnsembleCache
-
         store = EnsembleCache(cache_dir, max_bytes=cache_max_bytes)
     host, port = parse_address(address)
     sock = socket.create_connection((host, port), timeout=connect_timeout)
@@ -579,7 +593,7 @@ def serve_worker(
             # socket to the reader (which sets its own drain-poll timeout).
             sock = tls.wrap_socket(sock, server_hostname=host)
         sock.settimeout(None)
-        reader = _FrameReader(sock, drain=drain)
+        reader = _read_frames(sock, drain)
         send_frame(
             sock,
             {
@@ -596,28 +610,25 @@ def serve_worker(
                 ),
             },
         )
-        welcome = reader.next()
-        if welcome is _DRAINED:
-            _send_bye(sock)
-            return served
-        if welcome is not None and welcome.get("type") == "challenge":
+        welcome = next(reader)
+        if isinstance(welcome, dict) and welcome["type"] == "challenge":
             if secret_bytes is None:
                 raise ProtocolError(
                     "pool requires a shared secret; set "
                     f"{WORKER_SECRET_ENV} or pass repro worker --secret"
                 )
+            try:
+                nonce = bytes.fromhex(_field(welcome, "nonce", str))
+            except ValueError:
+                raise ProtocolError("challenge nonce is not hex") from None
             send_frame(
-                sock,
-                {
-                    "type": "auth",
-                    "digest": auth_digest(secret_bytes, welcome["nonce"]),
-                },
+                sock, {"type": "auth", "digest": auth_digest(secret_bytes, nonce)}
             )
-            welcome = reader.next()
-            if welcome is _DRAINED:
-                _send_bye(sock)
-                return served
-        if welcome is not None and welcome.get("type") == "reject":
+            welcome = next(reader)
+        if welcome is _DRAINED:
+            _send_bye(sock)
+            return served
+        if welcome is not None and welcome["type"] == "reject":
             raise ProtocolError(
                 f"pool rejected registration: {welcome.get('error')}"
             )
@@ -626,38 +637,33 @@ def serve_worker(
         if on_connect is not None:
             on_connect(welcome)
         while max_chunks is None or served < max_chunks:
-            message = reader.next()
+            message = next(reader)
             if message is _DRAINED:
-                # Graceful drain: nothing is mid-execution here (a chunk
-                # in progress finishes before the reader is consulted
-                # again), so say bye and let the pool requeue anything
-                # it had already put on the wire.
+                # Nothing is mid-execution here: say bye, and the pool
+                # requeues anything it had already put on the wire.
                 _send_bye(sock)
                 break
             if message is None or message.get("type") == "bye":
                 break
             kind = message.get("type")
             if kind == "cache-probe":
-                keys = message.get("keys") or []
-                if claim_all:
-                    hits = list(keys)
-                elif store is not None:
-                    hits = [key for key in keys if store.contains(key)]
-                else:
-                    hits = []
+                hits = _keys(message)
+                if not claim_all:
+                    hits = [k for k in hits if store is not None and store.contains(k)]
                 send_frame(
                     sock,
                     {
                         "type": "cache-hit",
-                        "probe": message.get("probe"),
+                        "probe": _field(message, "probe", int),
                         "keys": hits,
                     },
                 )
                 continue
             if kind == "cache-push":
                 if store is not None:
+                    key, results = _decode_cache_push(message)
                     try:
-                        store.store(message["key"], message["results"])
+                        store.store(key, results)
                     except Exception:
                         pass  # replication is best-effort
                 continue
@@ -667,12 +673,12 @@ def serve_worker(
                 # Simulated mid-chunk death: the chunk was received but
                 # never answered, so the pool must requeue it.
                 return served
-            if kind == "serve-cached":
-                send_frame(sock, _serve_cached_reply(store, message))
-                served += 1
-                continue
             try:
-                reply = _execute_chunk(message)
+                _field(message, "id", int)
+                if kind == "serve-cached":
+                    reply = _serve_cached_reply(store, message)
+                else:
+                    reply = _execute_chunk(message)
             except Exception:
                 send_frame(
                     sock,
@@ -709,15 +715,11 @@ class _WorkerConn:
         "cache_entries",
         "inflight",
         "chunks_done",
-        "cache_probed",
-        "cache_hits",
-        "cache_served",
-        "cache_pushed",
     )
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.decoder = FrameDecoder()
+        self.decoder = FrameDecoder(HANDSHAKE_FRAME)
         self.registered = False
         #: Monotonic deadline while a TLS handshake is still in
         #: progress; ``None`` once the channel is established (always
@@ -731,27 +733,18 @@ class _WorkerConn:
         self.cache_entries: int | None = None
         self.inflight: int | None = None
         self.chunks_done = 0
-        self.cache_probed = 0
-        self.cache_hits = 0
-        self.cache_served = 0
-        self.cache_pushed = 0
 
 
 class WorkerPool:
     """The session's attachment point for socket-connected workers.
 
-    Listens on ``host:port`` (``None`` = loopback on an ephemeral port),
-    registers workers as they connect, and drains chunk queues with
-    work-stealing dispatch: one chunk in flight per worker, the next
-    chunk handed to whichever worker answers first.  Worker death —
-    EOF, a reset, a garbage frame — requeues the dead worker's in-flight
-    chunk at the front of the queue; results stay bit-identical because
-    every chunk carries its replicates' ``SeedSequence`` children.
-
-    Single-threaded by design: connections are accepted and handshaked
-    inside :meth:`wait_for_workers` and the dispatch loop (pending
-    workers sit in the listen backlog meanwhile), so the session never
-    runs a background thread.
+    Listens on ``host:port`` (``None`` = loopback, ephemeral port),
+    registers workers as they connect and drains chunk queues with
+    work-stealing dispatch, one chunk in flight per worker.  Worker
+    death — EOF, a reset, a garbage frame — requeues its chunk at the
+    front; every chunk carries its seeds, so results stay bit-identical.
+    Single-threaded: accepts and handshakes happen inside
+    :meth:`wait_for_workers` and the dispatch loop.
     """
 
     def __init__(
@@ -777,9 +770,7 @@ class WorkerPool:
         self._secret = _coerce_secret(secret)
         self._worker_timeout = float(worker_timeout)
         #: Starvation grace before an idle worker may cold-steal a chunk
-        #: pinned to a live-but-busy cache owner.  Serves are near-
-        #: instant, so in a healthy fleet this never fires; a wedged
-        #: owner only costs this much idle time before work flows again.
+        #: pinned to a live-but-busy cache owner (serves are near-instant).
         self._steal_grace = 0.5
         self._probe_seq = 0
         self._last_register = 0.0
@@ -789,11 +780,8 @@ class WorkerPool:
         self.bytes_received = 0
         self.chunks_dispatched = 0
         self.chunks_requeued = 0
-        #: Cache-fabric counters (survive worker disconnects).
-        self.cache_probed = 0
-        self.cache_hits = 0
-        self.cache_served = 0
-        self.cache_pushed = 0
+        #: Cache-fabric counters: fallbacks, and per worker name the
+        #: probed/hits/served/pushed rows (they survive disconnects).
         self.cache_fallbacks = 0
         self._cache_worker_stats: dict[str, dict] = {}
 
@@ -832,8 +820,8 @@ class WorkerPool:
                 ),
                 "cache_token": conn.cache_token,
                 "cache_entries": conn.cache_entries,
-                "cache_served": conn.cache_served,
-                "cache_pushed": conn.cache_pushed,
+                "cache_served": self._worker_cache_row(conn)["served"],
+                "cache_pushed": self._worker_cache_row(conn)["pushed"],
             }
             for conn in self._conns
             if conn.registered
@@ -855,9 +843,9 @@ class WorkerPool:
     def _poll(self, timeout: float) -> list[tuple[_WorkerConn, dict]]:
         """One selector pass: accepts, handshakes, and buffered reads.
 
-        Returns the protocol messages read from registered workers;
-        connection failures are absorbed here (dead workers' in-flight
-        chunks are handed back through ``_requeue``).
+        Returns the messages read from registered workers.  A connection
+        that fails or sends a bad frame is dropped here; :meth:`run`
+        requeues its in-flight chunk.
         """
         messages: list[tuple[_WorkerConn, dict]] = []
         for key, _events in self._selector.select(timeout):
@@ -870,10 +858,8 @@ class WorkerPool:
             if conn.handshake_deadline is not None:
                 self._handshake_step(conn)
                 continue
-            # On a TLS socket one selector wakeup can decrypt more than
-            # one recv's worth: keep reading while decrypted bytes sit
-            # in the SSL layer's buffer (``pending()``), because the raw
-            # socket won't become readable again for those.
+            # On TLS, keep reading while decrypted bytes sit in the SSL
+            # layer (``pending()``): the raw socket won't select for them.
             parts: list[bytes] = []
             eof = False
             try:
@@ -889,10 +875,8 @@ class WorkerPool:
                     ):
                         break
             except ssl.SSLWantReadError:
-                # Mid-TLS-record (renegotiation or a partial record):
-                # not a failure — the selector fires again when the rest
-                # arrives.  Must precede OSError: SSLWantReadError is an
-                # OSError subclass and the generic arm drops the conn.
+                # Mid-TLS-record: the selector fires again when the rest
+                # arrives.  Must precede OSError, its base class.
                 pass
             except (OSError, ValueError):
                 self._drop(conn)
@@ -905,15 +889,15 @@ class WorkerPool:
             data = b"".join(parts)
             self.bytes_received += len(data)
             try:
-                frames = conn.decoder.feed(data)
-            except (ProtocolError, pickle.UnpicklingError, EOFError):
+                for message in conn.decoder.feed(data):
+                    if conn not in self._conns:
+                        break  # rejected by an earlier frame of this read
+                    if conn.registered:
+                        messages.append((conn, message))
+                    else:
+                        self._register(conn, message)
+            except ProtocolError:
                 self._drop(conn)
-                continue
-            for message in frames:
-                if not conn.registered:
-                    self._register(conn, message)
-                else:
-                    messages.append((conn, message))
         if self._tls is not None:
             # A stalled handshaker never becomes selector-ready, so the
             # deadline has to be checked on every pass, not only when
@@ -937,12 +921,9 @@ class WorkerPool:
         deadline = None
         if self._tls is not None:
             # Wrap without handshaking: the handshake advances step-wise
-            # in _poll as the selector reports readiness, so one slow or
-            # stalled connector never blocks frame processing and
-            # dispatch for the established workers.  A peer that goes
-            # quiet mid-handshake is dropped at the deadline; a
-            # plaintext worker dialing a TLS pool fails on its first
-            # handshake step.
+            # in _poll, so a slow or stalled connector never blocks the
+            # established workers; a quiet one is dropped at the
+            # deadline, a plaintext one on its first handshake step.
             try:
                 sock = self._tls.wrap_socket(
                     sock, server_side=True, do_handshake_on_connect=False
@@ -964,11 +945,8 @@ class WorkerPool:
     def _handshake_step(self, conn: _WorkerConn) -> None:
         """Advance one in-progress TLS handshake without blocking.
 
-        Want-read parks the connection until the selector fires again;
-        want-write additionally watches for writability (rare — the
-        kernel buffer absorbs ServerHello-sized flights).  Completion
-        clears the deadline and returns the socket to plain read
-        interest; any real TLS error drops the connection.
+        Want-read (and, rarely, want-write) waits for the selector;
+        completion clears the deadline; a TLS error drops the conn.
         """
         try:
             conn.sock.do_handshake()
@@ -1017,24 +995,25 @@ class WorkerPool:
         if kind != "hello" or conn.challenge is not None:
             self._drop(conn)
             return
-        if message.get("protocol") != PROTOCOL_VERSION:
+        protocol = message.get("protocol")
+        if protocol != PROTOCOL_VERSION:
             self._reject(
                 conn,
-                f"protocol version {message.get('protocol')!r} != "
+                f"protocol version {protocol!r:.20} != "
                 f"{PROTOCOL_VERSION}; upgrade the worker to match the "
                 "coordinator",
             )
             return
-        conn.name = str(message.get("name") or "worker")
-        conn.pid = message.get("pid")
-        conn.host = message.get("host")
-        conn.cache_token = message.get("cache_token")
-        conn.cache_entries = message.get("cache_entries")
+        conn.name = _field(message, "name", str, optional=True) or "worker"
+        conn.pid = _field(message, "pid", int, optional=True)
+        conn.host = _field(message, "host", str, optional=True)
+        conn.cache_token = _field(message, "cache_token", str, optional=True)
+        conn.cache_entries = _field(message, "cache_entries", int, optional=True)
         if self._secret is not None:
             conn.challenge = os.urandom(32)
             try:
                 self._send(
-                    conn, {"type": "challenge", "nonce": conn.challenge}
+                    conn, {"type": "challenge", "nonce": conn.challenge.hex()}
                 )
             except OSError:
                 self._drop(conn)
@@ -1048,6 +1027,7 @@ class WorkerPool:
             self._drop(conn)
             return
         conn.registered = True
+        conn.decoder.max_frame = MAX_FRAME
         self._last_register = time.monotonic()
         self._worker_cache_row(conn)
 
@@ -1055,18 +1035,9 @@ class WorkerPool:
         """Persistent per-worker cache counters (outlive the connection)."""
         row = self._cache_worker_stats.setdefault(
             conn.name or "worker",
-            {
-                "name": conn.name,
-                "cache_token": conn.cache_token,
-                "cache_entries": conn.cache_entries,
-                "probed": 0,
-                "hits": 0,
-                "served": 0,
-                "pushed": 0,
-            },
+            {"name": conn.name, "probed": 0, "hits": 0, "served": 0, "pushed": 0},
         )
-        row["cache_token"] = conn.cache_token
-        row["cache_entries"] = conn.cache_entries
+        row.update(cache_token=conn.cache_token, cache_entries=conn.cache_entries)
         return row
 
     def _send(self, conn: _WorkerConn, message: dict) -> None:
@@ -1102,21 +1073,13 @@ class WorkerPool:
         """Ask every registered worker which of ``keys`` its store holds.
 
         Returns ``{worker_name: {key, ...}}`` for workers that answered
-        within ``timeout`` (workers that die or stall mid-probe simply
-        contribute no hits — the cells run cold, which only costs time).
-        Two workers sharing a name merge their advertised sets; names
-        already alias stores for the cost model, so that is the right
-        granularity for placement too.
-
-        The probe fires at sweep start, typically moments after the pool
-        begins listening, so it first waits up to ``register_timeout``
-        for a worker to register (the dispatcher would block on that
-        anyway), then gives the fleet a ``settle`` grace *measured from
-        the most recent registration* — a fleet that connects together
-        is probed together, while a long-registered fleet is probed
-        immediately, keeping the grace out of steady-state sweep time.
-        Workers that register after the probe still execute chunks
-        normally; they just aren't affinity targets this sweep.
+        within ``timeout``; one that dies or stalls contributes no hits
+        (its cells run cold), and two sharing a name merge their sets.
+        The probe first waits up to ``register_timeout`` for a worker to
+        register, then a ``settle`` grace measured from the latest
+        registration, so a fleet that connects together is probed
+        together and a long-registered one at once.  Later workers still
+        run chunks; they are just not cache owners this sweep.
         """
         if self._closed or not keys:
             return {}
@@ -1151,8 +1114,6 @@ class WorkerPool:
                 self._drop(conn)
                 continue
             pending.add(id(conn))
-            conn.cache_probed += len(keys)
-            self.cache_probed += len(keys)
             self._worker_cache_row(conn)["probed"] += len(keys)
         owners: dict[str, set] = {}
         deadline = time.monotonic() + timeout
@@ -1169,31 +1130,48 @@ class WorkerPool:
                     continue
                 if message.get("probe") != probe_id:
                     continue  # stale answer from an earlier, timed-out probe
+                try:
+                    advertised = _keys(message)
+                except ProtocolError:
+                    self._drop(conn)
+                    continue
                 pending.discard(id(conn))
-                hits = {key for key in message.get("keys") or () if key in keys}
+                hits = set(advertised).intersection(keys)
                 if hits:
                     owners.setdefault(conn.name, set()).update(hits)
-                    conn.cache_hits += len(hits)
-                    self.cache_hits += len(hits)
                     self._worker_cache_row(conn)["hits"] += len(hits)
             pending &= {id(conn) for conn in self._conns}
         return owners
 
     def push_cache(
-        self, key: str, results: list, *, exclude: set | frozenset = frozenset()
+        self,
+        key: str,
+        spec: ScenarioSpec,
+        variant: str,
+        results: list,
+        *,
+        exclude: set | frozenset = frozenset(),
     ) -> int:
-        """Replicate one cell entry to workers whose store differs.
+        """Replicate one cell to workers whose store differs.
 
-        Fire-and-forget ``cache-push`` to every registered worker that
-        has its own store (a non-``None`` token) not already holding the
-        session's store (token equal to the session's), deduplicated by
-        token so two workers over one directory get one copy.  Workers
-        named in ``exclude`` (the cell's advertised owners) are skipped.
-        Returns the number of pushes sent; each worker's own LRU byte
-        cap bounds what it keeps.
+        ``results`` (stored under ``key``) travel as the record block of
+        ``spec`` at ``variant``, fire-and-forget, to every registered
+        worker with a store of its own (a token) other than the
+        session's, one copy per token; workers named in ``exclude`` (the
+        cell's advertised owners) are skipped.  Returns the number of
+        pushes sent; each worker's LRU byte cap bounds what it keeps.
         """
         if self._closed:
             return 0
+        scenario, widths = cell_codec(spec, variant)
+        message = {
+            "type": "cache-push",
+            "key": key,
+            "spec": spec.to_json(),
+            "variant": variant,
+            "trials": len(results),
+            "block": encode_result_block(scenario, spec, results, *widths),
+        }
         pushed = 0
         seen_tokens: set[str] = set()
         if self._session_cache_token is not None:
@@ -1204,16 +1182,11 @@ class WorkerPool:
             if conn.name in exclude or conn.cache_token in seen_tokens:
                 continue
             try:
-                self._send(
-                    conn,
-                    {"type": "cache-push", "key": key, "results": results},
-                )
+                self._send(conn, message)
             except OSError:
                 self._drop(conn)
                 continue
             seen_tokens.add(conn.cache_token)
-            conn.cache_pushed += 1
-            self.cache_pushed += 1
             self._worker_cache_row(conn)["pushed"] += 1
             pushed += 1
         return pushed
@@ -1223,16 +1196,12 @@ class WorkerPool:
         for conn in self._conns:
             if conn.registered:
                 self._worker_cache_row(conn)
-        return {
-            "probed": self.cache_probed,
-            "hits": self.cache_hits,
-            "served": self.cache_served,
-            "pushed": self.cache_pushed,
-            "fallbacks": self.cache_fallbacks,
-            "workers": [
-                dict(row) for row in self._cache_worker_stats.values()
-            ],
+        rows = [dict(row) for row in self._cache_worker_stats.values()]
+        totals = {
+            field: sum(row[field] for row in rows)
+            for field in ("probed", "hits", "served", "pushed")
         }
+        return {**totals, "fallbacks": self.cache_fallbacks, "workers": rows}
 
     # -- dispatch ------------------------------------------------------
     def _pick_chunk(
@@ -1245,15 +1214,11 @@ class WorkerPool:
     ) -> tuple[int | None, bool]:
         """Affinity-aware chunk choice for one idle worker.
 
-        Preference order: (1) the first queued chunk whose advertised
-        cache owners include this worker — dispatched as ``serve-cached``
-        (near-free, so taking it before cold work never hurts the
-        schedule); (2) the first chunk with *no live owner* — cold
-        simulation, preserving the cost scheduler's front-first order;
-        (3) nothing — chunks pinned to live-but-busy owners are left
-        alone, unless ``allow_steal`` (the starvation fallback) lets the
-        idle worker simulate the front one cold.  Either path is
-        bit-identical: seeds travel inside the chunk.
+        In order: the first queued chunk this worker owns (served from
+        its store, near-free); the first chunk with no live owner (cold,
+        front-first); with ``allow_steal`` (the starvation fallback) the
+        front chunk cold; else nothing.  Every path is bit-identical:
+        seeds travel inside the chunk.
         """
         fallback = None
         for index in queue:
@@ -1273,30 +1238,30 @@ class WorkerPool:
     def run(self, chunks: list[dict], *, timeout: float | None = None) -> list[dict]:
         """Drain ``chunks`` across the connected workers; return in order.
 
-        ``chunks`` are chunk-message payloads (everything but ``type``
-        and ``id``), **already in schedule order** — the queue is handed
-        out front-first, one chunk per idle worker, so the longest-first
-        ordering the cost scheduler produced is preserved exactly like
-        the process executor's ``chunksize=1`` maps.  Two optional keys
-        drive cache-first dispatch: a chunk carrying ``cache_key`` plus
-        ``cache_owners`` (worker names that advertised the key in a
-        probe) is pinned to an owner and dispatched as ``serve-cached``;
-        everything needed for a cold run still travels in the chunk, so
-        owner death, a lying probe (``cache-miss`` reply) or starvation
-        stealing all fall back to bit-identical simulation.  Workers
-        that connect mid-run join the steal loop immediately; workers
-        that die mid-chunk have their chunk requeued at the *front* (it
-        was the oldest outstanding work).  Raises ``RuntimeError`` when
-        a worker reports an execution error, or when the queue is
-        non-empty but no worker registers within the pool's timeout.
+        Each chunk is ``{"spec", "variant", "seeds", "max_interactions"}``
+        (the spec, variant name, the replicates' ``SeedSequence``
+        children and budget), in schedule order: idle workers take the
+        queue front-first, one chunk each, so the cost scheduler's
+        longest-first order holds.  A chunk with ``cache_key`` and
+        ``cache_owners`` (workers whose probe advertised the key) goes to
+        an owner as ``serve-cached``; owner death, a ``cache-miss`` or
+        starvation stealing all fall back to a cold run of the same
+        seeds.  Workers may join mid-run; the chunk of a worker that dies,
+        or whose result does not decode, requeues at the front.  A chunk
+        without a record codec raises ``ValueError`` before anything is
+        sent; a worker's ``error`` frame, or no worker within the pool's
+        timeout, raises ``RuntimeError``.
 
-        Returns one dict per chunk: ``{"worker", "seconds", "transport",
-        "results" | "block"}`` plus ``"served": True`` on cache-served
-        chunks (callers must keep those out of the cost model — their
-        seconds measure decode time, not simulation).
+        Returns ``{"worker", "seconds", "results", "served"}`` per chunk
+        (keep served chunks out of the cost model: their seconds measure
+        decoding, not simulation).
         """
         if self._closed:
             raise RuntimeError("this WorkerPool is closed")
+        for chunk in chunks:
+            cell_codec(chunk["spec"], chunk["variant"])  # refuse before sending
+        specs = {id(chunk["spec"]): chunk["spec"] for chunk in chunks}
+        spec_json = {key: spec.to_json() for key, spec in specs.items()}
         outputs: list[dict | None] = [None] * len(chunks)
         queue = deque(range(len(chunks)))
         owners = [set(chunk.get("cache_owners") or ()) for chunk in chunks]
@@ -1325,25 +1290,19 @@ class WorkerPool:
                 if index is None:
                     continue
                 chunk = chunks[index]
+                message = {
+                    "id": index,
+                    "spec": spec_json[id(chunk["spec"])],
+                    "variant": chunk["variant"],
+                }
                 if serve:
-                    message = {
-                        "type": "serve-cached",
-                        "id": index,
-                        "key": chunk["cache_key"],
-                        "scenario": chunk["scenario"],
-                        "spec": chunk["spec"],
-                        "variant": chunk["variant"],
-                        "trials": len(chunk["seeds"]),
-                        "record": chunk.get("record"),
-                    }
+                    message["type"] = "serve-cached"
+                    message["key"] = chunk["cache_key"]
+                    message["trials"] = len(chunk["seeds"])
                 else:
-                    message = {
-                        key: value
-                        for key, value in chunk.items()
-                        if key not in ("cache_key", "cache_owners")
-                    }
                     message["type"] = "chunk"
-                    message["id"] = index
+                    message["seeds"] = [seed_token(s) for s in chunk["seeds"]]
+                    message["max_interactions"] = chunk["max_interactions"]
                 try:
                     self._send(conn, message)
                 except OSError:
@@ -1381,22 +1340,16 @@ class WorkerPool:
                     if index != conn.inflight:
                         self._drop(conn)
                         continue
+                    try:
+                        output = _decode_result(message, chunks[index])
+                    except ProtocolError:
+                        self._drop(conn)
+                        continue
                     conn.inflight = None
                     conn.chunks_done += 1
                     inflight.pop(index, None)
-                    output = {
-                        "worker": conn.name,
-                        "seconds": message.get("seconds", 0.0),
-                        "transport": message.get("transport", "pickle"),
-                    }
-                    if output["transport"] == "records":
-                        output["block"] = message.get("block")
-                    else:
-                        output["results"] = message.get("results")
-                    if message.get("served"):
-                        output["served"] = True
-                        conn.cache_served += 1
-                        self.cache_served += 1
+                    output["worker"] = conn.name
+                    if output["served"]:
                         self._worker_cache_row(conn)["served"] += 1
                     outputs[index] = output
                     done += 1
@@ -1423,9 +1376,7 @@ class WorkerPool:
                         f"remote worker {conn.name!r} failed:\n"
                         f"{message.get('error')}"
                     )
-                elif kind == "bye":
-                    self._drop(conn)
-                else:
+                else:  # bye, or out of protocol
                     self._drop(conn)
             # A worker that died (EOF, reset, garbage frame, stale
             # result id) left _poll as a dropped connection; its chunk

@@ -62,7 +62,8 @@ seeding, and result caching for free.  Scenarios that additionally opt
 into the fixed-width **result-record codec** (``record_transport``,
 :meth:`Scenario.encode_record` / :meth:`Scenario.decode_record`) let the
 process and remote executors return their results as compact record
-blocks; scenarios without it transparently fall back to pickling.
+blocks; without it the process executor falls back to pickling and the
+remote executor refuses the cell.
 """
 
 from __future__ import annotations
@@ -202,6 +203,43 @@ class ScenarioSpec:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
+    def to_json(self) -> dict:
+        """The spec as a plain JSON object: scenario, counts and params.
+
+        This one form is what :meth:`key` hashes and what carries a spec
+        to socket workers; :meth:`from_json` is its inverse.
+        """
+        return {
+            "scenario": self.scenario,
+            "config": self.config.counts.tolist(),
+            "params": _jsonable(self.params),
+        }
+
+    @classmethod
+    def from_json(cls, payload: Any) -> "ScenarioSpec":
+        """Inverse of :meth:`to_json`; ``ValueError`` on any other shape.
+
+        The spec is not checked against its scenario (``validate``).
+        """
+        if not (
+            isinstance(payload, dict)
+            and set(payload) == {"scenario", "config", "params"}
+            and isinstance(payload["config"], list)
+            and all(type(count) is int for count in payload["config"])
+            and isinstance(payload["params"], list)
+            and all(
+                isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+                for pair in payload["params"]
+            )
+            and len({pair[0] for pair in payload["params"]}) == len(payload["params"])
+        ):
+            raise ValueError(
+                "a JSON spec is {'scenario': name, 'config': [int, ...], "
+                "'params': [[name, value], ...]} with distinct names"
+            )
+        params = tuple(tuple(pair) for pair in payload["params"])
+        return cls(payload["scenario"], Configuration(payload["config"]), params)
+
     def key(self) -> str:
         """Stable content hash of (scenario, params, config).
 
@@ -209,12 +247,7 @@ class ScenarioSpec:
         workload; the ensemble cache combines this with the seed and the
         variant name.
         """
-        payload = {
-            "scenario": self.scenario,
-            "config": self.config.counts.tolist(),
-            "params": _jsonable(self.params),
-        }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:
@@ -352,8 +385,8 @@ class Scenario:
     #: Whether this scenario's results round-trip through the
     #: fixed-width record codec below.  Off by default: a scenario whose
     #: result type the base codec does not describe must not be silently
-    #: mis-encoded, so custom scenarios keep the pickle transport until
-    #: they opt in.
+    #: mis-encoded, so custom scenarios keep the process pool's pickle
+    #: transport, and stay off the remote executor, until they opt in.
     record_transport: bool = False
 
     #: Extra ``float64`` slots per record beyond the integer layout
@@ -578,7 +611,7 @@ class UsdScenario(LockstepScenario):
         # Only the built-in backends are known to return plain
         # RunResults; a custom registered backend may return a subclass
         # whose extra fields the fixed-width record would silently drop,
-        # so those keep the pickle transport.
+        # so those keep the process pool's pickle transport.
         from .backends import AgentsBackend, JumpBackend
         from .batched import BatchedBackend, CompiledBackend
 

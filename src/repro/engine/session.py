@@ -96,6 +96,7 @@ from .options import EngineOptions
 from .remote import (
     WorkerPool,
     cache_token,
+    cell_codec,
     decode_result_block,
     make_server_tls_context,
 )
@@ -863,68 +864,58 @@ class Engine:
     ) -> tuple[dict[int, list], list[dict], set[int]]:
         """Drain unpacked units through the socket worker pool.
 
-        The queue ships frame by frame: one chunk in flight per worker
-        (work stealing), specs by value, results back as fixed-width
-        record blocks (the pickled list for cells without a codec).
-        :class:`SpecBroadcast` is deliberately NOT engaged here — its
-        shared-memory refs only resolve on this host.  A cell in
-        ``owners`` (cell index to the workers whose store advertised
-        ``keys[cell]``) is one whole-cell chunk, pinned to an owner as
-        serve-cached; its cold payload still rides along, so any
-        fallback is bit-identical.  Every cell this run actually
-        simulated is pushed back to the workers whose store token
-        differs, so the next identical request is warm fleet-wide.
-        Returns the results by cell, one timing record per chunk and
-        the cells a worker's store served.
+        One chunk in flight per worker, specs by value (never through
+        :class:`SpecBroadcast`, whose refs resolve only on this host),
+        results back as record blocks.  A cell in ``owners`` (cell index
+        to the workers whose store advertised ``keys[cell]``) is one
+        whole-cell chunk served from an owner's store, with its cold
+        payload riding along for any fallback.  Every simulated cell is
+        pushed to the workers whose store differs.  Returns the results
+        by cell, one timing record per chunk and the fleet-served cells.
         """
         messages = []
+        cell_of: dict[int, tuple] = {}
         for unit in units:
             (segment,) = unit.segments
             message = {
-                "scenario": segment.spec.scenario,
                 "spec": segment.spec,
                 "variant": unit.variant,
                 "seeds": segment.seeds,
                 "max_interactions": segment.max_interactions,
-                "record": _record_widths(unit.scenario, segment.spec, unit.variant),
             }
             if segment.cell in owners:
                 message["cache_key"] = keys[segment.cell]
                 message["cache_owners"] = owners[segment.cell]
             messages.append(message)
+            cell_of[segment.cell] = (segment.spec, unit.variant)
         outputs = pool.run(messages)
         results_by_cell: dict[int, list] = {}
         cell_stats = []
         served: set[int] = set()
-        for output, unit, message in zip(outputs, units, messages):
+        for output, unit in zip(outputs, units):
             (segment,) = unit.segments
-            replicates = len(segment.seeds)
-            if output["transport"] == "records" and message["record"] is not None:
-                results = decode_result_block(
-                    unit.scenario, segment.spec, output["block"], replicates,
-                    *message["record"],
-                )
-            else:
-                results = output["results"]
-            results_by_cell.setdefault(segment.cell, []).extend(results)
-            if output.get("served"):
+            results_by_cell.setdefault(segment.cell, []).extend(output["results"])
+            if output["served"]:
                 # Owned cells are single whole-cell chunks, so one served
                 # output means the whole cell came from the fleet cache.
                 served.add(segment.cell)
             cell_stats.append(
                 {
                     "cell": segment.cell,
-                    "replicates": replicates,
+                    "replicates": len(segment.seeds),
                     "seconds": output["seconds"],
                     "worker": output["worker"],
-                    "served": bool(output.get("served")),
+                    "served": output["served"],
                 }
             )
         # Each worker's LRU cap bounds what it keeps.
         for i in sorted(results_by_cell):
             if i not in served:
                 pool.push_cache(
-                    keys[i], results_by_cell[i], exclude=set(owners.get(i, ()))
+                    keys[i],
+                    *cell_of[i],
+                    results_by_cell[i],
+                    exclude=set(owners.get(i, ())),
                 )
         return results_by_cell, cell_stats, served
 
@@ -992,6 +983,8 @@ class Engine:
             pool = None
             owners: dict[int, list[str]] = {}
             if executor == "remote":
+                for i in pending:
+                    cell_codec(cells[i].spec, variants[i])  # records only
                 # Cache-first dispatch: ask the fleet which pending cells
                 # somebody's store can serve.
                 pool = self.worker_pool()
@@ -1164,9 +1157,10 @@ class Engine:
         drains the units from one shared queue on the session's
         persistent pool (workers return one fixed-width record block per
         cell segment, or the pickled result list for scenarios without a
-        record codec); ``executor="remote"`` does not pack and drains
-        the per-cell chunk queue through socket-connected ``repro
-        worker`` processes.  Results are bit-identical across all of
+        record codec); ``executor="remote"`` does not pack, refuses
+        cells without a record codec, and drains the per-cell chunk
+        queue through socket-connected ``repro worker`` processes.
+        Results are bit-identical across all of
         them: replicate seeds are derived per cell before any cutting or
         packing.
         """

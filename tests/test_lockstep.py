@@ -624,8 +624,10 @@ class TestResultTransport:
 
     def test_fallback_without_record_codec(self):
         # A scenario without a record codec comes back as pickled result
-        # lists from process-pool and socket workers alike, also next
-        # to a record-codec cell in the same sweep queue.
+        # lists from process-pool workers, also next to a record-codec
+        # cell in the same sweep queue.  Socket workers return record
+        # blocks only, so the remote executor refuses such a cell before
+        # it probes the fleet or dispatches anything.
         import threading
 
         from repro.engine import (
@@ -674,10 +676,14 @@ class TestResultTransport:
                     daemon=True,
                 ).start()
                 pool.wait_for_workers(1, timeout=15)
-                remote = eng.ensemble(spec, 3, seed=5, executor="remote")
+                with pytest.raises(ValueError, match="'no-codec'.*'reference'"):
+                    eng.ensemble(spec, 3, seed=5, executor="remote")
+                with pytest.raises(ValueError, match="no record codec"):
+                    eng.sweep(sweep, seed=7, executor="remote")
+                assert pool.chunks_dispatched == 0
+                assert pool.cache_stats()["probed"] == 0
             for a, b in zip(serial.cells, process.cells):
                 assert results_equal(a.results, b.results)
-            assert results_equal(want, remote)
         finally:
             _REGISTRY.pop("no-codec", None)
 

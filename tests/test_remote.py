@@ -9,6 +9,7 @@ format, the handshake, per-worker cost coefficients, per-transport
 traffic counters — is pinned here.
 """
 
+import json
 import os
 import pickle
 import socket
@@ -20,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import (
     Engine,
@@ -41,10 +44,10 @@ from repro.engine.remote import (
     auth_digest,
     cache_token,
     decode_result_block,
+    _read_frames,
     encode_frame,
     encode_result_block,
     parse_address,
-    recv_frame,
     send_frame,
     serve_worker,
 )
@@ -52,6 +55,54 @@ from repro.engine.scenarios import get_scenario, usd_spec
 from repro.workloads import uniform_configuration
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+
+GADGET_FIRED = []
+
+
+def _fire_gadget():
+    GADGET_FIRED.append(True)
+
+
+class Gadget:
+    """Unpickling this calls ``_fire_gadget``: a stand-in for any exploit."""
+
+    def __reduce__(self):
+        return (_fire_gadget, ())
+
+
+def legacy_frame(blob):
+    """A frame in the protocol-3 layout: magic, one length, payload."""
+    return FRAME_MAGIC + len(blob).to_bytes(4, "big") + blob
+
+
+def json_layout_frame(header, body=b""):
+    """A frame with arbitrary header bytes in the current layout."""
+    lengths = len(header).to_bytes(4, "big") + len(body).to_bytes(4, "big")
+    return FRAME_MAGIC + lengths + header + body
+
+
+def assert_dropped(sock, poll=None, timeout=10.0):
+    """Wait until the pool closes ``sock`` without sending it a byte."""
+    sock.settimeout(0.05)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if poll is not None:
+            poll()
+        try:
+            data = sock.recv(1 << 16)
+        except TimeoutError:
+            continue
+        except ConnectionResetError:
+            return
+        assert data == b"", data
+        return
+    raise AssertionError("the pool kept the connection open")
+
+
+def read_frame(sock):
+    """One message from a blocking socket (``None`` on clean EOF)."""
+    return next(_read_frames(sock))
 
 
 def results_key(results):
@@ -149,25 +200,34 @@ class TestFraming:
             decoder.feed(b"JUNK" + b"\x00" * 10)
 
     def test_oversized_length_rejected(self):
-        header = FRAME_MAGIC + (MAX_FRAME + 1).to_bytes(4, "big")
+        header = (
+            FRAME_MAGIC + MAX_FRAME.to_bytes(4, "big") + (1).to_bytes(4, "big")
+        )
         decoder = FrameDecoder()
         with pytest.raises(ProtocolError, match="exceeds"):
             decoder.feed(header)
 
     def test_non_dict_payload_rejected(self):
-        blob = pickle.dumps([1, 2, 3])
-        frame = FRAME_MAGIC + len(blob).to_bytes(4, "big") + blob
+        blob = b"[1,2,3]"
+        frame = FRAME_MAGIC + len(blob).to_bytes(4, "big") + bytes(4) + blob
         decoder = FrameDecoder()
-        with pytest.raises(ProtocolError, match="dict"):
+        with pytest.raises(ProtocolError, match="JSON object"):
             decoder.feed(frame)
+
+    def test_block_travels_as_the_body(self):
+        message = {"type": "result", "id": 2, "block": b"\x00\xff" * 9}
+        frame = encode_frame(message)
+        assert frame.endswith(message["block"])
+        assert FrameDecoder().feed(frame) == [message]
 
     def test_socket_roundtrip_and_clean_eof(self):
         a, b = socket.socketpair()
         try:
             send_frame(a, {"type": "hello", "n": 1})
-            assert recv_frame(b) == {"type": "hello", "n": 1}
+            frames = _read_frames(b)
+            assert next(frames) == {"type": "hello", "n": 1}
             a.close()
-            assert recv_frame(b) is None  # EOF on a frame boundary
+            assert next(frames) is None  # EOF on a frame boundary
         finally:
             b.close()
 
@@ -178,16 +238,16 @@ class TestFraming:
             a.sendall(frame[: len(frame) - 2])
             a.close()
             with pytest.raises(ProtocolError, match="mid-frame"):
-                recv_frame(b)
+                read_frame(b)
         finally:
             b.close()
 
-    def test_recv_frame_rejects_oversized_header(self):
+    def test_reader_rejects_oversized_header_over_socket(self):
         a, b = socket.socketpair()
         try:
-            a.sendall(FRAME_MAGIC + (MAX_FRAME + 1).to_bytes(4, "big"))
+            a.sendall(FRAME_MAGIC + (MAX_FRAME + 1).to_bytes(4, "big") + bytes(4))
             with pytest.raises(ProtocolError, match="exceeds"):
-                recv_frame(b)
+                read_frame(b)
         finally:
             a.close()
             b.close()
@@ -302,9 +362,9 @@ class TestWorkerPool:
             )
 
     def test_protocol_mismatch_is_rejected(self):
-        # A newer peer, and a protocol-2 peer that would still expect
-        # per-chunk event_block/stream_buffer fields.
-        for protocol in (PROTOCOL_VERSION + 1, 2):
+        # A newer peer, and JSON hellos from protocol-3 and protocol-2
+        # peers, which would still send and expect other fields.
+        for protocol in (PROTOCOL_VERSION + 1, 3, 2):
             with WorkerPool() as pool:
                 sock = socket.create_connection(pool.address, timeout=10)
                 try:
@@ -322,42 +382,56 @@ class TestWorkerPool:
                     sock.close()
 
     def test_worker_error_aborts_run(self):
-        spec = usd_spec(uniform_configuration(60, 2))
-        with WorkerPool() as pool:
-            start_worker_thread(pool.endpoint, name="doomed")
-            pool.wait_for_workers(1, timeout=15)
-            # An unknown scenario name fails inside the worker, which
-            # must surface as the session's RuntimeError (not a hang).
-            with pytest.raises(RuntimeError, match="doomed"):
-                pool.run(
-                    [
-                        {
-                            "scenario": "no-such-scenario",
-                            "spec": spec,
-                            "variant": "reference",
-                            "seeds": [np.random.SeedSequence(1)],
-                            "max_interactions": 10,
-                            "record": None,
-                        }
-                    ]
-                )
+        from repro.engine import Scenario, ScenarioSpec, register_scenario
+        from repro.engine.scenarios import _REGISTRY
+
+        class Failing(Scenario):
+            name = "always-fails"
+            record_transport = True
+
+            def reference(self, spec, *, rng, max_interactions=None):
+                raise RuntimeError("deliberate failure")
+
+        register_scenario(Failing())
+        spec = ScenarioSpec.create("always-fails", uniform_configuration(60, 2))
+        try:
+            with WorkerPool() as pool:
+                start_worker_thread(pool.endpoint, name="doomed")
+                pool.wait_for_workers(1, timeout=15)
+                # A failure inside the worker must surface as the
+                # session's RuntimeError (not a hang).
+                with pytest.raises(RuntimeError, match="doomed"):
+                    pool.run(
+                        [
+                            {
+                                "spec": spec,
+                                "variant": "reference",
+                                "seeds": [np.random.SeedSequence(1)],
+                                "max_interactions": 10,
+                            }
+                        ]
+                    )
+        finally:
+            _REGISTRY.pop("always-fails", None)
 
     def test_spec_refs_are_rejected_by_workers(self):
+        # Only a JSON spec object decodes: a shared-memory ref tuple (a
+        # list on the wire) or any other value is a protocol error.
         from repro.engine.executors import _SPEC_REF_TAG
         from repro.engine.remote import _execute_chunk
 
-        with pytest.raises(ProtocolError, match="by value"):
-            _execute_chunk(
-                {
-                    "id": 0,
-                    "scenario": "usd",
-                    "spec": (_SPEC_REF_TAG, "block", 0, 10),
-                    "variant": "reference",
-                    "seeds": [],
-                    "max_interactions": None,
-                    "record": None,
-                }
-            )
+        for spec in ([_SPEC_REF_TAG, "block", 0, 10], "usd", None):
+            with pytest.raises(ProtocolError, match="JSON spec object"):
+                _execute_chunk(
+                    {
+                        "type": "chunk",
+                        "id": 0,
+                        "spec": spec,
+                        "variant": "reference",
+                        "seeds": [],
+                        "max_interactions": None,
+                    }
+                )
 
     def test_counters_move(self):
         spec = usd_spec(uniform_configuration(60, 2))
@@ -366,24 +440,21 @@ class TestWorkerPool:
             start_worker_thread(pool.endpoint, name="w")
             pool.wait_for_workers(1, timeout=15)
             seeds = np.random.SeedSequence(9).spawn(4)
-            iw = scenario.record_ints(spec)
-            fw = scenario.record_floats
+            block_bytes = 4 * 8 * scenario.record_ints(spec)
             outputs = pool.run(
                 [
                     {
-                        "scenario": spec.scenario,
                         "spec": spec,
                         "variant": scenario.variant(None),
                         "seeds": seeds,
                         "max_interactions": None,
-                        "record": (iw, fw),
                     }
                 ]
             )
-            assert outputs[0]["transport"] == "records"
+            assert len(outputs[0]["results"]) == 4
             assert pool.chunks_dispatched == 1
             assert pool.bytes_sent > 0
-            assert pool.bytes_received >= len(outputs[0]["block"])
+            assert pool.bytes_received >= block_bytes
 
 
 # ----------------------------------------------------------------------
@@ -598,22 +669,32 @@ class TestTransportCounters:
 # ----------------------------------------------------------------------
 class TestHandshakeHardening:
     def test_v1_worker_gets_graceful_reject_frame(self):
-        # A PR 8 worker speaks protocol 1; the v2 coordinator must answer
-        # with a reject frame naming the mismatch *before* hanging up, so
-        # the operator sees why instead of a bare EOF.
+        # A peer that speaks JSON frames but an older protocol must get a
+        # reject frame naming the mismatch *before* the hang-up, so the
+        # operator sees why instead of a bare EOF.  A hello in the old
+        # pickled framing is dropped without being deserialized.
         with WorkerPool() as pool, pool_poller(pool):
             sock = socket.create_connection(pool.address, timeout=10)
             try:
                 sock.settimeout(10)
-                send_frame(sock, {"type": "hello", "protocol": 1, "name": "v1"})
-                reject = recv_frame(sock)
+                send_frame(sock, {"type": "hello", "protocol": 3, "name": "v3"})
+                frames = _read_frames(sock)
+                reject = next(frames)
                 assert reject["type"] == "reject"
-                assert "protocol version 1" in reject["error"]
+                assert "protocol version 3" in reject["error"]
                 assert "upgrade the worker" in reject["error"]
-                assert recv_frame(sock) is None  # then a clean close
+                assert next(frames) is None  # then a clean close
+            finally:
+                sock.close()
+            sock = socket.create_connection(pool.address, timeout=10)
+            try:
+                sock.settimeout(10)
+                sock.sendall(legacy_frame(pickle.dumps(Gadget())))
+                assert sock.recv(1 << 16) == b""  # dropped, no reply
             finally:
                 sock.close()
         assert pool.worker_count() == 0
+        assert not GADGET_FIRED
 
     def test_correct_secret_round_trips(self):
         with WorkerPool(secret="hunter2") as pool, pool_poller(pool):
@@ -725,7 +806,7 @@ class TestCacheFabricProtocol:
             {"type": "cache-probe", "probe": 1, "keys": ["a" * 64, "b" * 64]},
             {"type": "serve-cached", "id": 0, "key": "a" * 64, "trials": 4},
             {"type": "cache-hit", "probe": 1, "keys": ["a" * 64]},
-            {"type": "cache-push", "key": "c" * 64, "results": [1, 2, 3]},
+            {"type": "cache-push", "key": "c" * 64, "block": b"\x01" * 24},
         ]
         wire = b"".join(encode_frame(m) for m in messages)
         decoder = FrameDecoder()
@@ -744,7 +825,7 @@ class TestCacheFabricProtocol:
             a.sendall(frame[: len(frame) - 3])
             a.close()
             with pytest.raises(ProtocolError, match="mid-frame"):
-                recv_frame(b)
+                read_frame(b)
         finally:
             b.close()
 
@@ -778,7 +859,6 @@ class TestCacheFabricProtocol:
         spec = usd_spec(uniform_configuration(80, 3))
         scenario = get_scenario(spec.scenario)
         key, results = warm_entry(tmp_path / "w", spec, 6, 5)
-        iw, fw = scenario.record_ints(spec), scenario.record_floats
         with WorkerPool() as pool:
             start_worker_thread(
                 pool.endpoint, name="warm", cache_dir=str(tmp_path / "w")
@@ -787,12 +867,10 @@ class TestCacheFabricProtocol:
             outputs = pool.run(
                 [
                     {
-                        "scenario": spec.scenario,
                         "spec": spec,
                         "variant": scenario.variant(None),
                         "seeds": np.random.SeedSequence(5).spawn(6),
                         "max_interactions": None,
-                        "record": (iw, fw),
                         "cache_key": key,
                         "cache_owners": ["warm"],
                     }
@@ -801,10 +879,7 @@ class TestCacheFabricProtocol:
             fabric = pool.cache_stats()
         assert outputs[0].get("served") is True
         assert fabric["served"] == 1
-        decoded = decode_result_block(
-            scenario, spec, outputs[0]["block"], 6, iw, fw
-        )
-        assert results_key(decoded) == results_key(results)
+        assert results_key(outputs[0]["results"]) == results_key(results)
 
     def test_lying_probe_falls_back_cold_bit_identically(self, tmp_path):
         # A worker that advertises every key but can serve none: the pool
@@ -891,7 +966,11 @@ class TestCacheFabricProtocol:
             pool.wait_for_workers(3, timeout=15)
             # owner is excluded by name, twin shares the session's store,
             # so exactly one push goes out — to fresh.
-            assert pool.push_cache(key, results, exclude={"owner"}) == 1
+            variant = get_scenario(spec.scenario).variant(None)
+            pushed = pool.push_cache(
+                key, spec, variant, results, exclude={"owner"}
+            )
+            assert pushed == 1
 
 
 class TestWarmFleet:
@@ -971,6 +1050,222 @@ class TestWarmFleet:
             folded = eng.stats()["cache"]["fabric"]
         assert folded["served"] == live["served"]
         assert folded["hits"] == live["hits"]
+
+
+# ----------------------------------------------------------------------
+# Hostile peers: garbage frames, pickle gadgets, fuzzed messages
+# ----------------------------------------------------------------------
+def json_values():
+    leaves = (
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.text(max_size=8)
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4),
+        max_leaves=10,
+    )
+
+
+def spec_objects():
+    """JSON values, valid spec objects and near misses of them."""
+    names = st.sampled_from(["usd", "graph", "zealots", "noise", "gossip", "?"])
+    param_names = st.sampled_from(["zealots", "rho", "horizon", "rule", "edges"])
+    params = st.lists(st.tuples(param_names, json_values()).map(list), max_size=3)
+    return st.one_of(
+        json_values(),
+        st.just(usd_spec(uniform_configuration(60, 2)).to_json()),
+        st.fixed_dictionaries(
+            {
+                "scenario": names | json_values(),
+                "config": st.lists(st.integers(-2, 2**64), max_size=4)
+                | json_values(),
+                "params": params | json_values(),
+            }
+        ),
+    )
+
+
+def seed_tokens():
+    return st.lists(
+        json_values()
+        | st.fixed_dictionaries(
+            {
+                "entropy": st.integers() | json_values(),
+                "spawn_key": st.lists(st.integers(-2, 2**40), max_size=3)
+                | json_values(),
+            }
+        ),
+        max_size=3,
+    )
+
+
+def messages():
+    """Chunk, result and cache-push headers built from arbitrary values."""
+    return st.fixed_dictionaries(
+        {"type": st.sampled_from(["chunk", "result", "cache-push"])},
+        optional={
+            "id": json_values(),
+            "spec": spec_objects(),
+            "variant": st.sampled_from(["batched", "reference", "jump"])
+            | json_values(),
+            "seeds": seed_tokens() | json_values(),
+            "max_interactions": json_values(),
+            "key": st.just("ab" * 32) | json_values(),
+            "trials": st.integers(-2, 6) | json_values(),
+            "seconds": json_values(),
+            "served": json_values(),
+        },
+    )
+
+
+FUZZ = settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+FUZZ_CHUNK = {
+    "spec": usd_spec(uniform_configuration(60, 2)),
+    "variant": "batched",
+    "seeds": np.random.SeedSequence(1).spawn(2),
+}
+
+
+def decode_all(message):
+    """Every message decoder on ``message``; only ProtocolError may escape."""
+    from repro.engine.remote import (
+        _decode_cache_push,
+        _decode_chunk,
+        _decode_result,
+    )
+
+    for decode in (
+        _decode_chunk,
+        _decode_cache_push,
+        lambda m: _decode_result(m, FUZZ_CHUNK),
+    ):
+        try:
+            decode(message)
+        except ProtocolError:
+            pass
+
+
+class TestHostilePeers:
+    def test_garbage_frame_drops_only_its_connection(self):
+        # At protocol 3 this frame's body named a module to import, and
+        # the import error escaped WorkerPool._poll and ended the sweep.
+        config = uniform_configuration(80, 3)
+        serial = run_ensemble(config, 10, seed=7, executor="serial")
+        with Engine(cache=False) as eng:
+            pool = eng.worker_pool()
+            start_worker_thread(pool.endpoint, name="steady")
+            pool.wait_for_workers(1, timeout=15)
+            rogue = socket.create_connection(pool.address, timeout=10)
+            try:
+                rogue.sendall(legacy_frame(b"cnonexistent_mod\nfoo\n."))
+                assert_dropped(rogue, poll=lambda: pool._poll(0.05))
+                assert pool.worker_names() == ["steady"]
+                remote = eng.ensemble(config, 10, seed=7, executor="remote")
+            finally:
+                rogue.close()
+        assert results_key(remote) == results_key(serial)
+
+    def test_pickle_gadget_never_runs_in_the_decoder(self):
+        blob = pickle.dumps(Gadget())
+        for frame in (legacy_frame(blob), json_layout_frame(blob)):
+            with pytest.raises(ProtocolError):
+                FrameDecoder().feed(frame)
+        # Behind a valid header the pickle is an opaque body: bytes.
+        (message,) = FrameDecoder().feed(json_layout_frame(b'{"type":"x"}', blob))
+        assert message == {"type": "x", "block": blob}
+        assert not GADGET_FIRED
+
+    def test_pickle_gadget_never_runs_on_a_secret_pool(self):
+        blob = pickle.dumps(Gadget())
+        with WorkerPool(secret="hunter2") as pool, pool_poller(pool):
+            for frame in (legacy_frame(blob), json_layout_frame(blob)):
+                sock = socket.create_connection(pool.address, timeout=10)
+                try:
+                    sock.sendall(frame)
+                    assert_dropped(sock)
+                finally:
+                    sock.close()
+            assert pool.worker_count() == 0
+        assert not GADGET_FIRED
+
+    @FUZZ
+    @given(data=st.binary(max_size=300))
+    def test_decoder_on_arbitrary_bytes(self, data):
+        for stream in (data, FRAME_MAGIC + data):
+            try:
+                frames = FrameDecoder().feed(stream)
+            except ProtocolError:
+                continue
+            assert all(isinstance(message, dict) for message in frames)
+
+    @FUZZ
+    @given(
+        header=st.binary(max_size=120) | json_values().map(
+            lambda value: json.dumps(value).encode()
+        ),
+        body=st.binary(max_size=120),
+    )
+    def test_decoder_on_arbitrary_frames(self, header, body):
+        try:
+            frames = FrameDecoder().feed(json_layout_frame(header, body))
+        except ProtocolError:
+            return
+        for message in frames:
+            assert isinstance(message, dict)
+            decode_all(message)
+
+    @FUZZ
+    @given(message=messages(), body=st.binary(max_size=200))
+    def test_message_decoders_raise_only_protocol_errors(self, message, body):
+        # Through the codec, so the header is exactly what a peer could send.
+        wire = json.dumps(message).encode()
+        (decoded,) = FrameDecoder().feed(json_layout_frame(wire, body))
+        decode_all(decoded)
+
+
+class TestNothingUnpickledOnTheRemotePath:
+    def test_remote_runs_with_unpickling_disabled(self, monkeypatch, tmp_path):
+        config = uniform_configuration(80, 3)
+        spec = small_sweep(trials=4)
+        serial_ensemble = run_ensemble(config, 8, seed=7, executor="serial")
+        serial_sweep = run_sweep(spec, seed=11, executor="serial")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the remote path unpickled something")
+
+        for name in ("loads", "load", "Unpickler"):
+            monkeypatch.setattr(pickle, name, forbidden)
+        with Engine(cache=False) as eng:
+            pool = eng.worker_pool()
+            threads = [
+                start_worker_thread(
+                    pool.endpoint, name=f"w{i}", cache_dir=str(tmp_path / f"w{i}")
+                )
+                for i in range(2)
+            ]
+            pool.wait_for_workers(2, timeout=15)
+            ensemble = eng.ensemble(config, 8, seed=7, executor="remote")
+            sweep = eng.sweep(spec, seed=11, executor="remote")
+            pushed = pool.cache_stats()["pushed"]
+        for thread in threads:
+            thread.join(timeout=15)  # bye follows the pushes; all land
+        assert results_key(ensemble) == results_key(serial_ensemble)
+        assert sweep_key(sweep) == sweep_key(serial_sweep)
+        assert pushed == 2 * (1 + len(spec))
+        for i in range(2):
+            stored = EnsembleCache(tmp_path / f"w{i}").stats()["entries"]
+            assert stored == 1 + len(spec)
 
 
 # ----------------------------------------------------------------------

@@ -123,6 +123,96 @@ class TestScenarioSpec:
             ScenarioSpec.create("usd", uniform_configuration(10, 2), rule=object())
 
 
+def pinned_specs():
+    """One spec of each built-in scenario, as the pinned digests saw them."""
+    config = uniform_configuration(120, 3)
+    ring = [[i, (i + 1) % 30] for i in range(30)]
+    return {
+        "usd": usd_spec(config),
+        "graph": graph_spec(ring, config=Configuration.from_supports([10, 12, 8])),
+        "zealots": zealot_spec(config, [2, 0, 1]),
+        "noise": noise_spec(config, 0.05, 4000, tail_fraction=0.25),
+        "gossip": gossip_spec(config, rule="three-majority", max_rounds=200),
+    }
+
+
+#: ``(spec.key(), ensemble_key(...))`` per scenario, computed before the
+#: spec's JSON codec existed; cached entries and fleet probes rely on
+#: these staying put (a change must bump ``CACHE_FORMAT`` instead).
+PINNED_KEYS = {
+    "usd": (
+        "75ffcbfd7786e07c425c2b5c29031d937cddc6822572e5dac349d9d152587b59",
+        "6b14babdbb2a51081a20b7b4a230ce3289a3559cf4de90f9d949eadc22f5ba98",
+    ),
+    "graph": (
+        "bbc568b509ba12e83411fa674e7966b164787215d9a4e2a79942284cfc9d35a9",
+        "47330afe5fe3f13e4d37222abcea7ca8f4fc531a7b64e9b445893a7d44273446",
+    ),
+    "zealots": (
+        "8d57d055c0a18d4a6baee98384c5edcd20f89d830a264a57ef3ace912e6e3c6f",
+        "676fb813639e1252e87a72156e2fd669e1162565098592a4ad6f0d9e2bb1f1d5",
+    ),
+    "noise": (
+        "499e7623fce27d181efefa2ecabd1d854fea1b2f34f0b8a9e00cdb675319eca0",
+        "eeb0c42b49f22c1600638c7bc7ddb86ca1eae69fad9ce3c61f201d3ebb994b9e",
+    ),
+    "gossip": (
+        "920a0529d6629988b2c43936a26bcf6fd63433907a04a962b19a5da9a023adfe",
+        "fee41cc3c7b06d287a7325809e60cb39fda6a71b95f34271fe0561ae67c7bbbe",
+    ),
+}
+
+
+class TestSpecJsonCodec:
+    """``to_json`` is both the hashed form and the socket form of a spec."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_keys_are_pinned(self, name):
+        from repro.engine.cache import CACHE_FORMAT, ensemble_key
+
+        spec = pinned_specs()[name]
+        seed = np.random.SeedSequence(20230224).spawn(3)[2]
+        key = ensemble_key(
+            spec, trials=8, seed=seed, variant="batched", max_interactions=None
+        )
+        assert (spec.key(), key) == PINNED_KEYS[name]
+        assert CACHE_FORMAT == 3
+
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_round_trip_through_json_text(self, name):
+        import json
+
+        spec = pinned_specs()[name]
+        again = ScenarioSpec.from_json(json.loads(json.dumps(spec.to_json())))
+        assert again == spec
+        assert again.key() == spec.key()
+        get_scenario(name).validate(again)
+
+    def test_seed_token_round_trip_gives_the_same_stream(self):
+        from repro.engine.cache import seed_from_token, seed_token
+
+        for seed in replicate_seeds(np.random.SeedSequence(20230224), 4):
+            again = seed_from_token(seed_token(seed))
+            expected = np.random.default_rng(seed).random(8)
+            assert np.array_equal(np.random.default_rng(again).random(8), expected)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            [],
+            {"scenario": "usd", "config": [0, 5, 5]},
+            {"scenario": "usd", "config": [0, 5.0, 5], "params": []},
+            {"scenario": "usd", "config": [0, True, 5], "params": []},
+            {"scenario": "usd", "config": [0, 5, 5], "params": [["a", 1], ["a", 2]]},
+            {"scenario": "usd", "config": [0, 5, 5], "params": [[1, 2]]},
+            {"scenario": "usd", "config": [0, 5, 5], "params": [], "extra": 1},
+        ],
+    )
+    def test_other_shapes_are_refused(self, payload):
+        with pytest.raises((ValueError, TypeError)):
+            ScenarioSpec.from_json(payload)
+
+
 class TestStateValidationBugfix:
     """The shape checks the pre-refactor code silently skipped."""
 
