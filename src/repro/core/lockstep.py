@@ -19,7 +19,7 @@ trajectories are **bit-identical for every block size**.
 runs along the long contiguous replicate axis instead of the length-k
 opinion axis.  Cumulative weights come from one BLAS matmul with a
 lower-triangular ones matrix (several times faster than ``np.cumsum``
-on short rows), and all gathers/scatters use precomputed flat indices.
+on short rows).
 
 **Two uniforms per event, drawn per replicate.**  Replicate ``r``
 consumes exactly two uniforms per productive event — one for the
@@ -30,6 +30,24 @@ consumed sequence: a replicate's trajectory depends only on its own
 generator, never on the batch composition, the block size or the buffer
 size — which is exactly what makes results invariant across executors
 and batch widths, and lets any replicate be reproduced in isolation.
+A column that fails once stays dead until the block ends, so a live
+column at step ``s`` reads slots ``cursor + 2s`` and ``cursor + 2s + 1``:
+each block gathers its ``(2 * block, L)`` uniforms once after the refill
+and every cursor advances by ``2 * block`` (dead columns retire).
+
+**Event matmul.**  The event lands on bin ``c``, the count of bins with
+``cum <= point``, clamped to ``2k - 1``.  Only the first ``2k - 1`` bins
+are compared, into rows ``q_j`` of ``pickf`` whose last row is a
+constant 1.  As ``cum`` never decreases, bin ``j``'s indicator is
+``q_{j-1} - q_j`` with ``q_{-1} = 1`` (the constant row) and
+``q_{2k-1} = 0``, which is the clamp.  The clamp decides only absorbed,
+masked columns: a live column's point stays below ``cum[2k - 1] = W``,
+padding included (see below).  So the count change is one constant
+matrix away, ``counts += effect @ pickf``, where ``effect`` is the
+``(k + 1, 2k)`` per-bin move times that difference map; its entries
+are small integers, exact in float64.  An all-alive, zealot-free event
+costs 17 numpy calls: 4 for the weights, the cumulative matmul, 6 for
+the skip, the budget compare and its ``all()``, and 4 for the choice.
 
 The kernel serves both the plain USD (``zealots = 0``) and the
 zealot-background chain: with ``v_i = x_i + z_i`` visible supporters
@@ -66,8 +84,9 @@ check just like a budget overrun; the block epilogue tells the two
 apart by the sign of ``W`` (``W > 0`` at retirement means the budget
 ran out).
 
-**Scalar tail.**  A numpy pass costs about the same at any width (0.5 to
-0.7 ms per 16-event block on a 2-core host), and a call runs as many
+**Scalar tail.**  A numpy pass costs about the same at any width (0.3 to
+0.4 ms per 16-event block at 1 to 40 columns, n = 10^4, on a 2-core
+host without numba), and a call runs as many
 passes as its slowest column, so a batch whose columns have mostly
 retired keeps paying full price for a few survivors.  Once the live
 columns drop to ``_SCALAR_KNEE`` at the top of the block loop, the
@@ -96,16 +115,18 @@ kernel finishes each survivor in its own pure-Python loop
   absorbed, ``W > 0`` when the next skip overruns the budget means the
   budget ran out.
 
-The knee is measured, not tuned per call.  On a 2-core host without
-numba, a scalar event costs 2 to 3 microseconds against a 30 to 45
-microsecond numpy pass.  Run alone, 16 columns of the low-variance
-additive start (n = 10^4, k = 8) finished 1.56x faster in the scalar
-loop than in numpy, 24 columns only 1.14x; heavy-tailed uniform starts
-favour the loop more (2.06x at 16).  On ``paper_sweep``'s packed calls
-every knee from 8 to 32 hands off at the same point (the 32 biased
-columns retire together, the uniform ones trail), and at 16 the
-16-replicate batches ``service_mix`` sends run scalar from the start
-(1.02 s to 0.53 s).
+The knee is measured, not tuned per call.  On the host above a scalar
+event costs 1.6 (k = 3) to 2.1 (k = 8) microseconds against 20 to 25
+for a numpy event.  Run alone, 8 columns of the low-variance additive
+start (n = 10^4, k = 8) finished 1.44x faster in the scalar loop than
+in numpy, 16 columns 0.86x, 24 columns 0.61x; heavy-tailed uniform
+starts (k = 3) favour the loop more: 2.13x at 8, 1.37x at 16, 0.82x at
+24.  So the loop breaks even near 12 columns for biased starts and near
+20 for uniform ones.  The knee stays at 16: on ``paper_sweep``'s packed
+calls every knee from 8 to 32 hands off at the same point (the 32
+biased columns retire together, the uniform ones trail), and the
+16-replicate misses ``service_mix`` sends (n = 3000, k = 4) ran at
+parity both ways (0.99x), so they stay scalar from the start.
 """
 
 from __future__ import annotations
@@ -345,7 +366,13 @@ def lockstep_batch(
     exhausted = np.zeros(replicates, dtype=bool)
 
     tri = np.tri(2 * k)
-    ones = np.ones(2 * k)
+    # Adoption bin i moves an undecided agent to opinion i + 1, clash
+    # bin k + i the reverse; `effect` is that move after the bin
+    # indicator's difference map (see "Event matmul").
+    eye = np.eye(k)
+    move = np.vstack((np.repeat([-1.0, 1.0], k), np.hstack((eye, -eye))))
+    effect = np.hstack((np.diff(move, axis=1), move[:, :1]))
+    offsets = np.arange(2 * block)[:, None]
 
     live = replicates
     scratch_for = -1
@@ -402,54 +429,40 @@ def lockstep_batch(
                 # calls on exactly-sized contiguous arrays.
                 scratch_for = L
                 w = np.empty((2 * k, L))
+                adopt, clash = w[:k], w[k:]
                 cum = np.empty((2 * k, L))
+                head, total = cum[:-1], cum[-1]
                 tmp = np.empty((k, L))
                 dt = np.empty(L)
                 p = np.empty(L)
                 wt = np.empty(L)
                 tn = np.empty(L)
                 v = np.empty(L)
-                pickf = np.empty((2 * k, L))
-                idxf = np.empty(L)
-                coli = np.empty(L, dtype=np.int64)
+                # The last row stays 1: the clamp (see "Event matmul").
+                pickf = np.ones((2 * k, L))
+                below = pickf[:-1]
+                dm = np.empty((k + 1, L))
                 bap = np.empty(L, dtype=bool)
-                bneg = np.empty(L, dtype=bool)
-                bpos = np.empty(L, dtype=bool)
-                acount = np.empty(L, dtype=np.int64)
-                rows = np.arange(L)
-                flat_base = rows * buffer
-            cflat = counts.reshape(-1)
-            comb_flat = comb.reshape(-1)
-            u = counts[0, :L]
-            supports = counts[1:, :L]
-            inter = interactions[:L]
-            pos = cursor[:L]
-            acount[:] = 0
-            alive = None
+                alive = np.empty(L, dtype=bool)
+                flat_base = np.arange(L) * buffer
+            # Step s reads log1p(-skip) at cursor + 2s and the event
+            # uniform after it (see "Two uniforms per event").
+            uniforms = comb.reshape(-1)[(flat_base + cursor) + offsets]
+            u, supports = counts[0], counts[1:]
+            inter = interactions
             all_alive = True
-            n_alive = L
-            total = None
 
-            for _ in range(block):
+            for skip_l, event_u in uniforms.reshape(block, 2, L):
                 if has_z:
                     np.add(supports, zf, out=tmp)
                     visible = tmp
                 else:
                     visible = supports
-                np.multiply(u[None, :], visible, out=w[:k])
+                np.multiply(u, visible, out=adopt)
                 np.subtract(nf, u, out=dt)
-                np.subtract(dt[None, :], visible, out=w[k:])
-                np.multiply(supports, w[k:], out=w[k:])
+                np.subtract(dt, visible, out=clash)
+                np.multiply(supports, clash, out=clash)
                 np.matmul(tri, w, out=cum)
-                total = cum[-1]
-                # Two uniforms per event: log1p(-skip) at the even slot,
-                # the raw event uniform at the odd slot right after it.
-                np.multiply(acount, 2, out=coli)
-                coli += pos
-                coli += flat_base
-                skip_l = comb_flat[coli]
-                np.add(coli, 1, out=coli)
-                event_u = comb_flat[coli]
                 # Geometric skip by inversion; W == 0 (absorption) drives
                 # wait to inf/NaN, failing the budget check below exactly
                 # like an overrun — dead columns freeze either way.
@@ -460,43 +473,29 @@ def lockstep_batch(
                 wt += 1.0
                 np.add(inter, wt, out=tn)
                 np.less_equal(tn, budget, out=bap)
-                if not all_alive:
-                    bap &= alive
-                np.copyto(inter, tn, where=bap)
-                acount += bap
+                if all_alive and bap.all():
+                    # Every column advances: swap buffers, copy nothing.
+                    inter, tn = tn, inter
+                else:
+                    if not all_alive:
+                        bap &= alive
+                    all_alive = False
+                    np.copyto(alive, bap)
+                    if not bap.any():
+                        break
+                    np.copyto(inter, tn, where=bap)
                 # Event choice over the combined 2k cumulative bins.
                 np.multiply(event_u, total, out=v)
-                np.less_equal(cum, v[None, :], out=pickf)
-                np.matmul(ones, pickf, out=idxf)
-                np.minimum(idxf, 2 * k - 1, out=idxf)
-                np.less(idxf, k, out=bneg)
-                np.logical_not(bneg, out=bpos)
-                delta = np.where(bneg, -1.0, 1.0)
-                # Column of the affected opinion: 1 + (idx mod k).
-                idx = idxf.astype(np.int64)
-                np.add(idx, 1, out=coli)
-                np.subtract(coli, k, out=coli, where=bpos)
-                coli *= L
-                coli += rows
-                if bap.all():
-                    u += delta
-                    cflat[coli] -= delta
-                else:
-                    if all_alive:
-                        all_alive = False
-                        alive = bap.copy()
-                    else:
-                        np.copyto(alive, bap)
-                    applied = np.flatnonzero(bap)
-                    n_alive = applied.size
-                    if n_alive == 0:
-                        break
-                    u[applied] += delta[applied]
-                    cflat[coli[applied]] -= delta[applied]
+                np.less_equal(head, v, out=below)
+                np.matmul(effect, pickf, out=dm)
+                if not all_alive:
+                    dm *= bap
+                counts += dm
 
-            cursor[:L] += 2 * acount
+            interactions = inter
+            cursor += 2 * block
             if not all_alive:
-                dead = np.flatnonzero(~alive) if n_alive else rows
+                dead = np.flatnonzero(~alive)
                 # W > 0 at retirement = the budget ran out; W == 0 = the
                 # chain absorbed.  `total` still holds the dead columns'
                 # (frozen) weights from the last pass.
@@ -507,7 +506,7 @@ def lockstep_batch(
                     ran_out, budgets[targets], inter[dead]
                 ).astype(np.int64)
                 exhausted[targets] = ran_out
-                keep = np.flatnonzero(alive) if n_alive else np.empty(0, np.int64)
+                keep = np.flatnonzero(alive)
                 live = keep.size
                 if live:
                     counts = np.ascontiguousarray(counts[:, keep])

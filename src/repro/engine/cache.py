@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import tempfile
 from pathlib import Path
 
@@ -52,6 +53,16 @@ CACHE_FORMAT = 3
 #: Format tag for sweep-level index entries (``*.sweep.json``); bumped
 #: independently of the ensemble entry format.
 SWEEP_INDEX_FORMAT = 1
+
+#: An entry key is one plain file-name component, so no key can name a
+#: file outside the store (``../x``, ``a/b``, an absolute path).
+_KEY_SHAPE = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def _entry_name(key, suffix: str) -> str:
+    if not isinstance(key, str) or _KEY_SHAPE.fullmatch(key) is None:
+        raise ValueError(f"cache key must match [A-Za-z0-9_-]+, got {key!r}")
+    return key + suffix
 
 
 def seed_token(seed):
@@ -155,15 +166,28 @@ class EnsembleCache:
         )
 
     def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
+        return self.root / _entry_name(key, ".pkl")
 
     def contains(self, key: str) -> bool:
-        """Whether an entry exists on disk (does not validate it)."""
-        return self._path(key).exists()
+        """Whether an entry exists on disk (does not validate it).
+
+        A key that is not one plain file-name component never exists.
+        """
+        try:
+            return self._path(key).exists()
+        except ValueError:
+            return False
 
     def load(self, key: str):
-        """Return the cached result list, or ``None`` on miss/corruption."""
-        path = self._path(key)
+        """Return the cached result list, or ``None`` on miss/corruption.
+
+        A key that is not one plain file-name component is a miss.
+        """
+        try:
+            path = self._path(key)
+        except ValueError:
+            self.misses += 1
+            return None
         try:
             with open(path, "rb") as handle:
                 results = pickle.load(handle)
@@ -191,13 +215,18 @@ class EnsembleCache:
         return results
 
     def store(self, key: str, results: list) -> None:
-        """Persist a result list atomically (write-to-temp, then rename)."""
+        """Persist a result list atomically (write-to-temp, then rename).
+
+        Raises ``ValueError``, writing nothing, when the key is not one
+        plain file-name component (``[A-Za-z0-9_-]+``).
+        """
+        path = self._path(key)
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(results, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self._path(key))
+            os.replace(tmp, path)
         except BaseException:
             try:
                 os.unlink(tmp)
@@ -259,16 +288,20 @@ class EnsembleCache:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def _sweep_path(self, key: str) -> Path:
-        return self.root / f"{key}.sweep.json"
+        return self.root / _entry_name(key, ".sweep.json")
 
     def store_sweep_index(self, key: str, payload: dict) -> None:
-        """Persist a sweep's cell-key index atomically (JSON)."""
+        """Persist a sweep's cell-key index atomically (JSON).
+
+        Raises ``ValueError`` on a key :meth:`store` would refuse.
+        """
+        path = self._sweep_path(key)
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, self._sweep_path(key))
+            os.replace(tmp, path)
         except BaseException:
             try:
                 os.unlink(tmp)

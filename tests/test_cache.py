@@ -187,6 +187,27 @@ class TestCorruption:
         assert store.clear() == 1
         assert not store.contains("k1")
 
+    @pytest.mark.parametrize(
+        "key", ["../escaped", "a/b", "/abs", "..", ".", "", "k1.pkl", "k1\n", 7]
+    )
+    def test_key_outside_one_file_name_never_leaves_the_store(
+        self, tmp_path, key
+    ):
+        root = tmp_path / "store"
+        store = EnsembleCache(root)
+        with pytest.raises(ValueError, match="cache key"):
+            store.store(key, [1])
+        with pytest.raises(ValueError, match="cache key"):
+            store.store_sweep_index(key, {"cells": []})
+        assert not store.contains(key)
+        assert store.load(key) is None and store.misses == 1
+        assert store.load_sweep_index(key) is None
+        assert not any(tmp_path.iterdir())
+        store.store("escaped", [2])
+        assert store.load("escaped") == [2]
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert written == ["store", "store/escaped.pkl"]
+
 
 class TestConsumerPlumbing:
     def test_run_trials_forwards_cache(self, tmp_path, counting_scenario):

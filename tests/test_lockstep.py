@@ -16,6 +16,7 @@ Covers the three invariants the batched execution layer promises:
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from repro.gossip.jmajority import j_majority_round, j_majority_round_batch
 from repro.gossip.median import median_rule_round, median_rule_round_batch
 from repro.gossip.usd import usd_gossip_round, usd_gossip_round_batch
 from repro.graphs.dynamics import run_on_edges, run_on_edges_batch
-from repro.workloads import uniform_configuration
+from repro.workloads import additive_bias_configuration, uniform_configuration
 
 
 def rngs_for(seed, count):
@@ -374,6 +375,20 @@ class TestScalarTail:
             assert want.dtype == have.dtype
             assert np.array_equal(want, have)
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(packed_batches())
+    def test_masked_reads_block_invariant(self, batch):
+        # Plain numpy kernel: columns die mid-block while their
+        # neighbours keep reading the block's gathered uniform rows.
+        runs = [
+            run_packed_batch({**batch, "event_block": block}, knee=0)
+            for block in (1, 16, 40)
+        ]
+        for other in runs[1:]:
+            for want, have in zip(runs[0], other):
+                assert want.dtype == have.dtype
+                assert np.array_equal(want, have)
+
     def test_whole_packed_mix_runs_scalar(self, monkeypatch):
         # Knee R on the packed mix: both retirements, zealots, padding.
         packed = TestPackedColumns()
@@ -424,6 +439,55 @@ class TestScalarTail:
             assert spy.calls == 5
             for want, have in zip(plain, on):
                 assert np.array_equal(want, have)
+
+
+class TestPinnedTrajectories:
+    """The kernel's outputs on one fixed packed batch, pinned by digest.
+
+    Ensemble cache entries are keyed on inputs, not on the code, so a
+    kernel edit that silently changed a trajectory would leave every
+    stored entry stale without a ``CACHE_FORMAT`` bump.  The batch packs
+    uniform k=3 columns (zero-padded to k=8) beside additive k=8 ones,
+    one zealot column and one budget that runs out mid-block; more than
+    ``_SCALAR_KNEE`` columns, so the default knee runs both phases.  A
+    numpy build whose ``Generator.random`` or ``log1p`` rounds otherwise
+    fails here too, and rightly: its cache entries would differ as well.
+    """
+
+    DIGESTS = (
+        "abd536fcae44aa14559ffc78e72303795a49049c092d38500bb6e8938faa9222",
+        "7940cfd369c81d5f3da48854e66d249a0425b69e102cd3577d2cac16d037679e",
+        "f72461a8216763d00583147c20f4a66d76da59a822f5f8b226e805fa078a777e",
+    )
+
+    @staticmethod
+    def batch():
+        uniform = np.pad(uniform_configuration(240, 3).counts, (0, 5))
+        additive = additive_bias_configuration(240, 8, 24).counts
+        zealot = np.pad(uniform_configuration(200, 3).counts, (0, 5))
+        counts = np.array([uniform] * 10 + [additive] * 9 + [zealot, uniform])
+        zealots = np.zeros_like(counts[:, 1:])
+        zealots[19, :3] = [0, 3, 1]
+        budgets = np.array([10**9] * 19 + [30_000, 1_500])
+        return counts, zealots, counts.sum(1) + zealots.sum(1), budgets
+
+    @pytest.mark.parametrize("block", [1, 16])
+    @pytest.mark.parametrize("knee", [0, lockstep_module._SCALAR_KNEE])
+    def test_outputs_match_pinned_digests(self, monkeypatch, block, knee):
+        counts, zealots, n, budgets = self.batch()
+        monkeypatch.setattr(lockstep_module, "_SCALAR_KNEE", knee)
+        outputs = lockstep_batch(
+            counts, zealots, n, rngs=rngs_for(2024, len(n)),
+            max_interactions=budgets, event_block=block,
+        )
+        final, interactions, exhausted = outputs
+        assert exhausted.tolist() == [False] * 19 + [True, True]
+        assert interactions[-1] == 1_500
+        digests = tuple(
+            hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for a in outputs
+        )
+        assert digests == self.DIGESTS
 
 
 class TestGraphBatched:
