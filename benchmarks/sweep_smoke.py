@@ -31,9 +31,11 @@ Three measurements, merged into one ``BENCH_sweeps.json`` artifact:
   throughput.
 * **packing** — an assertion-only arm, run first: a tiny batched
   ``usd`` grid, a tiny ``zealots`` grid and a tiny batched ``usd``
-  ensemble, each run serially and on the process executor.  Results
-  must be identical and each process call must send exactly ``--jobs``
-  packed units through the pool.  It has no timing gate.
+  ensemble, each run serially, on the process executor and on the
+  remote executor with ``--jobs`` in-process worker threads.  Results
+  must be identical, and each process or remote call must send exactly
+  ``--jobs`` packed units through the pool or the socket.  It has no
+  timing gate.
 
 Usage::
 
@@ -119,21 +121,54 @@ def check_process_packing(jobs: int, seed: int) -> list[str]:
     failures = []
     for name, arm in arms.items():
         runs = {}
-        for executor in ("serial", "process"):
+        chunks = {}
+        for executor in ("serial", "process", "remote"):
             with Engine(backend="batched", cache=False, jobs=jobs) as eng:
+                if executor == "remote":
+                    _attach_thread_workers(eng, jobs)
                 runs[executor] = arm(eng, executor)
-                chunks = eng.stats()["transport"]["pickle"]["chunks"]
-        same = runs["process"] == runs["serial"]
-        print(
-            f"packing:        {name}, {chunks} pool units "
-            f"(expected {jobs}), results "
-            f"{'identical to' if same else 'DIFFER from'} serial"
-        )
-        if not same:
-            failures.append(f"{name}: process results differ from serial")
-        if chunks != jobs:
-            failures.append(f"{name}: {chunks} pool units, expected {jobs}")
+                transport = eng.stats()["transport"]
+                chunks["process"] = transport["pickle"]["chunks"]
+                chunks["remote"] = transport["socket"]["chunks"]
+            if executor == "serial":
+                continue
+            same = runs[executor] == runs["serial"]
+            kind = "pool" if executor == "process" else "socket"
+            print(
+                f"packing:        {name} on {executor}, {chunks[executor]} "
+                f"{kind} units (expected {jobs}), results "
+                f"{'identical to' if same else 'DIFFER from'} serial"
+            )
+            if not same:
+                failures.append(f"{name}: {executor} results differ from serial")
+            if chunks[executor] != jobs:
+                failures.append(
+                    f"{name}: {chunks[executor]} {kind} units on {executor}, "
+                    f"expected {jobs}"
+                )
     return failures
+
+
+def _attach_thread_workers(eng, count: int) -> None:
+    """Serve ``eng``'s worker pool from ``count`` in-process worker threads.
+
+    Each thread returns once the session closes its pool (``bye``).
+    """
+    import threading
+
+    from repro.engine.remote import serve_worker
+
+    pool = eng.worker_pool()
+
+    def serve(name: str) -> None:
+        try:
+            serve_worker(pool.endpoint, name=name)
+        except OSError:
+            pass  # the session closed the pool under the worker
+
+    for i in range(count):
+        threading.Thread(target=serve, args=(f"packing-{i}",), daemon=True).start()
+    pool.wait_for_workers(count, timeout=30)
 
 
 def _int_list(raw: str) -> list[int]:

@@ -1,4 +1,4 @@
-"""Executor layer: workers, chunking and result transports for ensembles.
+"""Executor layer: work units, the one unit runner, and result transports.
 
 The orchestration — variant resolution, caching, executor dispatch —
 lives on :class:`repro.engine.session.Engine`, which runs an ensemble
@@ -8,14 +8,20 @@ module keeps the pieces that pipeline composes:
 * :func:`replicate_seeds` — the canonical per-replicate seed derivation
   of the whole repository;
 * :func:`plan_units` and :class:`WorkUnit` — the one place pending
-  cells (a sweep's, or an ensemble's single cell) are grouped, cut into
-  kernel calls (packed lockstep units or per-cell chunks), demuxed back
-  to cells and timed per cell, for every executor;
-* :func:`_worker`, the one picklable pool entry point: it runs a unit
-  and returns each cell segment as a fixed-width record block
-  (:func:`~repro.engine.remote.encode_result_block` bytes) when the
-  scenario has a record codec for the variant, else as the pickled
-  result list (socket workers return record blocks only);
+  cells (a sweep's, or an ensemble's single cell) are grouped and cut
+  into kernel calls (packed lockstep units or per-cell chunks) for
+  every executor, and a finished unit's seconds are split per cell;
+* :func:`run_unit` — the one kernel call: the serial driver, the pool's
+  :func:`_worker` and the socket worker all build a unit's generators
+  and time :meth:`~repro.engine.scenarios.Scenario.run_chunk` here;
+* :func:`encode_parts` — the one per-segment encoder of both
+  out-of-process workers: each cell segment as a fixed-width record
+  block (:func:`~repro.engine.remote.encode_result_block` bytes) when
+  the scenario has a record codec for the variant, else as the result
+  list, which only the process pool pickles back;
+* :class:`UnitResult` — what every executor driver returns per unit,
+  in unit order: per-segment results, kernel seconds, and the socket
+  worker that ran it or served it from its store;
 * :class:`SpecBroadcast`, which ships large specs to the pool once per
   call through ``multiprocessing.shared_memory``;
 * :func:`run_ensemble` — the historical free-function entry point, now a
@@ -90,42 +96,60 @@ def replicate_seeds(
     return np.random.SeedSequence(seed).spawn(trials)
 
 
-def _worker(payload) -> tuple[list, float]:
-    """Pool entry point: run one unit, return ``(outputs, kernel seconds)``.
+def run_unit(scenario, runner, work, budget, seeds) -> tuple[list, float]:
+    """The one kernel call of a unit: ``(flat results, kernel seconds)``.
 
-    ``spec`` is a (possibly broadcast) spec, or a :class:`PackedChunk`
-    carried by value; ``widths`` holds one entry per segment (a plain
-    spec is one segment).  ``outputs`` has one entry per segment: its
-    record block when the segment's widths (from :func:`_record_widths`)
-    are given, else its result list.  The timing wraps only
-    ``run_chunk`` (not unpickling, spec resolution or encoding), so the
-    sweep scheduler's cost model learns kernel cost, not transport
-    overhead; it never influences results.
+    Every executor runs its units through here: the serial driver, the
+    pool's :func:`_worker` and the socket worker.  ``work`` is a spec or
+    a :class:`PackedChunk`, ``runner`` what :meth:`Scenario.run_chunk`
+    takes.  The timing wraps only ``run_chunk`` (not decoding, spec
+    resolution or encoding), so the sweep scheduler's cost model learns
+    kernel cost, not transport overhead; it never influences results.
     """
-    scenario_name, spec, variant, seeds, max_interactions, widths = payload
-    scenario = get_scenario(scenario_name)
-    spec = _resolve_spec(spec)
     rngs = [np.random.default_rng(s) for s in seeds]
     started = time.perf_counter()
-    results = scenario.run_chunk(spec, variant, rngs, max_interactions)
-    seconds = time.perf_counter() - started
+    results = scenario.run_chunk(work, runner, rngs, budget)
+    return results, time.perf_counter() - started
+
+
+def encode_parts(scenario, variant: str, work, results: list) -> list:
+    """A unit's flat results as one output per segment of ``work``.
+
+    Each output is the segment's record block
+    (:func:`~repro.engine.remote.encode_result_block` bytes, widths from
+    the cell by :func:`_record_widths`) when the scenario has a codec
+    for ``variant``, else its result list.  Both out-of-process workers
+    encode through here; socket workers only ever see codec cells.
+    """
     # Imported here: the remote module imports this one.
     from .remote import encode_result_block
 
     segments = (
-        spec.segments
-        if isinstance(spec, PackedChunk)
-        else ((spec, len(results), max_interactions),)
+        work.segments
+        if isinstance(work, PackedChunk)
+        else ((work, len(results), None),)
     )
     outputs = []
-    stop = 0
-    for (part, size, _), part_widths in zip(segments, widths):
-        start, stop = stop, stop + size
-        chunk = results[start:stop]
-        if part_widths is not None:
-            chunk = encode_result_block(scenario, part, chunk, *part_widths)
-        outputs.append(chunk)
-    return outputs, seconds
+    sizes = [size for _, size, _ in segments]
+    for (spec, _, _), part in zip(segments, _cut(results, sizes)):
+        widths = _record_widths(scenario, spec, variant)
+        if widths is not None:
+            part = encode_result_block(scenario, spec, part, *widths)
+        outputs.append(part)
+    return outputs
+
+
+def _worker(payload) -> tuple[list, float]:
+    """Pool entry point: run one unit, return ``(outputs, kernel seconds)``.
+
+    ``spec`` is a (possibly broadcast) spec, or a :class:`PackedChunk`
+    carried by value; ``outputs`` are :func:`encode_parts`'s.
+    """
+    scenario_name, spec, variant, seeds, max_interactions = payload
+    scenario = get_scenario(scenario_name)
+    work = _resolve_spec(spec)
+    results, seconds = run_unit(scenario, variant, work, max_interactions, seeds)
+    return encode_parts(scenario, variant, work, results), seconds
 
 
 def _attach_shm_untracked(name: str):
@@ -273,6 +297,12 @@ def _chunked(seeds: list, batch_size: int) -> list[list]:
     return [seeds[i : i + batch_size] for i in range(0, len(seeds), batch_size)]
 
 
+def _cut(flat, sizes) -> list:
+    """Consecutive slices of ``flat`` (a list or bytes) of ``sizes``."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    return [flat[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
 # ----------------------------------------------------------------------
 # Work units: the one plan every executor drains
 # ----------------------------------------------------------------------
@@ -320,12 +350,7 @@ class WorkUnit:
 
     def split(self, results: list) -> list[list]:
         """Cut a unit's flat result list back into per-segment parts."""
-        parts = []
-        stop = 0
-        for segment in self.segments:
-            start, stop = stop, stop + len(segment.seeds)
-            parts.append(results[start:stop])
-        return parts
+        return _cut(results, [len(segment.seeds) for segment in self.segments])
 
     def cell_stats(self, parts: list[list], seconds: float) -> list[dict]:
         """Per-segment timing records of a finished unit.
@@ -349,9 +374,24 @@ class WorkUnit:
         ]
 
 
+class UnitResult(NamedTuple):
+    """What every executor driver returns for one unit, in unit order.
+
+    ``parts`` holds one result list per segment, ``seconds`` the unit's
+    kernel time, ``worker`` the socket worker that ran it (``None`` in
+    this host's processes) and ``served`` whether that worker answered
+    it from its own store instead of simulating.
+    """
+
+    parts: list[list]
+    seconds: float
+    worker: str | None = None
+    served: bool = False
+
+
 def plan_units(
     cells, pending, scenarios, variants, seeds, backend, *,
-    jobs: int, batch_size: int, pack: bool = True,
+    jobs: int, batch_size: int,
     chunk_caps: dict[int, int] | None = None,
     predicted: dict[int, float] | None = None,
 ) -> list[WorkUnit]:
@@ -364,9 +404,9 @@ def plan_units(
     one wide unit per worker, or ``batch_size`` chunks on the serial
     executor (``jobs == 1``).  Every other cell is a group of its own,
     cut into ``chunk_caps[i]`` replicates per unit (``batch_size`` when
-    no cap is given).  ``pack=False`` keeps every cell on its own.
-    With ``predicted`` (seconds per cell) groups come longest-first, so
-    a slow group does not start last; the sort is stable.
+    no cap is given).  With ``predicted`` (seconds per cell) groups come
+    longest-first, so a slow group does not start last; the sort is
+    stable.
 
     Units only move wall time: each replicate still draws from its own
     seed, derived per cell before any cutting.
@@ -375,7 +415,7 @@ def plan_units(
     runners = {}
     for i in pending:
         runners[i] = scenarios[i].prepare_runner(variants[i], backend)
-        packs = pack and scenarios[i].packs(runners[i])
+        packs = scenarios[i].packs(runners[i])
         groups.setdefault(scenarios[i].name if packs else i, []).append(i)
     # A packed group is keyed by its scenario's name, any other by its
     # cell index.

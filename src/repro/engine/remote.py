@@ -7,9 +7,9 @@ TCP: an :class:`~repro.engine.session.Engine` session owns a
 :class:`WorkerPool` that listens on ``host:port``, any number of
 ``repro worker`` processes (:func:`serve_worker`) connect to it, and the
 session feeds them from the **same** flattened longest-first
-cost-scheduled chunk queue the process executor drains — one chunk in
-flight per worker, so dispatch is work-stealing and no per-cell barrier
-exists.
+cost-scheduled unit queue the process executor drains — packed lockstep
+units included, one unit in flight per worker, so dispatch is
+work-stealing and no per-cell barrier exists.
 
 Wire format
 -----------
@@ -39,13 +39,17 @@ remotely.  The conversation (``<-`` marks pool -> worker):
                           reason (protocol skew, bad secret)
 ``cache-probe`` <-        which of these cell keys does your store hold?
 ``cache-hit``             the subset it holds
-``serve-cached`` <-       answer one cell from the store: a ``result``
-                          flagged ``served``, or ``cache-miss`` and the
-                          pool requeues the cell as a cold chunk
+``serve-cached`` <-       a one-cell ``chunk`` plus its key, answered from
+                          the store: a ``result`` flagged ``served``, or
+                          ``cache-miss`` and the pool requeues it cold
 ``cache-push`` <-         a cold cell's key, spec, variant and block;
                           fire-and-forget, kept under the store's LRU cap
-``chunk`` <-              spec, variant, seed tokens and budget
-``result``                the chunk's record block and kernel seconds
+``chunk`` <-              one work unit: variant and ``segments``, a list
+                          of ``{spec, seeds, max_interactions}``; several
+                          segments only for a variant that packs, all of
+                          one scenario, run as ONE lockstep kernel call
+``result``                kernel seconds, and the segments' record blocks
+                          back to back as the body (exact total size)
 ``error``                 a traceback; the pool aborts the run
 ``bye``                   clean shutdown, either direction
 
@@ -81,7 +85,15 @@ from collections import deque
 import numpy as np
 
 from .cache import EnsembleCache, seed_from_token, seed_token
-from .executors import _record_widths
+from .executors import (
+    Segment,
+    UnitResult,
+    WorkUnit,
+    _cut,
+    _record_widths,
+    encode_parts,
+    run_unit,
+)
 from .options import parse_address
 from .scenarios import ScenarioSpec, get_scenario
 
@@ -105,8 +117,9 @@ __all__ = [
 #: Protocol version carried by hello/welcome; a mismatch rejects the
 #: registration instead of corrupting a run halfway through.  v2 added
 #: the cache fabric and the shared-secret handshake, v3 dropped the
-#: per-chunk kernel knobs, v4 made every frame JSON plus a record block.
-PROTOCOL_VERSION = 4
+#: per-chunk kernel knobs, v4 made every frame JSON plus a record block,
+#: v5 made a chunk a list of segments (packed lockstep units).
+PROTOCOL_VERSION = 5
 
 #: Environment variable of the optional shared worker secret (the
 #: ``worker_secret`` engine option, read by both ends).
@@ -354,7 +367,7 @@ def _field(message: dict, name: str, kind, *, optional: bool = False):
         return None
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ProtocolError(
-            f"{message.get('type')} field {name!r} has the wrong type "
+            f"{message.get('type', 'segment')} field {name!r} has the wrong type "
             f"({type(value).__name__})"
         )
     return value
@@ -389,48 +402,80 @@ def _decoding(what: str):
         raise ProtocolError(f"undecodable {what}: {exc!r}") from None
 
 
-def _decode_cell(message: dict) -> tuple:
-    """``(scenario, spec, variant, widths)`` of a chunk, serve or push."""
+def _decode_cell(message: dict, variant: str) -> tuple:
+    """``(scenario, spec, widths)`` of the spec object in ``message``."""
     if not isinstance(message.get("spec"), dict):
         raise ProtocolError("spec must be a JSON spec object")
-    variant = _field(message, "variant", str)
     with _decoding("spec"):
         spec = ScenarioSpec.from_json(message["spec"])
         scenario, widths = cell_codec(spec, variant)
         scenario.validate(spec)
-    return scenario, spec, variant, widths
+    return scenario, spec, widths
 
 
-def _decode_chunk(message: dict) -> tuple:
-    """``(scenario, spec, variant, widths, seeds, budget)`` of a chunk."""
-    scenario, spec, variant, widths = _decode_cell(message)
-    tokens = _field(message, "seeds", list)
-    with _decoding("seed tokens"):
-        seeds = [seed_from_token(token) for token in tokens]
-    budget = _field(message, "max_interactions", int, optional=True)
-    return scenario, spec, variant, widths, seeds, budget
+def _decode_chunk(message: dict) -> WorkUnit:
+    """The :class:`WorkUnit` a ``chunk`` frame carries.
+
+    A variant that packs runs its segments as one :class:`PackedChunk`,
+    the rule the coordinator plans by; several segments for a variant
+    that does not pack, or segments of different scenarios, are refused.
+    """
+    variant = _field(message, "variant", str)
+    segments = []
+    for index, item in enumerate(_field(message, "segments", list)):
+        if not isinstance(item, dict):
+            raise ProtocolError("chunk segments must be JSON objects")
+        scenario, spec, _ = _decode_cell(item, variant)
+        tokens = _field(item, "seeds", list)
+        if not tokens:
+            raise ProtocolError("chunk segment has no seeds")
+        with _decoding("seed tokens"):
+            seeds = [seed_from_token(token) for token in tokens]
+        budget = _field(item, "max_interactions", int, optional=True)
+        segments.append(Segment(index, spec, budget, seeds))
+    if not segments:
+        raise ProtocolError("chunk has no segments")
+    if len({segment.spec.scenario for segment in segments}) > 1:
+        raise ProtocolError("chunk segments mix scenarios")
+    with _decoding("variant"):
+        packs = scenario.packs(variant)
+    if len(segments) > 1 and not packs:
+        raise ProtocolError(
+            f"{len(segments)} segments in one chunk, but variant {variant!r} "
+            f"of {scenario.name!r} does not pack"
+        )
+    return WorkUnit(scenario, variant, variant, tuple(segments), packed=packs)
 
 
-def _decode_result(message: dict, chunk: dict) -> dict:
-    """``{"seconds", "results", "served"}`` of ``chunk``'s result frame."""
+def _decode_result(message: dict, unit: WorkUnit) -> UnitResult:
+    """The :class:`UnitResult` of ``unit``'s result frame (no worker yet)."""
     with _decoding("result seconds"):
         seconds = float(_field(message, "seconds", (int, float)))
     if not (math.isfinite(seconds) and seconds >= 0):
         raise ProtocolError(f"result seconds {seconds} are not finite and >= 0")
-    scenario, widths = cell_codec(chunk["spec"], chunk["variant"])
-    block, trials = message.get("block", b""), len(chunk["seeds"])
-    return {
-        "seconds": seconds,
-        "results": decode_result_block(scenario, chunk["spec"], block, trials, *widths),
-        "served": bool(_field(message, "served", bool, optional=True)),
-    }
+    sizes = [
+        _block_bytes(len(segment.seeds), *cell_codec(segment.spec, unit.variant)[1])
+        for segment in unit.segments
+    ]
+    body = message.get("block", b"")
+    if len(body) != sum(sizes):
+        raise ProtocolError(
+            f"result body of {len(body)} bytes, expected {sum(sizes)} "
+            f"for {len(sizes)} record blocks"
+        )
+    parts = [
+        decode_segment(segment, unit.variant, block)
+        for segment, block in zip(unit.segments, _cut(body, sizes))
+    ]
+    served = bool(_field(message, "served", bool, optional=True))
+    return UnitResult(parts, seconds, served=served)
 
 
 def _decode_cache_push(message: dict) -> tuple[str, list]:
     """``(key, results)`` of a ``cache-push`` frame."""
     if not _is_key(message.get("key")):
         raise ProtocolError("cache-push key is not an ensemble key")
-    scenario, spec, _variant, widths = _decode_cell(message)
+    scenario, spec, widths = _decode_cell(message, _field(message, "variant", str))
     trials = _field(message, "trials", int)
     block = message.get("block", b"")
     return message["key"], decode_result_block(scenario, spec, block, trials, *widths)
@@ -449,6 +494,11 @@ def _record_views(buffer, trials: int, int_width: int, float_width: int):
     return ints, floats
 
 
+def _block_bytes(trials: int, int_width: int, float_width: int) -> int:
+    """Size of one record block (never empty, so every block is a body)."""
+    return max(trials * 8 * (int_width + float_width), 1)
+
+
 def encode_result_block(
     scenario, spec, results: list, int_width: int, float_width: int
 ) -> bytes:
@@ -459,7 +509,7 @@ def encode_result_block(
     the scenario has a codec for the variant, return these bytes.
     """
     trials = len(results)
-    buffer = bytearray(max(trials * 8 * (int_width + float_width), 1))
+    buffer = bytearray(_block_bytes(trials, int_width, float_width))
     ints, floats = _record_views(buffer, trials, int_width, float_width)
     for row, result in enumerate(results):
         scenario.encode_record(spec, result, ints[row], floats[row])
@@ -470,7 +520,7 @@ def decode_result_block(
     scenario, spec, block: bytes, trials: int, int_width: int, float_width: int
 ) -> list:
     """Inverse of :func:`encode_result_block`; raises only ProtocolError."""
-    expected = max(trials * 8 * (int_width + float_width), 1)
+    expected = _block_bytes(trials, int_width, float_width)
     if trials < 0 or len(block) != expected:
         raise ProtocolError(
             f"record block of {len(block)} bytes, expected {expected} "
@@ -484,27 +534,34 @@ def decode_result_block(
         ]
 
 
+def decode_segment(segment: Segment, variant: str, block: bytes) -> list:
+    """A unit segment's results from its record block (widths from the cell)."""
+    scenario, widths = cell_codec(segment.spec, variant)
+    return decode_result_block(
+        scenario, segment.spec, block, len(segment.seeds), *widths
+    )
+
+
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 def _execute_chunk(message: dict) -> dict:
     """Run one dispatched chunk and build its result message."""
-    scenario, spec, variant, widths, seeds, budget = _decode_chunk(message)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    started = time.perf_counter()
-    results = scenario.run_chunk(spec, variant, rngs, budget)
-    seconds = time.perf_counter() - started
+    unit = _decode_chunk(message)
+    work, budget = unit.work()
+    results, seconds = run_unit(unit.scenario, unit.runner, work, budget, unit.seeds)
     return {
         "type": "result",
         "id": message["id"],
         "seconds": seconds,
-        "block": encode_result_block(scenario, spec, results, *widths),
+        "block": b"".join(encode_parts(unit.scenario, unit.variant, work, results)),
     }
 
 
 def _serve_cached_reply(store, message: dict) -> dict:
     """Answer one ``serve-cached`` dispatch from the worker's own store.
 
+    The frame is a ``chunk`` of one whole cell plus its ensemble ``key``.
     Returns the ``result`` frame (flagged ``served``) on success, or a
     ``cache-miss`` frame when the entry is absent, corrupt, or the wrong
     shape — the pool falls back to a cold chunk, so a stale store can
@@ -513,17 +570,17 @@ def _serve_cached_reply(store, message: dict) -> dict:
     key = message.get("key")
     if not _is_key(key):
         raise ProtocolError("serve-cached key is not an ensemble key")
-    scenario, spec, _variant, widths = _decode_cell(message)
-    trials = _field(message, "trials", int)
+    unit = _decode_chunk(message)
     miss = {"type": "cache-miss", "id": message["id"], "key": key}
     if store is None:
         return miss
     started = time.perf_counter()
     try:
         results = store.load(key)
-        if not isinstance(results, list) or len(results) != trials:
+        if not isinstance(results, list) or len(results) != len(unit.seeds):
             return miss
-        block = encode_result_block(scenario, spec, results, *widths)
+        work, _ = unit.work()
+        block = b"".join(encode_parts(unit.scenario, unit.variant, work, results))
     except Exception:
         return miss
     return {
@@ -699,8 +756,33 @@ def serve_worker(
 # ----------------------------------------------------------------------
 # Session side
 # ----------------------------------------------------------------------
+def _chunk_frame(index: int, unit: WorkUnit, spec_json: dict, key: str | None) -> dict:
+    """The frame that dispatches ``unit``: a ``chunk``, or with a cache
+    ``key`` a ``serve-cached`` of the same shape (one whole cell).
+
+    ``spec_json`` maps ``id(spec)`` to :meth:`ScenarioSpec.to_json`, so
+    a large spec is encoded once per run, not once per dispatch.
+    """
+    frame = {
+        "type": "chunk" if key is None else "serve-cached",
+        "id": index,
+        "variant": unit.variant,
+        "segments": [
+            {
+                "spec": spec_json[id(segment.spec)],
+                "seeds": [seed_token(seed) for seed in segment.seeds],
+                "max_interactions": segment.max_interactions,
+            }
+            for segment in unit.segments
+        ],
+    }
+    if key is not None:
+        frame["key"] = key
+    return frame
+
+
 class _WorkerConn:
-    """One connected worker: socket, decoder, and its in-flight chunk."""
+    """One connected worker: socket, decoder, and its in-flight unit."""
 
     __slots__ = (
         "sock",
@@ -1235,44 +1317,53 @@ class WorkerPool:
             return queue.popleft(), False
         return None, False
 
-    def run(self, chunks: list[dict], *, timeout: float | None = None) -> list[dict]:
-        """Drain ``chunks`` across the connected workers; return in order.
+    def run(
+        self,
+        units: list[WorkUnit],
+        *,
+        serve: dict[int, tuple[str, list[str]]] | None = None,
+        timeout: float | None = None,
+    ) -> list[UnitResult]:
+        """Drain ``units`` across the connected workers; return in order.
 
-        Each chunk is ``{"spec", "variant", "seeds", "max_interactions"}``
-        (the spec, variant name, the replicates' ``SeedSequence``
-        children and budget), in schedule order: idle workers take the
-        queue front-first, one chunk each, so the cost scheduler's
-        longest-first order holds.  A chunk with ``cache_key`` and
-        ``cache_owners`` (workers whose probe advertised the key) goes to
-        an owner as ``serve-cached``; owner death, a ``cache-miss`` or
-        starvation stealing all fall back to a cold run of the same
-        seeds.  Workers may join mid-run; the chunk of a worker that dies,
-        or whose result does not decode, requeues at the front.  A chunk
-        without a record codec raises ``ValueError`` before anything is
-        sent; a worker's ``error`` frame, or no worker within the pool's
-        timeout, raises ``RuntimeError``.
+        Each unit goes out as one ``chunk`` (:func:`_chunk_frame`), in
+        schedule order: idle workers take the queue front-first, one
+        unit each, so the cost scheduler's longest-first order holds.
+        ``serve[j] = (key, owners)`` marks unit ``j`` as one whole cell
+        whose ensemble key the ``owners`` (workers whose probe advertised
+        it) hold: it goes to an owner as ``serve-cached``, and owner
+        death, a ``cache-miss`` or starvation stealing all fall back to
+        a cold run of the same seeds.  Workers may join mid-run; the unit
+        of a worker that dies, or whose result does not decode, requeues
+        at the front.  A cell without a record codec raises
+        ``ValueError`` before anything is sent; a worker's ``error``
+        frame, or no worker within the pool's timeout, raises
+        ``RuntimeError``.
 
-        Returns ``{"worker", "seconds", "results", "served"}`` per chunk
-        (keep served chunks out of the cost model: their seconds measure
-        decoding, not simulation).
+        Returns one :class:`UnitResult` per unit (keep served units out
+        of the cost model: their seconds measure a store read, not
+        simulation).
         """
         if self._closed:
             raise RuntimeError("this WorkerPool is closed")
-        for chunk in chunks:
-            cell_codec(chunk["spec"], chunk["variant"])  # refuse before sending
-        specs = {id(chunk["spec"]): chunk["spec"] for chunk in chunks}
+        serve = serve or {}
+        specs = {}
+        for unit in units:
+            for segment in unit.segments:
+                cell_codec(segment.spec, unit.variant)  # refuse before sending
+                specs[id(segment.spec)] = segment.spec
         spec_json = {key: spec.to_json() for key, spec in specs.items()}
-        outputs: list[dict | None] = [None] * len(chunks)
-        queue = deque(range(len(chunks)))
-        owners = [set(chunk.get("cache_owners") or ()) for chunk in chunks]
+        outputs: list[UnitResult | None] = [None] * len(units)
+        queue = deque(range(len(units)))
+        owners = [set(serve[j][1]) if j in serve else set() for j in range(len(units))]
         inflight: dict[int, _WorkerConn] = {}
         done = 0
         worker_timeout = self._worker_timeout if timeout is None else timeout
         starving_since: float | None = None
         steal_since: float | None = None
-        while done < len(chunks):
-            # Hand a chunk to every idle registered worker: owned cells
-            # as serve-cached, unowned cells cold front-first.
+        while done < len(units):
+            # Hand a unit to every idle registered worker: owned cells
+            # as serve-cached, unowned units cold front-first.
             live = {conn.name for conn in self._conns if conn.registered}
             allow_steal = (
                 steal_since is not None
@@ -1284,25 +1375,14 @@ class WorkerPool:
                     break
                 if not conn.registered or conn.inflight is not None:
                     continue
-                index, serve = self._pick_chunk(
+                index, cached = self._pick_chunk(
                     queue, owners, conn, live, allow_steal
                 )
                 if index is None:
                     continue
-                chunk = chunks[index]
-                message = {
-                    "id": index,
-                    "spec": spec_json[id(chunk["spec"])],
-                    "variant": chunk["variant"],
-                }
-                if serve:
-                    message["type"] = "serve-cached"
-                    message["key"] = chunk["cache_key"]
-                    message["trials"] = len(chunk["seeds"])
-                else:
-                    message["type"] = "chunk"
-                    message["seeds"] = [seed_token(s) for s in chunk["seeds"]]
-                    message["max_interactions"] = chunk["max_interactions"]
+                message = _chunk_frame(
+                    index, units[index], spec_json, serve[index][0] if cached else None
+                )
                 try:
                     self._send(conn, message)
                 except OSError:
@@ -1326,7 +1406,7 @@ class WorkerPool:
                     starving_since = time.monotonic()
                 elif time.monotonic() - starving_since > worker_timeout:
                     raise RuntimeError(
-                        f"remote executor has {len(chunks) - done} chunks "
+                        f"remote executor has {len(units) - done} chunks "
                         f"pending but no workers connected to "
                         f"{self.endpoint} within {worker_timeout:.0f}s; "
                         f"start some with: repro worker {self.endpoint}"
@@ -1341,17 +1421,16 @@ class WorkerPool:
                         self._drop(conn)
                         continue
                     try:
-                        output = _decode_result(message, chunks[index])
+                        output = _decode_result(message, units[index])
                     except ProtocolError:
                         self._drop(conn)
                         continue
                     conn.inflight = None
                     conn.chunks_done += 1
                     inflight.pop(index, None)
-                    output["worker"] = conn.name
-                    if output["served"]:
+                    if output.served:
                         self._worker_cache_row(conn)["served"] += 1
-                    outputs[index] = output
+                    outputs[index] = output._replace(worker=conn.name)
                     done += 1
                 elif kind == "cache-miss":
                     # The worker advertised this key but could not serve

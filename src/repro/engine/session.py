@@ -50,13 +50,18 @@ One cell pipeline serves both workloads: an ensemble is a one-cell
 sweep.  :meth:`Engine.ensemble` and :meth:`Engine.sweep` each call
 ``Engine._run_cells``, which resolves every cell's variant and cache
 key in one place, takes what the cache holds, plans the pending cells
-with :func:`~repro.engine.executors.plan_units`, drains the units on the
-serial, process or remote executor (``_run_serial``, ``_run_on_pool``,
-``_run_remote``), stores the results and counts the replicates.  Only
-two things stay per caller: how a cell that does not pack is cut on the
-pool and the fleet (a sweep asks its cost model, an ensemble takes four
-chunks per worker), and the sweep's own report, cost-model refinement
-and sweep index.
+with :func:`~repro.engine.executors.plan_units` (lockstep cells pack on
+every executor; a cell a socket worker's store holds is one whole-cell
+serve unit instead), and drains the units on the serial, process or
+remote executor (``_run_serial``, ``_run_on_pool``,
+:meth:`~repro.engine.remote.WorkerPool.run`).  Every driver returns one
+:class:`~repro.engine.executors.UnitResult` per unit, in unit order;
+``_run_cells`` alone demuxes them into cells, builds the per-cell
+timing records, pushes fresh cells to the fleet, stores the results and
+counts the replicates.  Only two things stay per caller: how a cell
+that does not pack is cut on the pool and the fleet (a sweep asks its
+cost model, an ensemble takes four chunks per worker), and the sweep's
+own report, cost-model refinement and sweep index.
 
 Results are bit-identical to the pre-session engine at fixed seeds: the
 session changes who *owns* the pool and the configuration, never how
@@ -66,10 +71,10 @@ replicates are seeded or executed.
 from __future__ import annotations
 
 import atexit
+import copy
 import multiprocessing
 import os
 import pickle
-import time
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import NamedTuple
@@ -85,19 +90,21 @@ from .cache import SWEEP_INDEX_FORMAT, EnsembleCache, ensemble_key, seed_token
 from .costmodel import CostModel, cost_signature
 from .executors import (
     DEFAULT_BATCH_SIZE,
-    EXECUTORS,
+    Segment,
     SpecBroadcast,
+    UnitResult,
     WorkUnit,
-    _record_widths,
     _worker,
     plan_units,
+    replicate_seeds,
+    run_unit,
 )
-from .options import EngineOptions
+from .options import EngineOptions, _executor
 from .remote import (
     WorkerPool,
     cache_token,
     cell_codec,
-    decode_result_block,
+    decode_segment,
     make_server_tls_context,
 )
 from .scenarios import Scenario, ScenarioSpec, coerce_spec, get_scenario
@@ -192,6 +199,10 @@ def engine(session: "Engine | None" = None, **overrides):
             session.close()
 
 
+#: Per-worker cache-fabric counters (the fold adds ``fallbacks``).
+_FABRIC_COUNTERS = ("probed", "hits", "served", "pushed")
+
+
 def _merge_cache_fabric(folded: dict | None, snapshot: dict | None) -> dict | None:
     """Accumulate one worker pool's cache-fabric counters into the fold.
 
@@ -202,22 +213,15 @@ def _merge_cache_fabric(folded: dict | None, snapshot: dict | None) -> dict | No
     if snapshot is None:
         return folded
     if folded is None:
-        return {
-            "probed": snapshot["probed"],
-            "hits": snapshot["hits"],
-            "served": snapshot["served"],
-            "pushed": snapshot["pushed"],
-            "fallbacks": snapshot["fallbacks"],
-            "workers": {row["name"]: dict(row) for row in snapshot["workers"]},
-        }
-    for field in ("probed", "hits", "served", "pushed", "fallbacks"):
+        folded = dict.fromkeys((*_FABRIC_COUNTERS, "fallbacks"), 0)
+        folded["workers"] = {}
+    for field in (*_FABRIC_COUNTERS, "fallbacks"):
         folded[field] += snapshot[field]
     for row in snapshot["workers"]:
-        merged = folded["workers"].get(row["name"])
-        if merged is None:
-            folded["workers"][row["name"]] = dict(row)
-            continue
-        for field in ("probed", "hits", "served", "pushed"):
+        merged = folded["workers"].setdefault(
+            row["name"], dict(row, **dict.fromkeys(_FABRIC_COUNTERS, 0))
+        )
+        for field in _FABRIC_COUNTERS:
             merged[field] += row[field]
         merged["cache_token"] = row["cache_token"]
         merged["cache_entries"] = row["cache_entries"]
@@ -232,6 +236,7 @@ class _CellsRun(NamedTuple):
     results: dict[int, list]
     pending: list[int]
     units: list[WorkUnit]
+    outcomes: list[UnitResult]
     chunk_stats: list[dict]
     served: set[int]
 
@@ -389,15 +394,9 @@ class Engine:
 
     # -- shared argument resolution ------------------------------------
     def _resolve_executor(self, executor: str | None) -> str:
-        if executor is None:
-            executor = self._options.executor
-        if executor == "multiprocessing":
-            executor = "process"
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        return executor
+        return _executor(
+            "executor", self._options.executor if executor is None else executor
+        )
 
     def _resolve_jobs(self, jobs: int | None) -> int:
         if jobs is None:
@@ -431,7 +430,7 @@ class Engine:
 
     def _sweep_report(
         self, cells, variants, pending, plans, measured, *, executor,
-        units=(), chunk_stats=None, served=frozenset(),
+        units=(), outcomes=(), served=frozenset(),
     ) -> dict:
         """Per-sweep scheduler report exposed through :meth:`stats`.
 
@@ -442,8 +441,9 @@ class Engine:
         would make any prediction look wrong).  Cells in ``served``
         entered the queue but came back from a *worker's* store
         (serve-cached), so they too stay out of the prediction error.
-        When chunks carry a worker name (remote executor), the report
-        also breaks predicted-vs-measured seconds down per worker.
+        When units carry a worker name (remote executor), the report
+        also breaks predicted-vs-measured seconds down per worker, one
+        ``chunks`` count per unit however many cells it packed.
         ``units`` counts the kernel calls dispatched and ``packed_units``
         those that ran several cells' replicates as one lockstep batch.
         """
@@ -487,14 +487,13 @@ class Engine:
         if measured_total > 0:
             error = abs(predicted_total - measured_total) / measured_total
         workers: dict[str, dict] | None = None
-        for stat in chunk_stats or ():
-            worker = stat.get("worker")
-            if worker is None:
+        for unit, outcome in zip(units, outcomes):
+            if outcome.worker is None:
                 continue
             if workers is None:
                 workers = {}
             entry = workers.setdefault(
-                worker,
+                outcome.worker,
                 {
                     "chunks": 0,
                     "replicates": 0,
@@ -504,17 +503,17 @@ class Engine:
                 },
             )
             entry["chunks"] += 1
-            entry["replicates"] += stat["replicates"]
-            if stat.get("served"):
-                # Serve-cached chunks: decode time only — keep them out
-                # of the predicted-vs-measured comparison.
+            entry["replicates"] += len(unit.seeds)
+            if outcome.served:
+                # Serve-cached units: a store read — keep them out of
+                # the predicted-vs-measured comparison.
                 entry["served"] += 1
                 continue
-            plan = plans[stat["cell"]]
-            entry["predicted_seconds"] += (
-                plan["per_replicate_seconds"] * stat["replicates"]
+            entry["predicted_seconds"] += sum(
+                plans[segment.cell]["per_replicate_seconds"] * len(segment.seeds)
+                for segment in unit.segments
             )
-            entry["measured_seconds"] += stat["seconds"]
+            entry["measured_seconds"] += outcome.seconds
         return {
             "executor": executor,
             "units": len(units),
@@ -550,9 +549,7 @@ class Engine:
             self._pool = None
             self._pool_key = None
 
-    def _run_on_pool(
-        self, jobs: int, units: list[WorkUnit]
-    ) -> tuple[dict[int, list], list[dict], set[int]]:
+    def _run_on_pool(self, jobs: int, units: list[WorkUnit]) -> list[UnitResult]:
         """Drain ``units``, in order, through the process pool.
 
         Each unit is one ``Pool.map`` item (``chunksize=1`` keeps
@@ -567,55 +564,38 @@ class Engine:
         scenario has a codec for the variant, else the result list.
         Either way the pool pipe pickles it, so the ``"pickle"``
         transport row counts each unit and the byte length of what came
-        back.  Returns the results by cell, one timing record per
-        segment for the scheduler report and the cost model, and no
-        fleet-served cells.
+        back.
         """
-        payloads = []
-        widths_by_unit = []
         broadcast = SpecBroadcast(
             [unit.segments[0].spec for unit in units if not unit.packed]
         )
         try:
+            payloads = []
             for unit in units:
                 work, budget = unit.work()
-                widths = tuple(
-                    _record_widths(unit.scenario, segment.spec, unit.variant)
-                    for segment in unit.segments
-                )
+                if not unit.packed:
+                    work = broadcast.ref_for(work)
+                scenario_name = unit.segments[0].spec.scenario
                 payloads.append(
-                    (
-                        unit.segments[0].spec.scenario,
-                        work if unit.packed else broadcast.ref_for(work),
-                        unit.variant,
-                        unit.seeds,
-                        budget,
-                        widths,
-                    )
+                    (scenario_name, work, unit.variant, unit.seeds, budget)
                 )
-                widths_by_unit.append(widths)
             outputs = self._acquire_pool(jobs).map(_worker, payloads, chunksize=1)
         finally:
             broadcast.close()
-        results_by_cell: dict[int, list] = {}
-        cell_stats = []
+        outcomes = []
         nbytes = 0
-        for unit, widths, (blocks, seconds) in zip(units, widths_by_unit, outputs):
+        for unit, (blocks, seconds) in zip(units, outputs):
             parts = []
-            for segment, part_widths, block in zip(unit.segments, widths, blocks):
-                if part_widths is None:
-                    nbytes += len(pickle.dumps(block, pickle.HIGHEST_PROTOCOL))
-                else:
+            for segment, block in zip(unit.segments, blocks):
+                if isinstance(block, bytes):
                     nbytes += len(block)
-                    block = decode_result_block(
-                        unit.scenario, segment.spec, block,
-                        len(segment.seeds), *part_widths,
-                    )
-                results_by_cell.setdefault(segment.cell, []).extend(block)
+                    block = decode_segment(segment, unit.variant, block)
+                else:
+                    nbytes += len(pickle.dumps(block, pickle.HIGHEST_PROTOCOL))
                 parts.append(block)
-            cell_stats.extend(unit.cell_stats(parts, seconds))
+            outcomes.append(UnitResult(parts, seconds))
         self._count_transport("pickle", len(payloads), nbytes)
-        return results_by_cell, cell_stats, set()
+        return outcomes
 
     def worker_pids(self) -> tuple[int, ...]:
         """PIDs of the live pool workers (empty before the first spawn)."""
@@ -693,19 +673,7 @@ class Engine:
         token, entry count, probe/hit/served/pushed counters), the same
         shape ``Engine.stats()["cache"]["workers"]`` exposes.
         """
-        folded = None
-        if self._cache_fabric is not None:
-            folded = {
-                "probed": self._cache_fabric["probed"],
-                "hits": self._cache_fabric["hits"],
-                "served": self._cache_fabric["served"],
-                "pushed": self._cache_fabric["pushed"],
-                "fallbacks": self._cache_fabric["fallbacks"],
-                "workers": {
-                    name: dict(row)
-                    for name, row in self._cache_fabric["workers"].items()
-                },
-            }
+        folded = copy.deepcopy(self._cache_fabric)
         if self._worker_pool is not None:
             folded = _merge_cache_fabric(folded, self._worker_pool.cache_stats())
         if folded is None:
@@ -746,7 +714,7 @@ class Engine:
             cache_snapshot = dict(cache_snapshot or {})
             cache_snapshot["fabric"] = {
                 field: fabric[field]
-                for field in ("probed", "hits", "served", "pushed", "fallbacks")
+                for field in (*_FABRIC_COUNTERS, "fallbacks")
             }
             cache_snapshot["workers"] = fabric["workers"]
         snapshot["cache"] = cache_snapshot
@@ -830,94 +798,21 @@ class Engine:
         )
         return scenario, variant, key
 
-    def _run_serial(
-        self, units: list[WorkUnit]
-    ) -> tuple[dict[int, list], list[dict], set[int]]:
+    def _run_serial(self, units: list[WorkUnit]) -> list[UnitResult]:
         """Run units in this process, in order.
 
         Each unit is one :meth:`Scenario.run_chunk` call; a packed unit
         is ONE zero-padded lockstep kernel call across its cells (see
-        :func:`~repro.engine.executors.plan_units`).  Returns the
-        results by cell, one timing record per segment, and no
-        fleet-served cells.
+        :func:`~repro.engine.executors.plan_units`).
         """
-        results_by_cell: dict[int, list] = {}
-        cell_stats: list[dict] = []
+        outcomes = []
         for unit in units:
             work, budget = unit.work()
-            rngs = [np.random.default_rng(s) for s in unit.seeds]
-            started = time.perf_counter()
-            results = unit.scenario.run_chunk(work, unit.runner, rngs, budget)
-            seconds = time.perf_counter() - started
-            parts = unit.split(results)
-            for segment, part in zip(unit.segments, parts):
-                results_by_cell.setdefault(segment.cell, []).extend(part)
-            cell_stats.extend(unit.cell_stats(parts, seconds))
-        return results_by_cell, cell_stats, set()
-
-    def _run_remote(
-        self,
-        pool: WorkerPool,
-        units: list[WorkUnit],
-        keys: list[str],
-        owners: dict[int, list[str]],
-    ) -> tuple[dict[int, list], list[dict], set[int]]:
-        """Drain unpacked units through the socket worker pool.
-
-        One chunk in flight per worker, specs by value (never through
-        :class:`SpecBroadcast`, whose refs resolve only on this host),
-        results back as record blocks.  A cell in ``owners`` (cell index
-        to the workers whose store advertised ``keys[cell]``) is one
-        whole-cell chunk served from an owner's store, with its cold
-        payload riding along for any fallback.  Every simulated cell is
-        pushed to the workers whose store differs.  Returns the results
-        by cell, one timing record per chunk and the fleet-served cells.
-        """
-        messages = []
-        cell_of: dict[int, tuple] = {}
-        for unit in units:
-            (segment,) = unit.segments
-            message = {
-                "spec": segment.spec,
-                "variant": unit.variant,
-                "seeds": segment.seeds,
-                "max_interactions": segment.max_interactions,
-            }
-            if segment.cell in owners:
-                message["cache_key"] = keys[segment.cell]
-                message["cache_owners"] = owners[segment.cell]
-            messages.append(message)
-            cell_of[segment.cell] = (segment.spec, unit.variant)
-        outputs = pool.run(messages)
-        results_by_cell: dict[int, list] = {}
-        cell_stats = []
-        served: set[int] = set()
-        for output, unit in zip(outputs, units):
-            (segment,) = unit.segments
-            results_by_cell.setdefault(segment.cell, []).extend(output["results"])
-            if output["served"]:
-                # Owned cells are single whole-cell chunks, so one served
-                # output means the whole cell came from the fleet cache.
-                served.add(segment.cell)
-            cell_stats.append(
-                {
-                    "cell": segment.cell,
-                    "replicates": len(segment.seeds),
-                    "seconds": output["seconds"],
-                    "worker": output["worker"],
-                    "served": output["served"],
-                }
+            results, seconds = run_unit(
+                unit.scenario, unit.runner, work, budget, unit.seeds
             )
-        # Each worker's LRU cap bounds what it keeps.
-        for i in sorted(results_by_cell):
-            if i not in served:
-                pool.push_cache(
-                    keys[i],
-                    *cell_of[i],
-                    results_by_cell[i],
-                    exclude=set(owners.get(i, ())),
-                )
-        return results_by_cell, cell_stats, served
+            outcomes.append(UnitResult(unit.split(results), seconds))
+        return outcomes
 
     def _run_cells(
         self,
@@ -935,13 +830,16 @@ class Engine:
 
         Both :meth:`ensemble` (one cell) and :meth:`sweep` call this
         inside :meth:`_activate`.  It resolves each cell's scenario,
-        variant and key, takes what ``store`` holds, and runs the
-        pending cells on ``executor`` (a resolved name): cut into work
-        units by :func:`~repro.engine.executors.plan_units`, which packs
-        lockstep cells except on the remote executor, drained by
-        :meth:`_run_serial`, :meth:`_run_on_pool` or :meth:`_run_remote`,
-        stored, and counted in the session's replicate counters.  Every
-        unit lands in ONE shared queue, so there is no per-cell barrier.
+        variant and key, takes what ``store`` holds, cuts the pending
+        cells into work units with
+        :func:`~repro.engine.executors.plan_units` (lockstep cells pack
+        on every executor), and drains them on ``executor`` (a resolved
+        name): :meth:`_run_serial`, :meth:`_run_on_pool` or the session's
+        :class:`WorkerPool`.  Each returns one :class:`UnitResult` per
+        unit; this method alone demuxes their parts into cells, builds
+        the per-cell timing records (:meth:`WorkUnit.cell_stats`),
+        stores the results and counts the replicates.  Every unit lands
+        in ONE shared queue, so there is no per-cell barrier.
 
         The serial executor cuts cells that do not pack into
         ``batch_size`` chunks.  On the pool and the fleet,
@@ -949,9 +847,12 @@ class Engine:
         chunk cap and predicted seconds (groups run longest-first):
         ``workers`` is the worker count to share the queue between and
         ``pool`` the :class:`WorkerPool` on the remote executor, else
-        ``None``.  A cell the fleet already holds is one chunk.  Units
-        only move wall time: replicate seeds are derived per cell
-        before any cutting and results are assembled by cell index.
+        ``None``.  A cell some worker's store holds skips the planner:
+        it is one whole-cell unit that an owner serves from its store
+        (or, failing that, any worker runs cold).  Every simulated cell
+        is then pushed to the workers whose store differs.  Units only
+        move wall time: replicate seeds are derived per cell before any
+        cutting and results are assembled by cell index.
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
@@ -969,19 +870,12 @@ class Engine:
                 results[index] = cached
         pending = [i for i in range(len(cells)) if i not in results]
 
-        units: list[WorkUnit] = []
-        by_cell, chunk_stats, served = {}, [], set()
-        if pending and executor == "serial":
-            units = plan_units(
-                cells, pending, scenarios, variants, seeds, backend,
-                jobs=1, batch_size=batch_size,
-            )
-            by_cell, chunk_stats, served = self._run_serial(units)
-        elif pending:
+        pool = None
+        workers = 1
+        owners: dict[int, list[str]] = {}
+        if pending and executor != "serial":
             for i in pending:
                 scenarios[i].check_process_safe(variants[i], backend)
-            pool = None
-            owners: dict[int, list[str]] = {}
             if executor == "remote":
                 for i in pending:
                     cell_codec(cells[i].spec, variants[i])  # records only
@@ -1000,27 +894,57 @@ class Engine:
                 workers = max(pool.worker_count(), 2)
             else:
                 workers = self._resolve_jobs(jobs)
-            caps: dict[int, int] = {}
-            predicted: dict[int, float] = {}
-            for i in pending:
-                if i in owners:
-                    # Cache entries are whole ensembles, so an owned cell
-                    # is ONE serve-cached chunk at near-zero cost.
-                    caps[i], predicted[i] = cells[i].trials, 0.0
-                else:
-                    caps[i], predicted[i] = size(i, variants[i], workers, pool)
-            units = plan_units(
-                cells, pending, scenarios, variants, seeds, backend,
-                jobs=workers if pool is None else 1, batch_size=batch_size,
-                pack=pool is None, chunk_caps=caps, predicted=predicted,
+        planned = [i for i in pending if i not in owners]
+        caps = predicted = None
+        if executor != "serial":
+            caps, predicted = {}, {}
+            for i in planned:
+                caps[i], predicted[i] = size(i, variants[i], workers, pool)
+        units = plan_units(
+            cells, planned, scenarios, variants, seeds, backend,
+            jobs=workers, batch_size=batch_size,
+            chunk_caps=caps, predicted=predicted,
+        )
+        # Cache entries are whole ensembles, so an owned cell is ONE
+        # serve-cached unit at near-zero cost.
+        serve = {}
+        for i in owners:
+            serve[len(units)] = (keys[i], owners[i])
+            segment = Segment(
+                i, cells[i].spec, cells[i].max_interactions,
+                replicate_seeds(seeds[i], cells[i].trials),
             )
-            if pool is None:
-                by_cell, chunk_stats, served = self._run_on_pool(workers, units)
-            else:
-                by_cell, chunk_stats, served = self._run_remote(
-                    pool, units, keys, owners
-                )
-        results.update(by_cell)
+            unit = WorkUnit(
+                scenarios[i], variants[i], variants[i], (segment,), packed=False
+            )
+            units.append(unit)
+        if executor == "serial":
+            outcomes = self._run_serial(units)
+        elif pool is not None:
+            outcomes = pool.run(units, serve=serve)
+        else:
+            outcomes = self._run_on_pool(workers, units) if units else []
+
+        chunk_stats: list[dict] = []
+        served: set[int] = set()
+        for unit, outcome in zip(units, outcomes):
+            for segment, part in zip(unit.segments, outcome.parts):
+                results.setdefault(segment.cell, []).extend(part)
+            if outcome.served:
+                # A served unit is one whole cell from a worker's store.
+                served.add(unit.segments[0].cell)
+            chunk_stats.extend(
+                {**stat, "worker": outcome.worker, "served": outcome.served}
+                for stat in unit.cell_stats(outcome.parts, outcome.seconds)
+            )
+        if pool is not None:
+            # Each worker's LRU cap bounds what it keeps.
+            for i in pending:
+                if i not in served:
+                    pool.push_cache(
+                        keys[i], cells[i].spec, variants[i], results[i],
+                        exclude=set(owners.get(i, ())),
+                    )
         if store is not None:
             for i in pending:
                 store.store(keys[i], results[i])
@@ -1035,7 +959,9 @@ class Engine:
                 self._stats["replicates_from_cache"] += cell.trials
             if i in served:
                 self._stats["replicates_served_remote"] += cell.trials
-        return _CellsRun(variants, keys, results, pending, units, chunk_stats, served)
+        return _CellsRun(
+            variants, keys, results, pending, units, outcomes, chunk_stats, served
+        )
 
     # -- ensembles -----------------------------------------------------
     def cached_ensemble(
@@ -1100,11 +1026,12 @@ class Engine:
         (:func:`repro.engine.run_ensemble`) bit for bit at fixed seeds,
         on every executor, because replicate seeds are derived before
         any chunking or dispatch; unspecified arguments fall back to the
-        *session's* frozen options.  Unlike a sweep, an ensemble cuts a
-        cell that does not pack into a fixed number of chunks — four per
-        process worker, four per attached socket worker (at least two
-        workers) — and leaves the cost model, the sweep report and the
-        sweep index alone.
+        *session's* frozen options.  A lockstep cell runs as one wide
+        unit per worker, as in a sweep.  Unlike a sweep, an ensemble
+        cuts a cell that does not pack into a fixed number of chunks —
+        four per process worker, four per attached socket worker (at
+        least two workers) — and leaves the cost model, the sweep report
+        and the sweep index alone.
         """
         self._check_open()
         with self._activate():
@@ -1150,19 +1077,18 @@ class Engine:
         batched variant, shares one replicate queue per scenario, cut
         into units of ``min(batch_size, ceil(queue / jobs))``
         replicates, each ONE zero-padded lockstep kernel call across
-        cells — one wide unit per pool worker, or ``batch_size`` chunks
-        serially.  Every other cell keeps its own chunks: the session
-        cost model cuts them into fixed wall-time slices on the pool and
-        the fleet, longest-predicted cells first.  The process executor
-        drains the units from one shared queue on the session's
-        persistent pool (workers return one fixed-width record block per
-        cell segment, or the pickled result list for scenarios without a
-        record codec); ``executor="remote"`` does not pack, refuses
-        cells without a record codec, and drains the per-cell chunk
-        queue through socket-connected ``repro worker`` processes.
-        Results are bit-identical across all of
-        them: replicate seeds are derived per cell before any cutting or
-        packing.
+        cells — one wide unit per pool or socket worker, or
+        ``batch_size`` chunks serially.  Every other cell keeps its own
+        chunks: the session cost model cuts them into fixed wall-time
+        slices on the pool and the fleet, longest-predicted cells first.
+        The process executor drains the units from one shared queue on
+        the session's persistent pool (workers return one fixed-width
+        record block per cell segment, or the pickled result list for
+        scenarios without a record codec); ``executor="remote"`` plans
+        the same units, refuses cells without a record codec, and drains
+        the queue through socket-connected ``repro worker`` processes.
+        Results are bit-identical across all of them: replicate seeds
+        are derived per cell before any cutting or packing.
         """
         self._check_open()
         if not isinstance(spec, SweepSpec):
@@ -1246,7 +1172,7 @@ class Engine:
             self._last_sweep_report = self._sweep_report(
                 cells, run.variants, run.pending, plans, measured,
                 executor=executor, units=run.units,
-                chunk_stats=run.chunk_stats, served=run.served,
+                outcomes=run.outcomes, served=run.served,
             )
 
             sweep_key = None

@@ -9,6 +9,8 @@ format, the handshake, per-worker cost coefficients, per-transport
 traffic counters — is pinned here.
 """
 
+import functools
+import itertools
 import json
 import os
 import pickle
@@ -17,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +27,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import Configuration
 from repro.engine import (
     Engine,
     EngineOptions,
+    SweepCell,
     SweepSpec,
     run_ensemble,
     run_sweep,
 )
-from repro.engine.cache import EnsembleCache, ensemble_key
+from repro.engine.cache import EnsembleCache, ensemble_key, seed_token
 from repro.engine.costmodel import CostModel, cost_signature
+from repro.engine.executors import Segment, WorkUnit
 from repro.engine.remote import (
     FRAME_MAGIC,
     MAX_FRAME,
@@ -51,7 +57,7 @@ from repro.engine.remote import (
     send_frame,
     serve_worker,
 )
-from repro.engine.scenarios import get_scenario, usd_spec
+from repro.engine.scenarios import get_scenario, usd_spec, zealot_spec
 from repro.workloads import uniform_configuration
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -118,6 +124,13 @@ def results_key(results):
 
 def sweep_key(outcome):
     return [results_key(cell.results) for cell in outcome]
+
+
+def unit_of(spec, variant, seeds, max_interactions=None):
+    """A one-segment work unit, as the session plans a cell that does not pack."""
+    segment = Segment(0, spec, max_interactions, list(seeds))
+    scenario = get_scenario(spec.scenario)
+    return WorkUnit(scenario, variant, variant, (segment,), packed=False)
 
 
 def small_sweep(trials=6):
@@ -402,14 +415,7 @@ class TestWorkerPool:
                 # session's RuntimeError (not a hang).
                 with pytest.raises(RuntimeError, match="doomed"):
                     pool.run(
-                        [
-                            {
-                                "spec": spec,
-                                "variant": "reference",
-                                "seeds": [np.random.SeedSequence(1)],
-                                "max_interactions": 10,
-                            }
-                        ]
+                        [unit_of(spec, "reference", [np.random.SeedSequence(1)], 10)]
                     )
         finally:
             _REGISTRY.pop("always-fails", None)
@@ -426,10 +432,10 @@ class TestWorkerPool:
                     {
                         "type": "chunk",
                         "id": 0,
-                        "spec": spec,
                         "variant": "reference",
-                        "seeds": [],
-                        "max_interactions": None,
+                        "segments": [
+                            {"spec": spec, "seeds": [], "max_interactions": None}
+                        ],
                     }
                 )
 
@@ -441,17 +447,8 @@ class TestWorkerPool:
             pool.wait_for_workers(1, timeout=15)
             seeds = np.random.SeedSequence(9).spawn(4)
             block_bytes = 4 * 8 * scenario.record_ints(spec)
-            outputs = pool.run(
-                [
-                    {
-                        "spec": spec,
-                        "variant": scenario.variant(None),
-                        "seeds": seeds,
-                        "max_interactions": None,
-                    }
-                ]
-            )
-            assert len(outputs[0]["results"]) == 4
+            outputs = pool.run([unit_of(spec, scenario.variant(None), seeds)])
+            assert len(outputs[0].parts[0]) == 4
             assert pool.chunks_dispatched == 1
             assert pool.bytes_sent > 0
             assert pool.bytes_received >= block_bytes
@@ -559,6 +556,213 @@ class TestRemoteBitIdentity:
                 assert proc.wait(timeout=30) == 0
         assert sweep_key(remote) == sweep_key(serial)
         assert report["workers"] is not None
+
+
+class TestPackedRemote:
+    """The remote executor runs the packed lockstep units the others run."""
+
+    @staticmethod
+    def mixed_grid():
+        usd_cells = (
+            SweepCell(spec=usd_spec(uniform_configuration(60, 2)), trials=3),
+            # A budget this small runs out before consensus.
+            SweepCell(
+                spec=usd_spec(uniform_configuration(90, 4)),
+                trials=4,
+                max_interactions=60,
+            ),
+        )
+        zealot_cells = tuple(
+            SweepCell(
+                spec=zealot_spec(config, zealots), trials=3, max_interactions=20_000
+            )
+            for config, zealots in (
+                (Configuration.from_supports([30, 20]), [2, 0]),
+                (uniform_configuration(60, 3), [0, 1, 3]),
+            )
+        )
+        return SweepSpec(cells=usd_cells + zealot_cells)
+
+    def test_mixed_sweep_equals_serial_and_process(self):
+        spec = self.mixed_grid()
+        with Engine(backend="batched", cache=False) as eng:
+            serial = eng.sweep(spec, seed=3, executor="serial")
+        with Engine(backend="batched", cache=False) as eng:
+            process = eng.sweep(spec, seed=3, executor="process", jobs=2)
+        with Engine(backend="batched", cache=False) as eng:
+            pool = eng.worker_pool()
+            for i in range(2):
+                start_worker_thread(pool.endpoint, name=f"w{i}")
+            pool.wait_for_workers(2, timeout=15)
+            remote = eng.sweep(spec, seed=3, executor="remote")
+            stats = eng.stats()
+        assert any(r.budget_exhausted for r in serial.cells[1].results)
+        assert sweep_key(remote) == sweep_key(serial) == sweep_key(process)
+        report = stats["scheduler"]["last_sweep"]
+        # Two packed groups (usd, zealots), one unit per worker each.
+        assert report["units"] == report["packed_units"] == 4
+        chunks = stats["transport"]["socket"]["chunks"]
+        assert chunks == 4
+        # Per-worker rows count units, not the cells packed into them.
+        assert sum(row["chunks"] for row in report["workers"].values()) == chunks
+
+    def test_every_builtin_scenario_matches_serial_and_process(self):
+        from repro.engine import gossip_spec, graph_spec, noise_spec
+
+        ring = [(i, (i + 1) % 40) for i in range(40)]
+        ring += [((i + 1) % 40, i) for i in range(40)]
+        spec = SweepSpec(
+            cells=(
+                SweepCell(spec=usd_spec(uniform_configuration(90, 3)), trials=4),
+                SweepCell(
+                    spec=graph_spec(ring, config=uniform_configuration(40, 2)),
+                    trials=3,
+                    max_interactions=50_000,
+                ),
+                SweepCell(
+                    spec=zealot_spec(uniform_configuration(120, 2), [0, 4]),
+                    trials=3,
+                    max_interactions=30_000,
+                ),
+                SweepCell(
+                    spec=noise_spec(uniform_configuration(100, 2), 0.02, 3_000),
+                    trials=3,
+                ),
+                SweepCell(spec=gossip_spec(uniform_configuration(150, 3)), trials=3),
+            )
+        )
+        fields = (
+            "interactions", "rounds", "converged", "winner", "budget_exhausted",
+            "max_plurality_fraction", "tail_mean_plurality_fraction",
+        )
+
+        def outcome(run):
+            return [
+                [
+                    (r.final.counts.tolist(), [getattr(r, f, None) for f in fields])
+                    for r in cell.results
+                ]
+                for cell in run
+            ]
+
+        runs = {}
+        for executor in ("serial", "process", "remote"):
+            with Engine(backend="batched", cache=False) as eng:
+                if executor == "remote":
+                    pool = eng.worker_pool()
+                    for i in range(2):
+                        start_worker_thread(pool.endpoint, name=f"w{i}")
+                    pool.wait_for_workers(2, timeout=15)
+                runs[executor] = outcome(
+                    eng.sweep(spec, seed=9, executor=executor, jobs=2)
+                )
+        assert runs["remote"] == runs["serial"] == runs["process"]
+
+    def test_worker_observations_split_unit_seconds_by_interactions(
+        self, monkeypatch
+    ):
+        from repro.engine import executors
+
+        # Every unit takes exactly 3 s on this clock.
+        ticks = itertools.count(0.0, 3.0)
+        monkeypatch.setattr(
+            executors, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+        )
+        observed = []
+        monkeypatch.setattr(
+            CostModel, "observe_worker", lambda self, *args: observed.append(args)
+        )
+        spec = SweepSpec(
+            cells=(
+                SweepCell(spec=usd_spec(uniform_configuration(60, 2)), trials=3),
+                SweepCell(spec=usd_spec(uniform_configuration(90, 3)), trials=1),
+            )
+        )
+        with Engine(backend="batched", cache=False) as eng:
+            pool = eng.worker_pool()
+            start_worker_thread(pool.endpoint, name="solo")
+            pool.wait_for_workers(1, timeout=15)
+            run = eng.sweep(spec, seed=4, executor="remote")
+        # The planner shares the 4 replicates between at least two
+        # workers: units [cell 0 x 2] and [cell 0 x 1, cell 1 x 1].
+        a = run.cells[0].results[2].interactions
+        b = run.cells[1].results[0].interactions
+        narrow = cost_signature("usd", "batched", 60)
+        wide = cost_signature("usd", "batched", 90)
+        assert [row[:3] for row in observed] == [
+            ("solo", narrow, 2),
+            ("solo", narrow, 1),
+            ("solo", wide, 1),
+        ]
+        assert [row[3] for row in observed] == pytest.approx(
+            [3.0, 3.0 * a / (a + b), 3.0 * b / (a + b)]
+        )
+
+    def test_worker_death_mid_packed_unit_requeues_bit_identically(self):
+        spec = self.mixed_grid()
+        with Engine(backend="batched", cache=False) as eng:
+            serial = eng.sweep(spec, seed=5, executor="serial")
+        with Engine(backend="batched", cache=False) as eng:
+            pool = eng.worker_pool()
+            # Dies on receipt of its first packed unit, without replying.
+            start_worker_thread(pool.endpoint, name="flaky", abort_after=0)
+            start_worker_thread(pool.endpoint, name="steady")
+            pool.wait_for_workers(2, timeout=15)
+            remote = eng.sweep(spec, seed=5, executor="remote")
+            requeued = pool.chunks_requeued
+            report = eng.stats()["scheduler"]["last_sweep"]
+        assert requeued >= 1
+        assert report["units"] == report["packed_units"]
+        assert set(report["workers"]) == {"steady"}
+        assert sweep_key(remote) == sweep_key(serial)
+
+    def test_result_body_must_match_the_segments_exactly(self):
+        from repro.engine.remote import _decode_result
+
+        body = fuzz_body()
+        assert len(body) == sum(FUZZ_BLOCKS)
+        frame = {"type": "result", "seconds": 0.5, "block": body}
+        decoded = _decode_result(frame, FUZZ_UNIT)
+        assert [len(part) for part in decoded.parts] == [2, 1]
+        assert decoded.seconds == 0.5 and not decoded.served
+        for skewed in (body + b"\0", body[:-1], body[: FUZZ_BLOCKS[0]]):
+            with pytest.raises(ProtocolError, match="result body"):
+                _decode_result({**frame, "block": skewed}, FUZZ_UNIT)
+
+    @staticmethod
+    def chunk(variant, *specs):
+        return {
+            "type": "chunk",
+            "id": 0,
+            "variant": variant,
+            "segments": [
+                {
+                    "spec": spec.to_json(),
+                    "seeds": [seed_token(np.random.SeedSequence(i))],
+                    "max_interactions": 20_000,
+                }
+                for i, spec in enumerate(specs)
+            ],
+        }
+
+    def test_worker_refuses_segments_that_do_not_pack(self):
+        from repro.engine import graph_spec
+        from repro.engine.remote import _decode_chunk, _execute_chunk
+
+        usd = usd_spec(uniform_configuration(60, 2))
+        ring = [(i, (i + 1) % 40) for i in range(40)]
+        ring += [((i + 1) % 40, i) for i in range(40)]
+        graph = graph_spec(ring, config=uniform_configuration(40, 2))
+        zealots = zealot_spec(uniform_configuration(60, 3), [0, 1, 3])
+        for variant, spec in (("jump", usd), ("batched", graph)):
+            with pytest.raises(ProtocolError, match="does not pack"):
+                _execute_chunk(self.chunk(variant, spec, spec))
+            # One segment of the same cell is a plain chunk.
+            assert not _decode_chunk(self.chunk(variant, spec)).packed
+        with pytest.raises(ProtocolError, match="mix scenarios"):
+            _execute_chunk(self.chunk("batched", usd, zealots))
+        packed = _decode_chunk(self.chunk("batched", usd, usd))
+        assert packed.packed and len(packed.seeds) == 2
 
 
 # ----------------------------------------------------------------------
@@ -683,6 +887,19 @@ class TestHandshakeHardening:
                 assert reject["type"] == "reject"
                 assert "protocol version 3" in reject["error"]
                 assert "upgrade the worker" in reject["error"]
+                assert next(frames) is None  # then a clean close
+            finally:
+                sock.close()
+            # A protocol-4 worker sends single-cell chunks' results; it
+            # is told the version skew instead of failing mid-run.
+            sock = socket.create_connection(pool.address, timeout=10)
+            try:
+                sock.settimeout(10)
+                send_frame(sock, {"type": "hello", "protocol": 4, "name": "v4"})
+                frames = _read_frames(sock)
+                reject = next(frames)
+                assert reject["type"] == "reject"
+                assert f"protocol version 4 != {PROTOCOL_VERSION}" in reject["error"]
                 assert next(frames) is None  # then a clean close
             finally:
                 sock.close()
@@ -864,22 +1081,15 @@ class TestCacheFabricProtocol:
                 pool.endpoint, name="warm", cache_dir=str(tmp_path / "w")
             )
             pool.wait_for_workers(1, timeout=15)
-            outputs = pool.run(
-                [
-                    {
-                        "spec": spec,
-                        "variant": scenario.variant(None),
-                        "seeds": np.random.SeedSequence(5).spawn(6),
-                        "max_interactions": None,
-                        "cache_key": key,
-                        "cache_owners": ["warm"],
-                    }
-                ]
+            unit = unit_of(
+                spec, scenario.variant(None), np.random.SeedSequence(5).spawn(6)
             )
+            outputs = pool.run([unit], serve={0: (key, ["warm"])})
             fabric = pool.cache_stats()
-        assert outputs[0].get("served") is True
+        assert outputs[0].served is True
+        assert outputs[0].worker == "warm"
         assert fabric["served"] == 1
-        assert results_key(outputs[0]["results"]) == results_key(results)
+        assert results_key(outputs[0].parts[0]) == results_key(results)
 
     def test_lying_probe_falls_back_cold_bit_identically(self, tmp_path):
         # A worker that advertises every key but can serve none: the pool
@@ -1104,6 +1314,19 @@ def seed_tokens():
     )
 
 
+def segment_lists():
+    """Chunk ``segments``: lists of near-valid segment objects, or any JSON."""
+    segment = st.fixed_dictionaries(
+        {},
+        optional={
+            "spec": spec_objects(),
+            "seeds": seed_tokens() | json_values(),
+            "max_interactions": json_values(),
+        },
+    )
+    return st.lists(segment | json_values(), max_size=3) | json_values()
+
+
 def messages():
     """Chunk, result and cache-push headers built from arbitrary values."""
     return st.fixed_dictionaries(
@@ -1111,6 +1334,7 @@ def messages():
         optional={
             "id": json_values(),
             "spec": spec_objects(),
+            "segments": segment_lists(),
             "variant": st.sampled_from(["batched", "reference", "jump"])
             | json_values(),
             "seeds": seed_tokens() | json_values(),
@@ -1130,11 +1354,45 @@ FUZZ = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-FUZZ_CHUNK = {
-    "spec": usd_spec(uniform_configuration(60, 2)),
-    "variant": "batched",
-    "seeds": np.random.SeedSequence(1).spawn(2),
-}
+#: A packed two-segment unit (k = 2 and k = 3) whose result bodies the
+#: fuzzers feed to the result decoder.
+FUZZ_UNIT = WorkUnit(
+    get_scenario("usd"),
+    "batched",
+    "batched",
+    (
+        Segment(0, usd_spec(uniform_configuration(60, 2)), None,
+                np.random.SeedSequence(1).spawn(2)),
+        Segment(1, usd_spec(uniform_configuration(90, 3)), 500,
+                np.random.SeedSequence(2).spawn(1)),
+    ),
+    packed=True,
+)
+
+#: Bytes per record block of FUZZ_UNIT's segments: trials x 8 x (k + 4).
+FUZZ_BLOCKS = (2 * 8 * 6, 1 * 8 * 7)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_body():
+    """FUZZ_UNIT's real result body: its segments' blocks back to back."""
+    from repro.engine.executors import encode_parts, run_unit
+
+    work, budget = FUZZ_UNIT.work()
+    results, _ = run_unit(FUZZ_UNIT.scenario, "batched", work, budget, FUZZ_UNIT.seeds)
+    return b"".join(encode_parts(FUZZ_UNIT.scenario, "batched", work, results))
+
+
+def bodies():
+    """Arbitrary bytes, concatenated blocks of the right sizes (real or
+    random records), and those cut short or padded by a few bytes."""
+    exact = st.tuples(
+        *(st.binary(min_size=size, max_size=size) for size in FUZZ_BLOCKS)
+    ).map(b"".join) | st.builds(fuzz_body)
+    skewed = st.tuples(exact, st.integers(-9, 9)).map(
+        lambda pair: pair[0][: pair[1]] if pair[1] < 0 else pair[0] + bytes(pair[1])
+    )
+    return st.binary(max_size=200) | exact | skewed
 
 
 def decode_all(message):
@@ -1148,7 +1406,7 @@ def decode_all(message):
     for decode in (
         _decode_chunk,
         _decode_cache_push,
-        lambda m: _decode_result(m, FUZZ_CHUNK),
+        lambda m: _decode_result(m, FUZZ_UNIT),
     ):
         try:
             decode(message)
@@ -1226,7 +1484,7 @@ class TestHostilePeers:
             decode_all(message)
 
     @FUZZ
-    @given(message=messages(), body=st.binary(max_size=200))
+    @given(message=messages(), body=bodies())
     def test_message_decoders_raise_only_protocol_errors(self, message, body):
         # Through the codec, so the header is exactly what a peer could send.
         wire = json.dumps(message).encode()

@@ -648,13 +648,13 @@ class TestPackedSweep:
         import itertools
         import types
 
-        from repro.engine import session
+        from repro.engine import executors
         from repro.engine.costmodel import CostModel
 
         # Every chunk takes exactly 3 s on this clock.
         ticks = itertools.count(0.0, 3.0)
         monkeypatch.setattr(
-            session, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
+            executors, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks))
         )
         observed = []
         monkeypatch.setattr(
@@ -833,7 +833,8 @@ class TestEnsembleIsOneCellSweep:
     the one cell at ``seed`` as its cell seed, bit for bit, and the same
     units the ensemble-only pipeline once cut: ``batch_size`` kernel
     calls serially, four chunks per worker for a cell that does not
-    pack, one wide unit per pool worker for a lockstep cell that does.
+    pack, one wide unit per pool or socket worker for a lockstep cell
+    that does.
     """
 
     TRIALS = 11
@@ -943,8 +944,12 @@ class TestEnsembleIsOneCellSweep:
             )
             chunks = eng.stats()["transport"]["socket"]["chunks"]
         assert results_key(got) == want
-        # The remote executor never packs: ceil(11 / ceil(11 / (2 * 4))).
-        assert chunks == 6
+        if name == "usd-batched":
+            # A lockstep cell packs like on the pool: one wide unit per worker.
+            assert chunks == 2
+        else:
+            # Four chunks per worker: ceil(11 / ceil(11 / (2 * 4))).
+            assert chunks == 6
 
     def test_fleet_owned_ensemble_is_one_served_chunk(self, tmp_path):
         want = self.swept("usd-batched")
