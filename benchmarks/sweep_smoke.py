@@ -33,9 +33,10 @@ Three measurements, merged into one ``BENCH_sweeps.json`` artifact:
   ``usd`` grid, a tiny ``zealots`` grid and a tiny batched ``usd``
   ensemble, each run serially, on the process executor and on the
   remote executor with ``--jobs`` in-process worker threads.  Results
-  must be identical, and each process or remote call must send exactly
-  ``--jobs`` packed units through the pool or the socket.  It has no
-  timing gate.
+  must be identical, each process or remote call must send exactly
+  ``--jobs`` packed units through the pool or the socket, and when a
+  grid has at least ``--jobs`` cells every unit must hold whole cells.
+  It has no timing gate.
 
 Usage::
 
@@ -109,14 +110,14 @@ def check_process_packing(jobs: int, seed: int) -> list[str]:
     arms = {
         f"{name} grid": lambda eng, executor, grid=grid: [
             _results_key(cell.results)
-            for cell in eng.sweep(grid, seed=seed, executor=executor)
+            for cell in eng.sweep(grid, seed=seed, executor=executor, jobs=jobs)
         ]
         for name, grid in grids.items()
     }
     # An ensemble is a one-cell sweep: its lockstep cell packs the same way.
     ensemble_spec = usd_spec(uniform_configuration(90, 3))
     arms["usd ensemble"] = lambda eng, executor: _results_key(
-        eng.ensemble(ensemble_spec, 7, seed=seed, executor=executor)
+        eng.ensemble(ensemble_spec, 7, seed=seed, executor=executor, jobs=jobs)
     )
     failures = []
     for name, arm in arms.items():
@@ -130,6 +131,21 @@ def check_process_packing(jobs: int, seed: int) -> list[str]:
                 transport = eng.stats()["transport"]
                 chunks["process"] = transport["pickle"]["chunks"]
                 chunks["remote"] = transport["socket"]["chunks"]
+                report = eng.stats()["scheduler"]["last_sweep"]
+            # An ensemble leaves no sweep report.  A sweep with at least as
+            # many cells as workers must split no cell.
+            if report is not None and jobs <= len(report["cells"]):
+                trials = [cell["trials"] for cell in report["cells"]]
+                split = [
+                    entry["segments"]
+                    for entry in report["plan"]
+                    if any(reps != trials[c] for c, reps in entry["segments"])
+                ]
+                if split:
+                    failures.append(
+                        f"{name}: {executor} units {split} split a cell "
+                        f"with {len(trials)} cells for {jobs} workers"
+                    )
             if executor == "serial":
                 continue
             same = runs[executor] == runs["serial"]

@@ -399,14 +399,26 @@ def plan_units(
 
     Cells one lockstep kernel can run together (every ``usd``, or every
     ``zealots``, cell whose runner :meth:`Scenario.packs`) form one
-    group, and the group's replicate queue, in ``pending`` order, is cut
-    into packed units of ``min(batch_size, ceil(len(queue) / jobs))``:
-    one wide unit per worker, or ``batch_size`` chunks on the serial
-    executor (``jobs == 1``).  Every other cell is a group of its own,
-    cut into ``chunk_caps[i]`` replicates per unit (``batch_size`` when
-    no cap is given).  With ``predicted`` (seconds per cell) groups come
-    longest-first, so a slow group does not start last; the sort is
-    stable.
+    group of packed units, each at most ``batch_size`` wide:
+
+    * ``jobs == 1`` (serial): the group's replicate queue, in
+      ``pending`` order, is cut into ``batch_size`` chunks;
+    * at least ``jobs`` cells: no cell is split.  The cells are
+      bin-packed into ``jobs`` units, longest ``predicted`` first, each
+      onto the unit with the least predicted seconds so far
+      (:func:`_whole_cells`);
+    * fewer cells than ``jobs``: the queue is cut into ``jobs`` equal
+      widths, ``ceil(len(queue) / jobs)`` columns each.
+
+    Whole cells win because a lockstep call runs as many passes as its
+    slowest column and a wide-phase event costs about the same at any
+    width: halving a group doubles each worker's cost per column, while
+    one cell per worker leaves each call as slow as its own cell only.
+
+    Every other cell is a group of its own, cut into ``chunk_caps[i]``
+    replicates per unit (``batch_size`` when no cap is given).  With
+    ``predicted`` (seconds per cell) groups come longest-first, so a
+    slow group does not start last; the sort is stable.
 
     Units only move wall time: each replicate still draws from its own
     seed, derived per cell before any cutting.
@@ -427,23 +439,30 @@ def plan_units(
         first = group[0]
         scenario, runner, variant = scenarios[first], runners[first], variants[first]
         if isinstance(key, str):
-            queue = [
-                (i, s)
-                for i in group
-                for s in replicate_seeds(seeds[i], cells[i].trials)
-            ]
-            width = min(batch_size, -(-len(queue) // jobs))
-            for chunk in _chunked(queue, width):
-                segments = tuple(
-                    Segment(
-                        i,
-                        cells[i].spec,
-                        cells[i].max_interactions,
-                        [s for _, s in run],
+            if 1 < jobs <= len(group):
+                bins, width = _whole_cells(group, cells, jobs, predicted), batch_size
+            else:
+                replicates = sum(cells[i].trials for i in group)
+                bins, width = [group], min(batch_size, -(-replicates // jobs))
+            for members in bins:
+                queue = [
+                    (i, s)
+                    for i in members
+                    for s in replicate_seeds(seeds[i], cells[i].trials)
+                ]
+                for chunk in _chunked(queue, width):
+                    segments = tuple(
+                        Segment(
+                            i,
+                            cells[i].spec,
+                            cells[i].max_interactions,
+                            [s for _, s in run],
+                        )
+                        for i, run in itertools.groupby(chunk, key=lambda item: item[0])
                     )
-                    for i, run in itertools.groupby(chunk, key=lambda item: item[0])
-                )
-                units.append(WorkUnit(scenario, runner, variant, segments, packed=True))
+                    units.append(
+                        WorkUnit(scenario, runner, variant, segments, packed=True)
+                    )
             continue
         cell = cells[first]
         cap = batch_size if chunk_caps is None else chunk_caps[first]
@@ -458,6 +477,26 @@ def plan_units(
             for chunk in _chunked(replicate_seeds(seeds[first], cell.trials), cap)
         )
     return units
+
+
+def _whole_cells(group, cells, jobs, predicted) -> list[list[int]]:
+    """``group``'s cells bin-packed into ``jobs`` bins, heaviest bin first.
+
+    Longest-processing-time first: cells in decreasing ``predicted``
+    seconds (then replicates) each join the bin with the least predicted
+    seconds (then replicates, then the lowest index) so far.  A bin
+    keeps its cells in ``group`` order.
+    """
+    cost = predicted or {}
+    bins: list[list[int]] = [[] for _ in range(jobs)]
+    loads = [(0.0, 0)] * jobs
+    for i in sorted(group, key=lambda i: (-cost.get(i, 0.0), -cells[i].trials)):
+        b = min(range(jobs), key=loads.__getitem__)
+        bins[b].append(i)
+        loads[b] = (loads[b][0] + cost.get(i, 0.0), loads[b][1] + cells[i].trials)
+    position = {i: p for p, i in enumerate(group)}
+    heaviest = sorted(range(jobs), key=lambda b: loads[b], reverse=True)
+    return [sorted(bins[b], key=position.__getitem__) for b in heaviest]
 
 
 def _record_widths(scenario, spec: ScenarioSpec, variant: str) -> tuple[int, int] | None:

@@ -445,7 +445,12 @@ class Engine:
         also breaks predicted-vs-measured seconds down per worker, one
         ``chunks`` count per unit however many cells it packed.
         ``units`` counts the kernel calls dispatched and ``packed_units``
-        those that ran several cells' replicates as one lockstep batch.
+        those that ran as one lockstep batch, whether of one cell's
+        replicates or of several cells'.  ``plan`` lists the units in
+        dispatch order: each one's ``(cell, replicates)`` segments, its
+        predicted and measured seconds, and the socket ``worker`` that
+        ran it (``None`` off the remote executor) and whether that
+        worker ``served`` it from its store.
         """
         scheduled = set(pending)
         cell_reports = []
@@ -487,7 +492,23 @@ class Engine:
         if measured_total > 0:
             error = abs(predicted_total - measured_total) / measured_total
         workers: dict[str, dict] | None = None
+        plan = []
         for unit, outcome in zip(units, outcomes):
+            unit_predicted = sum(
+                plans[segment.cell]["per_replicate_seconds"] * len(segment.seeds)
+                for segment in unit.segments
+            )
+            plan.append(
+                {
+                    "segments": [
+                        (segment.cell, len(segment.seeds)) for segment in unit.segments
+                    ],
+                    "predicted_seconds": unit_predicted,
+                    "measured_seconds": outcome.seconds,
+                    "worker": outcome.worker,
+                    "served": outcome.served,
+                }
+            )
             if outcome.worker is None:
                 continue
             if workers is None:
@@ -509,15 +530,13 @@ class Engine:
                 # the predicted-vs-measured comparison.
                 entry["served"] += 1
                 continue
-            entry["predicted_seconds"] += sum(
-                plans[segment.cell]["per_replicate_seconds"] * len(segment.seeds)
-                for segment in unit.segments
-            )
+            entry["predicted_seconds"] += unit_predicted
             entry["measured_seconds"] += outcome.seconds
         return {
             "executor": executor,
             "units": len(units),
             "packed_units": sum(unit.packed for unit in units),
+            "plan": plan,
             "cells": cell_reports,
             "replicates_scheduled": sum(cells[i].trials for i in scheduled),
             "replicates_from_cache": sum(
@@ -844,10 +863,13 @@ class Engine:
         The serial executor cuts cells that do not pack into
         ``batch_size`` chunks.  On the pool and the fleet,
         ``size(i, variant, workers, pool)`` gives pending cell ``i``'s
-        chunk cap and predicted seconds (groups run longest-first):
-        ``workers`` is the worker count to share the queue between and
-        ``pool`` the :class:`WorkerPool` on the remote executor, else
-        ``None``.  A cell some worker's store holds skips the planner:
+        chunk cap and predicted seconds (groups run longest-first, and a
+        lockstep group with at least ``workers`` cells is bin-packed by
+        them into units of whole cells): ``workers`` is the worker count
+        to share the queue between (``jobs`` on the pool, the attached
+        workers, at least one, on the fleet) and ``pool`` the
+        :class:`WorkerPool` on the remote executor, else ``None``.  A
+        cell some worker's store holds skips the planner:
         it is one whole-cell unit that an owner serves from its store
         (or, failing that, any worker runs cold).  Every simulated cell
         is then pushed to the workers whose store differs.  Units only
@@ -891,7 +913,7 @@ class Engine:
                     )
                     if names:
                         owners[i] = names
-                workers = max(pool.worker_count(), 2)
+                workers = max(pool.worker_count(), 1)
             else:
                 workers = self._resolve_jobs(jobs)
         planned = [i for i in pending if i not in owners]
@@ -1026,11 +1048,12 @@ class Engine:
         (:func:`repro.engine.run_ensemble`) bit for bit at fixed seeds,
         on every executor, because replicate seeds are derived before
         any chunking or dispatch; unspecified arguments fall back to the
-        *session's* frozen options.  A lockstep cell runs as one wide
-        unit per worker, as in a sweep.  Unlike a sweep, an ensemble
+        *session's* frozen options.  A lockstep cell's columns are split
+        into one equal-width unit per worker, as in a sweep with fewer
+        cells than workers.  Unlike a sweep, an ensemble
         cuts a cell that does not pack into a fixed number of chunks —
         four per process worker, four per attached socket worker (at
-        least two workers) — and leaves the cost model, the sweep report
+        least one worker) — and leaves the cost model, the sweep report
         and the sweep index alone.
         """
         self._check_open()
@@ -1074,11 +1097,14 @@ class Engine:
         (:func:`~repro.engine.executors.plan_units`) cuts the pending
         cells into work units: every pending ``usd`` cell on the
         built-in batched backend, and every ``zealots`` cell on its
-        batched variant, shares one replicate queue per scenario, cut
-        into units of ``min(batch_size, ceil(queue / jobs))``
-        replicates, each ONE zero-padded lockstep kernel call across
-        cells — one wide unit per pool or socket worker, or
-        ``batch_size`` chunks serially.  Every other cell keeps its own
+        batched variant, joins one lockstep group per scenario, cut
+        into units of at most ``batch_size`` replicates, each ONE
+        zero-padded lockstep kernel call across cells.  Serially the
+        group's queue is cut into ``batch_size`` chunks; on the pool and
+        the fleet a group with at least as many cells as workers is
+        bin-packed into one unit per worker of whole cells, longest
+        predicted first, and a smaller group is split into one
+        equal-width unit per worker.  Every other cell keeps its own
         chunks: the session cost model cuts them into fixed wall-time
         slices on the pool and the fleet, longest-predicted cells first.
         The process executor drains the units from one shared queue on

@@ -683,19 +683,18 @@ class TestPackedRemote:
             start_worker_thread(pool.endpoint, name="solo")
             pool.wait_for_workers(1, timeout=15)
             run = eng.sweep(spec, seed=4, executor="remote")
-        # The planner shares the 4 replicates between at least two
-        # workers: units [cell 0 x 2] and [cell 0 x 1, cell 1 x 1].
-        a = run.cells[0].results[2].interactions
+        # One worker gets one unit holding both cells, [cell 0 x 3,
+        # cell 1 x 1], and its 3 s are split by interactions.
+        a = sum(r.interactions for r in run.cells[0].results)
         b = run.cells[1].results[0].interactions
         narrow = cost_signature("usd", "batched", 60)
         wide = cost_signature("usd", "batched", 90)
         assert [row[:3] for row in observed] == [
-            ("solo", narrow, 2),
-            ("solo", narrow, 1),
+            ("solo", narrow, 3),
             ("solo", wide, 1),
         ]
         assert [row[3] for row in observed] == pytest.approx(
-            [3.0, 3.0 * a / (a + b), 3.0 * b / (a + b)]
+            [3.0 * a / (a + b), 3.0 * b / (a + b)]
         )
 
     def test_worker_death_mid_packed_unit_requeues_bit_identically(self):

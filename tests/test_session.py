@@ -36,6 +36,7 @@ from repro.engine import (
     usd_spec,
     zealot_spec,
 )
+from repro.engine.executors import plan_units
 from repro.workloads import uniform_configuration
 
 
@@ -52,6 +53,23 @@ def results_key(results):
 
 def sweep_key(outcome):
     return [results_key(cell.results) for cell in outcome]
+
+
+def attach_workers(eng, *cache_dirs):
+    """Serve ``eng``'s worker pool from one thread per ``cache_dirs`` entry."""
+    from repro.engine import serve_worker
+
+    pool = eng.worker_pool()
+
+    def serve(name, cache_dir):
+        try:
+            serve_worker(pool.endpoint, name=name, cache_dir=cache_dir)
+        except OSError:
+            pass  # the session closed the pool under the worker
+
+    for i, cache_dir in enumerate(cache_dirs):
+        threading.Thread(target=serve, args=(f"w{i}", cache_dir), daemon=True).start()
+    pool.wait_for_workers(len(cache_dirs), timeout=30)
 
 
 def small_sweep(trials=6):
@@ -539,6 +557,88 @@ class TestSchedulerStats:
         assert summary["signatures"] >= 1
 
 
+class TestPlanUnits:
+    """How ``plan_units`` cuts one lockstep group, by executor width.
+
+    Each case is ``(trials per cell, jobs, batch_size, predicted seconds
+    per cell or None, units as lists of (cell, replicates) segments)``.
+    """
+
+    CASES = {
+        "serial keeps batch_size chunks in pending order": (
+            [3, 4, 5], 1, 5, [1.0, 2.0, 3.0],
+            [[(0, 3), (1, 2)], [(1, 2), (2, 3)], [(2, 2)]],
+        ),
+        "serial with one cell": ([7], 1, 1024, None, [[(0, 7)]]),
+        "one whole cell per worker": (
+            [8, 32], 2, 1024, [2.0, 1.5], [[(0, 8)], [(1, 32)]],
+        ),
+        "longest predicted first, onto the lightest unit": (
+            # 0 and 1 open the two units, 2 joins 1's (3 < 4), 3 joins
+            # 0's (4 < 5); both reach 5 s and the one with more
+            # replicates comes first.
+            [2, 4, 3, 1], 2, 1024, [4.0, 3.0, 2.0, 1.0],
+            [[(1, 4), (2, 3)], [(0, 2), (3, 1)]],
+        ),
+        "as many cells as workers": (
+            [3, 4, 5], 3, 1024, [1.0, 1.0, 1.0], [[(2, 5)], [(1, 4)], [(0, 3)]],
+        ),
+        "without predictions, replicates balance": (
+            [2, 6, 3], 2, 1024, None, [[(1, 6)], [(0, 2), (2, 3)]],
+        ),
+        "whole-cell units still cut at batch_size": (
+            [5, 3, 2], 2, 3, [3.0, 2.0, 1.0],
+            [[(0, 3)], [(0, 2)], [(1, 3)], [(2, 2)]],
+        ),
+        "fewer cells than workers split columns": (
+            [4, 3], 3, 1024, [1.0, 1.0], [[(0, 3)], [(0, 1), (1, 2)], [(1, 1)]],
+        ),
+        "one cell split across workers": (
+            [11], 2, 1024, [5.0], [[(0, 6)], [(0, 5)]],
+        ),
+        "split columns still cut at batch_size": (
+            [11], 2, 4, [5.0], [[(0, 4)], [(0, 4)], [(0, 3)]],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_units(self, name):
+        trials, jobs, batch_size, predicted, want = self.CASES[name]
+        cells = [
+            SweepCell(spec=usd_spec(uniform_configuration(60 + 30 * i, 2)), trials=t)
+            for i, t in enumerate(trials)
+        ]
+        seeds = [100 + i for i in range(len(cells))]
+        units = plan_units(
+            cells,
+            list(range(len(cells))),
+            [get_scenario("usd")] * len(cells),
+            ["batched"] * len(cells),
+            seeds,
+            None,
+            jobs=jobs,
+            batch_size=batch_size,
+            predicted=None if predicted is None else dict(enumerate(predicted)),
+        )
+        got = [[(s.cell, len(s.seeds)) for s in unit.segments] for unit in units]
+        assert got == want
+        assert all(unit.packed for unit in units)
+        assert max(len(unit.seeds) for unit in units) <= batch_size
+        # Cutting never reorders or reseeds a cell's replicates.
+        for i, cell in enumerate(cells):
+            drawn = [
+                (seed.entropy, seed.spawn_key)
+                for unit in units
+                for segment in unit.segments
+                if segment.cell == i
+                for seed in segment.seeds
+            ]
+            assert drawn == [
+                (seed.entropy, seed.spawn_key)
+                for seed in replicate_seeds(seeds[i], cell.trials)
+            ]
+
+
 class TestPackedSweep:
     """A serial sweep runs each lockstep scenario's cells as one kernel call.
 
@@ -683,6 +783,34 @@ class TestPackedSweep:
                 )
         assert report["measured_seconds"] == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_serial_process_remote_identical(self, jobs):
+        spec = SweepSpec(cells=self.CELLS)
+        with Engine(backend="batched", cache=False) as eng:
+            serial = eng.sweep(spec, seed=29, executor="serial")
+        runs, plans = {}, {}
+        for executor in ("process", "remote"):
+            with Engine(backend="batched", cache=False) as eng:
+                if executor == "remote":
+                    attach_workers(eng, *[None] * jobs)
+                runs[executor] = sweep_key(
+                    eng.sweep(spec, seed=29, executor=executor, jobs=jobs)
+                )
+                plans[executor] = eng.stats()["scheduler"]["last_sweep"]["plan"]
+        assert runs["process"] == runs["remote"] == sweep_key(serial)
+        segments = [[entry["segments"] for entry in plan] for plan in plans.values()]
+        assert segments[0] == segments[1]
+        # usd has 3 cells, at least one per worker: `jobs` units of whole
+        # cells.  zealots has 2: whole cells at jobs=2, split at jobs=3.
+        usd = [unit for unit in segments[0] if unit[0][0] in (0, 1, 3)]
+        assert len(usd) == jobs
+        assert all(
+            reps == self.CELLS[cell].trials for unit in usd for cell, reps in unit
+        )
+        assert len(segments[0]) == 2 * jobs
+        assert all(entry["worker"] is None for entry in plans["process"])
+        assert all(entry["worker"] is not None for entry in plans["remote"])
+
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_process_packed_equals_serial_packed(self, jobs):
         # batch_size=3 caps every unit below the per-worker share, so
@@ -706,9 +834,12 @@ class TestPackedSweep:
             )
             report = eng.stats()["scheduler"]["last_sweep"]
         assert sweep_key(process) == sweep_key(serial) == per_cell
-        # 12 usd and 5 zealots replicates, cut into units of
-        # min(3, ceil(queue / jobs)).
-        assert report["units"] == {1: 4 + 2, 2: 4 + 2, 3: 4 + 3}[jobs]
+        # 12 usd replicates in 3 cells and 5 zealots replicates in 2,
+        # in units of at most 3.  jobs=1: each queue in chunks of 3.
+        # jobs=2: whole cells, usd bins {0, 3} (3 + 5) and {1} (4),
+        # zealots one cell per unit.  jobs=3: one usd cell per bin
+        # (3, 4, 5), and the 2 zealots cells split into widths 2, 2, 1.
+        assert report["units"] == {1: 4 + 2, 2: (3 + 2) + 2, 3: (1 + 2 + 2) + 3}[jobs]
         assert report["units"] > jobs
         assert report["packed_units"] == report["units"]
 
@@ -738,7 +869,7 @@ class TestPackedSweep:
 
 
 class TestProcessPacking:
-    """The process executor runs one wide packed unit per worker."""
+    """The process executor runs one packed unit of whole cells per worker."""
 
     SPEC = SweepSpec(
         cells=(
@@ -779,8 +910,18 @@ class TestProcessPacking:
         transport = stats["transport"]["pickle"]
         assert report["units"] == report["packed_units"] == 2
         assert transport["chunks"] == 2
-        assert [len(p[3]) for p in seen["payloads"]] == [6, 5]
+        # Two cells for two workers: one whole cell per unit, the cell
+        # with the longer prediction (the larger n) first.
         assert all(isinstance(p[1], PackedChunk) for p in seen["payloads"])
+        assert [
+            [(spec.config.n, reps) for spec, reps, _ in p[1].segments]
+            for p in seen["payloads"]
+        ] == [[(150, 6)], [(90, 5)]]
+        assert [entry["segments"] for entry in report["plan"]] == [[(1, 6)], [(0, 5)]]
+        assert [entry["measured_seconds"] for entry in report["plan"]] == [
+            seconds for _, seconds in seen["outputs"]
+        ]
+        assert all(entry["predicted_seconds"] > 0 for entry in report["plan"])
         # One record block per segment: k + 4 int64 slots per replicate.
         assert transport["bytes"] == sum(
             cell.trials * 8 * (cell.spec.config.k + 4) for cell in self.SPEC.cells
@@ -833,7 +974,8 @@ class TestEnsembleIsOneCellSweep:
     the one cell at ``seed`` as its cell seed, bit for bit, and the same
     units the ensemble-only pipeline once cut: ``batch_size`` kernel
     calls serially, four chunks per worker for a cell that does not
-    pack, one wide unit per pool or socket worker for a lockstep cell
+    pack, and, since one cell is fewer than the workers, one
+    equal-width unit per pool or socket worker for a lockstep cell
     that does.
     """
 
@@ -914,30 +1056,12 @@ class TestEnsembleIsOneCellSweep:
             cap = Engine._chunk_cap(self.TRIALS, 2, DEFAULT_BATCH_SIZE)
             assert chunks == -(-self.TRIALS // cap) == 6
 
-    @staticmethod
-    def attach_workers(eng, *cache_dirs):
-        from repro.engine import serve_worker
-
-        pool = eng.worker_pool()
-
-        def serve(name, cache_dir):
-            try:
-                serve_worker(pool.endpoint, name=name, cache_dir=cache_dir)
-            except OSError:
-                pass  # the session closed the pool under the worker
-
-        for i, cache_dir in enumerate(cache_dirs):
-            threading.Thread(
-                target=serve, args=(f"w{i}", cache_dir), daemon=True
-            ).start()
-        pool.wait_for_workers(len(cache_dirs), timeout=30)
-
     @pytest.mark.parametrize("name", ["usd-batched", "graph"])
     def test_remote_keeps_four_chunks_per_worker(self, name):
         want = self.swept(name)
         spec, backend, budget = self.CASES[name]
         with Engine(backend=backend, cache=False) as eng:
-            self.attach_workers(eng, None, None)
+            attach_workers(eng, None, None)
             got = eng.ensemble(
                 spec, self.TRIALS, seed=5, executor="remote",
                 max_interactions=budget,
@@ -945,7 +1069,8 @@ class TestEnsembleIsOneCellSweep:
             chunks = eng.stats()["transport"]["socket"]["chunks"]
         assert results_key(got) == want
         if name == "usd-batched":
-            # A lockstep cell packs like on the pool: one wide unit per worker.
+            # A lockstep cell packs like on the pool: one equal-width
+            # unit per worker.
             assert chunks == 2
         else:
             # Four chunks per worker: ceil(11 / ceil(11 / (2 * 4))).
@@ -957,7 +1082,7 @@ class TestEnsembleIsOneCellSweep:
         with Engine(backend=backend, cache=True, cache_dir=str(tmp_path)) as eng:
             eng.ensemble(spec, self.TRIALS, seed=5)
         with Engine(backend=backend, cache=False) as eng:
-            self.attach_workers(eng, str(tmp_path), None)
+            attach_workers(eng, str(tmp_path), None)
             got = eng.ensemble(spec, self.TRIALS, seed=5, executor="remote")
             stats = eng.stats()
         assert results_key(got) == want
