@@ -399,21 +399,28 @@ def plan_units(
 
     Cells one lockstep kernel can run together (every ``usd``, or every
     ``zealots``, cell whose runner :meth:`Scenario.packs`) form one
-    group of packed units, each at most ``batch_size`` wide:
+    group of packed units, each at most ``batch_size`` wide
+    (:func:`_lockstep_bins`):
 
-    * ``jobs == 1`` (serial): the group's replicate queue, in
-      ``pending`` order, is cut into ``batch_size`` chunks;
     * at least ``jobs`` cells: no cell is split.  The cells are
       bin-packed into ``jobs`` units, longest ``predicted`` first, each
       onto the unit with the least predicted seconds so far
-      (:func:`_whole_cells`);
-    * fewer cells than ``jobs``: the queue is cut into ``jobs`` equal
-      widths, ``ceil(len(queue) / jobs)`` columns each.
+      (:func:`_whole_cells`) — unless that would make a unit wider than
+      both the equal share below and :data:`_FREE_WIDTH` columns;
+    * otherwise the queue is cut into ``jobs`` equal widths,
+      ``ceil(len(queue) / jobs)`` columns each.
+
+    Serial (``jobs == 1``) is the first case with one unit: the
+    group's replicate queue, in ``pending`` order, in ``batch_size``
+    chunks.
 
     Whole cells win because a lockstep call runs as many passes as its
-    slowest column and a wide-phase event costs about the same at any
-    width: halving a group doubles each worker's cost per column, while
-    one cell per worker leaves each call as slow as its own cell only.
+    slowest column and, up to about :data:`_FREE_WIDTH` columns, costs
+    about the same at any width; past it, width costs time, so a wide
+    cell is split rather than left alone in a wide unit.  DESIGN.md
+    item 5 has the measurements; the balancing of more cells than
+    workers, by ``predicted`` seconds blind to k and to the start, is
+    unverified there.
 
     Every other cell is a group of its own, cut into ``chunk_caps[i]``
     replicates per unit (``batch_size`` when no cap is given).  With
@@ -439,11 +446,7 @@ def plan_units(
         first = group[0]
         scenario, runner, variant = scenarios[first], runners[first], variants[first]
         if isinstance(key, str):
-            if 1 < jobs <= len(group):
-                bins, width = _whole_cells(group, cells, jobs, predicted), batch_size
-            else:
-                replicates = sum(cells[i].trials for i in group)
-                bins, width = [group], min(batch_size, -(-replicates // jobs))
+            bins, width = _lockstep_bins(group, cells, jobs, batch_size, predicted)
             for members in bins:
                 queue = [
                     (i, s)
@@ -477,6 +480,31 @@ def plan_units(
             for chunk in _chunked(replicate_seeds(seeds[first], cell.trials), cap)
         )
     return units
+
+
+#: Columns up to which a lockstep call costs about the same at any
+#: width: one cell's call took 0.47 s at 32 columns, 0.55 s at 64,
+#: 0.82 s at 128 and 1.30 s at 256 (n = 10^4, k = 8 biased start, no
+#: numba, 2-core host).  Past it, whole cells may not widen a unit
+#: beyond the equal share.
+_FREE_WIDTH = 64
+
+
+def _lockstep_bins(group, cells, jobs, batch_size, predicted):
+    """``(bins, width)``: a lockstep group's cells per unit, cut at ``width``.
+
+    Whole cells (:func:`_whole_cells`) when there are at least ``jobs``
+    of them and no bin is wider, ``batch_size`` aside, than both the
+    equal share and :data:`_FREE_WIDTH`; else the whole queue in
+    ``jobs`` equal widths.
+    """
+    share = min(batch_size, -(-sum(cells[i].trials for i in group) // jobs))
+    if jobs <= len(group):
+        bins = _whole_cells(group, cells, jobs, predicted)
+        widest = max(sum(cells[i].trials for i in members) for members in bins)
+        if min(widest, batch_size) <= max(share, _FREE_WIDTH):
+            return bins, batch_size
+    return [group], share
 
 
 def _whole_cells(group, cells, jobs, predicted) -> list[list[int]]:

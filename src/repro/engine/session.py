@@ -865,11 +865,12 @@ class Engine:
         ``size(i, variant, workers, pool)`` gives pending cell ``i``'s
         chunk cap and predicted seconds (groups run longest-first, and a
         lockstep group with at least ``workers`` cells is bin-packed by
-        them into units of whole cells): ``workers`` is the worker count
-        to share the queue between (``jobs`` on the pool, the attached
-        workers, at least one, on the fleet) and ``pool`` the
-        :class:`WorkerPool` on the remote executor, else ``None``.  A
-        cell some worker's store holds skips the planner:
+        them into units of whole cells unless a unit would be too wide,
+        see :func:`~repro.engine.executors.plan_units`): ``workers`` is
+        the worker count to share the queue between (``jobs`` on the
+        pool, the attached workers, at least one, on the fleet) and
+        ``pool`` the :class:`WorkerPool` on the remote executor, else
+        ``None``.  A cell some worker's store holds skips the planner:
         it is one whole-cell unit that an owner serves from its store
         (or, failing that, any worker runs cold).  Every simulated cell
         is then pushed to the workers whose store differs.  Units only
@@ -1099,12 +1100,13 @@ class Engine:
         built-in batched backend, and every ``zealots`` cell on its
         batched variant, joins one lockstep group per scenario, cut
         into units of at most ``batch_size`` replicates, each ONE
-        zero-padded lockstep kernel call across cells.  Serially the
-        group's queue is cut into ``batch_size`` chunks; on the pool and
-        the fleet a group with at least as many cells as workers is
-        bin-packed into one unit per worker of whole cells, longest
-        predicted first, and a smaller group is split into one
-        equal-width unit per worker.  Every other cell keeps its own
+        zero-padded lockstep kernel call across cells.  A group with at
+        least as many cells as workers is bin-packed into one unit per
+        worker of whole cells, longest predicted first (serially: the
+        group's queue in ``batch_size`` chunks); a smaller group, or one
+        where a wide cell would leave a unit wider than both the equal
+        share and 64 columns, is split into one equal-width unit per
+        worker.  Every other cell keeps its own
         chunks: the session cost model cuts them into fixed wall-time
         slices on the pool and the fleet, longest-predicted cells first.
         The process executor drains the units from one shared queue on

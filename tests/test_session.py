@@ -599,6 +599,19 @@ class TestPlanUnits:
         "split columns still cut at batch_size": (
             [11], 2, 4, [5.0], [[(0, 4)], [(0, 4)], [(0, 3)]],
         ),
+        "a dominant cell within the free width stays whole": (
+            [60, 1, 1], 2, 1024, [60.0, 1.0, 1.0], [[(0, 60)], [(1, 1), (2, 1)]],
+        ),
+        "a dominant wide cell is split by equal widths": (
+            # Whole cells would give one unit 250 columns wide beside one
+            # of 2: wider than the share (126) and the free width.
+            [250, 1, 1], 2, 1024, [250.0, 1.0, 1.0],
+            [[(0, 126)], [(0, 124), (1, 1), (2, 1)]],
+        ),
+        "wide units stay whole within the equal share": (
+            [90, 80, 10, 20], 2, 1024, [9.0, 8.0, 1.0, 2.0],
+            [[(0, 90), (2, 10)], [(1, 80), (3, 20)]],
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
