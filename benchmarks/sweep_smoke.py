@@ -1,20 +1,20 @@
-"""Sweep smokes: scheduling, persistent-pool, and remote-executor ablations.
+"""Sweep smokes: scheduling, local-worker reuse, and remote-executor ablations.
 
 Three measurements, merged into one ``BENCH_sweeps.json`` artifact:
 
 * **scheduling** — times one heterogeneous multi-cell sweep (an
   ``ns x ks`` phase-diagram grid whose per-replicate cost spans two
-  orders of magnitude) two ways on the multiprocessing executor with
+  orders of magnitude) two ways on the process executor with
   identical per-cell seeds: the legacy way (one ``run_ensemble``
-  barrier + fresh pool per grid cell) and the cost-model scheduler's
+  barrier + fresh local workers per grid cell) and the cost-model scheduler's
   flattened queue (longest-predicted-first ordering, target wall-time
   chunk slices).  Both result sets are asserted bit-identical; the
   headline speedup is legacy/cost.
 * **pool_reuse** — runs the same sequence of small sweeps twice on the
-  process executor: a fresh ``Engine`` (fresh worker pool) per sweep vs
-  ONE session whose persistent pool serves every sweep.  Results are
-  asserted identical; the timing gap is the worker spawn/teardown
-  amortization the session redesign buys repeated sweeps (and a whole
+  process executor: a fresh ``Engine`` (freshly forked local workers)
+  per sweep vs ONE session whose local worker fleet serves every sweep.
+  Results are asserted identical; the timing gap is the worker
+  fork/teardown amortization the session redesign buys repeated sweeps (and a whole
   ``repro report``).
 * **remote** — the same heterogeneous-grid shape on the remote
   executor: localhost ``repro worker`` subprocesses attached to the
@@ -34,7 +34,7 @@ Three measurements, merged into one ``BENCH_sweeps.json`` artifact:
   ensemble, each run serially, on the process executor and on the
   remote executor with ``--jobs`` in-process worker threads.  Results
   must be identical, each process or remote call must send exactly
-  ``--jobs`` packed units through the pool or the socket, and when a
+  ``--jobs`` packed units to the local or the remote workers, and when a
   grid has at least ``--jobs`` cells every unit must hold whole cells.
   It has no timing gate.
 
@@ -52,10 +52,10 @@ Usage::
 
 Exits non-zero when a measured speedup falls below its threshold.  CI
 gates the cost scheduler at 1.3x the legacy per-cell barrier, the
-pool-reuse ablation at 1.2x, the remote executor at 0.7x process
+local-worker reuse ablation at 1.2x, the remote executor at 0.7x process
 throughput with two localhost workers, and the warm-cache fleet at 3x
 its cold pass; all hold with margin on the default workloads (the
-per-cell overhead the scheduler removes — pool spawns, barriers,
+per-cell overhead the scheduler removes — worker forks, barriers,
 fixed-grain dispatch — is deterministic, unlike replicate durations,
 and the warm pass removes simulation entirely).
 """
@@ -151,7 +151,7 @@ def check_process_packing(jobs: int, seed: int) -> list[str]:
                         f"with {len(trials)} cells for {jobs} workers"
                     )
             same = runs[executor] == runs["serial"]
-            kind = "pool" if executor == "process" else "socket"
+            kind = "local" if executor == "process" else "socket"
             print(
                 f"packing:        {name} on {executor}, {chunks[executor]} "
                 f"{kind} units (expected {jobs}), results "
@@ -350,20 +350,20 @@ def main(argv: list[str] | None = None) -> int:
     fresh = pool_reuse["fresh_pool_per_sweep"]
     reused = pool_reuse["session_reused_pool"]
     print(
-        f"fresh pools:    {pool_reuse['workload']['sweeps']} sweeps, one pool "
-        f"each, in {fresh['seconds']:.2f}s"
+        f"fresh workers:  {pool_reuse['workload']['sweeps']} sweeps, fresh "
+        f"local workers each, in {fresh['seconds']:.2f}s"
     )
     print(
-        f"session pool:   same sweeps on one persistent pool in "
+        f"session fleet:  same sweeps on one local worker fleet in "
         f"{reused['seconds']:.2f}s"
     )
     print(
-        f"pool speedup:   {pool_reuse['speedup']:.2f}x"
+        f"reuse speedup:  {pool_reuse['speedup']:.2f}x"
     )
     proc_arm = remote["process_executor"]
     remote_arm = remote["remote_executor"]
     print(
-        f"process pool:   {remote['replicates']} replicates over "
+        f"local workers:  {remote['replicates']} replicates over "
         f"{remote['cells']} cells in {proc_arm['seconds']:.2f}s = "
         f"{proc_arm['replicates_per_second']:.2f} rep/s"
     )

@@ -810,10 +810,11 @@ def _print_transport_summary(session_stats: dict) -> None:
 def _command_worker(args) -> int:
     """Serve chunks to a remote-executor session until it says bye.
 
-    The worker is stateless between chunks: every chunk message carries
-    the full :class:`ScenarioSpec` by value plus the exact
-    ``SeedSequence`` children for its replicates, so a worker can join,
-    die, or be replaced at any point without changing any result.
+    The worker keeps nothing between runs: a chunk carries the exact
+    ``SeedSequence`` children for its replicates and names its
+    :class:`ScenarioSpec`, which the pool sends by value once per
+    connection per run, so a worker can join, die, or be replaced at any
+    point without changing any result.
     """
     import signal
     import threading

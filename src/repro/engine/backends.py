@@ -106,14 +106,14 @@ class JumpBackend:
 
 _REGISTRY: dict[str, Backend] = {}
 
-#: Bumped on every registration.  Forked pool workers snapshot the
-#: registry at spawn time, so a persistent session pool keys on this
-#: epoch and respawns when a backend is registered after the fork.
+#: Bumped on every registration.  Forked local workers snapshot the
+#: registry at fork time, so a session's local workers key on this
+#: epoch and are forked anew when a backend is registered after.
 _REGISTRY_EPOCH = 0
 
 
 def registry_epoch() -> int:
-    """Monotone counter of backend registrations (pool-staleness key)."""
+    """Monotone counter of backend registrations (fleet-staleness key)."""
     return _REGISTRY_EPOCH
 
 

@@ -11,19 +11,17 @@ module keeps the pieces that pipeline composes:
   cells (a sweep's, or an ensemble's single cell) are grouped and cut
   into kernel calls (packed lockstep units or per-cell chunks) for
   every executor, and a finished unit's seconds are split per cell;
-* :func:`run_unit` — the one kernel call: the serial driver, the pool's
-  :func:`_worker` and the socket worker all build a unit's generators
-  and time :meth:`~repro.engine.scenarios.Scenario.run_chunk` here;
-* :func:`encode_parts` — the one per-segment encoder of both
-  out-of-process workers: each cell segment as a fixed-width record
-  block (:func:`~repro.engine.remote.encode_result_block` bytes) when
-  the scenario has a record codec for the variant, else as the result
-  list, which only the process pool pickles back;
+* :func:`run_unit` — the one kernel call: the serial driver and the
+  socket worker (local or remote) build a unit's generators and time
+  :meth:`~repro.engine.scenarios.Scenario.run_chunk` here;
+* :func:`encode_parts` — the socket worker's per-segment encoder: each
+  cell segment as a fixed-width record block
+  (:func:`~repro.engine.remote.encode_result_block` bytes), so only
+  cells whose scenario has a record codec for the variant leave this
+  process;
 * :class:`UnitResult` — what every executor driver returns per unit,
-  in unit order: per-segment results, kernel seconds, and the socket
+  in unit order: per-segment results, kernel seconds, and the remote
   worker that ran it or served it from its store;
-* :class:`SpecBroadcast`, which ships large specs to the pool once per
-  call through ``multiprocessing.shared_memory``;
 * :func:`run_ensemble` — the historical free-function entry point, now a
   thin wrapper over the module-level default session
   (:func:`repro.engine.session.current_engine`).  Results are
@@ -44,8 +42,6 @@ cache (and cross-session result reuse) sound.
 from __future__ import annotations
 
 import itertools
-import os
-import pickle
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,12 +53,7 @@ from ..core.simulator import RunResult
 from .backends import Backend
 from .cache import EnsembleCache
 from .options import EXECUTORS
-from .scenarios import PackedChunk, Scenario, ScenarioSpec, get_scenario
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover
-    _shared_memory = None
+from .scenarios import PackedChunk, Scenario, ScenarioSpec
 
 __all__ = ["run_ensemble", "replicate_seeds", "DEFAULT_BATCH_SIZE", "EXECUTORS"]
 
@@ -99,12 +90,12 @@ def replicate_seeds(
 def run_unit(scenario, runner, work, budget, seeds) -> tuple[list, float]:
     """The one kernel call of a unit: ``(flat results, kernel seconds)``.
 
-    Every executor runs its units through here: the serial driver, the
-    pool's :func:`_worker` and the socket worker.  ``work`` is a spec or
-    a :class:`PackedChunk`, ``runner`` what :meth:`Scenario.run_chunk`
-    takes.  The timing wraps only ``run_chunk`` (not decoding, spec
-    resolution or encoding), so the sweep scheduler's cost model learns
-    kernel cost, not transport overhead; it never influences results.
+    Every executor runs its units through here: the serial driver and
+    the socket worker.  ``work`` is a spec or a :class:`PackedChunk`,
+    ``runner`` what :meth:`Scenario.run_chunk` takes.  The timing wraps
+    only ``run_chunk`` (not decoding, spec resolution or encoding), so
+    the sweep scheduler's cost model learns kernel cost, not transport
+    overhead; it never influences results.
     """
     rngs = [np.random.default_rng(s) for s in seeds]
     started = time.perf_counter()
@@ -112,14 +103,12 @@ def run_unit(scenario, runner, work, budget, seeds) -> tuple[list, float]:
     return results, time.perf_counter() - started
 
 
-def encode_parts(scenario, variant: str, work, results: list) -> list:
-    """A unit's flat results as one output per segment of ``work``.
+def encode_parts(scenario, variant: str, work, results: list) -> list[bytes]:
+    """A unit's flat results as one record block per segment of ``work``.
 
-    Each output is the segment's record block
-    (:func:`~repro.engine.remote.encode_result_block` bytes, widths from
-    the cell by :func:`_record_widths`) when the scenario has a codec
-    for ``variant``, else its result list.  Both out-of-process workers
-    encode through here; socket workers only ever see codec cells.
+    Each block is :func:`~repro.engine.remote.encode_result_block`
+    bytes, widths from the cell by :func:`_record_widths`; the executor
+    refuses a cell without a record codec before it sends anything.
     """
     # Imported here: the remote module imports this one.
     from .remote import encode_result_block
@@ -129,168 +118,13 @@ def encode_parts(scenario, variant: str, work, results: list) -> list:
         if isinstance(work, PackedChunk)
         else ((work, len(results), None),)
     )
-    outputs = []
     sizes = [size for _, size, _ in segments]
-    for (spec, _, _), part in zip(segments, _cut(results, sizes)):
-        widths = _record_widths(scenario, spec, variant)
-        if widths is not None:
-            part = encode_result_block(scenario, spec, part, *widths)
-        outputs.append(part)
-    return outputs
-
-
-def _worker(payload) -> tuple[list, float]:
-    """Pool entry point: run one unit, return ``(outputs, kernel seconds)``.
-
-    ``spec`` is a (possibly broadcast) spec, or a :class:`PackedChunk`
-    carried by value; ``outputs`` are :func:`encode_parts`'s.
-    """
-    scenario_name, spec, variant, seeds, max_interactions = payload
-    scenario = get_scenario(scenario_name)
-    work = _resolve_spec(spec)
-    results, seconds = run_unit(scenario, variant, work, max_interactions, seeds)
-    return encode_parts(scenario, variant, work, results), seconds
-
-
-def _attach_shm_untracked(name: str):
-    """Attach to an existing shared-memory block without tracker ownership.
-
-    ``SharedMemory(name=...)`` registers the segment with the resource
-    tracker even when only *attaching* (CPython's tracker cannot tell an
-    attach from a create, and 3.11 has no ``track=False``), which makes
-    the tracker race the parent's ``unlink`` — the single owner of
-    cleanup — and emit spurious leak warnings or ``KeyError`` noise at
-    shutdown.  Suppressing registration for the duration of the attach
-    keeps the ownership story exact: the parent's create registers once,
-    its unlink unregisters once.  Workers are single-threaded pool
-    processes, so the temporary patch cannot race another attach.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return _shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-# ----------------------------------------------------------------------
-# Shared-memory spec broadcast
-# ----------------------------------------------------------------------
-#: First element of a broadcast spec reference tuple (see SpecBroadcast).
-_SPEC_REF_TAG = "__repro_spec_shm_ref__"
-
-#: Specs whose pickle is smaller than this travel inline: below ~64 KiB
-#: the per-chunk pickling cost is noise, and a shared block would only
-#: add attach bookkeeping.
-_SPEC_BROADCAST_THRESHOLD = 64 * 1024
-
-#: Worker-side memo of broadcast specs, keyed by (broadcast token,
-#: offset).  Pool workers persist across chunks, so each worker attaches
-#: and unpickles a given spec once per sweep, not once per chunk — which
-#: is the entire point of the broadcast.  The token is unique per parent
-#: broadcast (pid + counter), so a recycled shared-memory name can never
-#: alias a stale memo entry.
-_SPEC_CACHE: dict[tuple, ScenarioSpec] = {}
-
-_BROADCAST_COUNTER = 0
-
-
-def _next_broadcast_token() -> str:
-    global _BROADCAST_COUNTER
-    _BROADCAST_COUNTER += 1
-    return f"{os.getpid()}-{_BROADCAST_COUNTER}"
-
-
-class SpecBroadcast:
-    """One-shot shared-memory broadcast of large specs to pool workers.
-
-    A sweep over graph scenarios re-pickles the same frozen edge arrays
-    with *every* chunk payload — for a 10^5-edge graph that is megabytes
-    of redundant pickle per chunk.  The broadcast pickles each distinct
-    large spec once into a single shared block; chunk payloads then
-    carry a tiny reference tuple and workers resolve it via
-    :func:`_resolve_spec` (attach, unpickle, memoize).
-
-    Strictly a transport optimization: :meth:`ref_for` returns the spec
-    itself whenever shared memory is unavailable or the spec is small,
-    so every consumer handles the plain-spec case identically and the
-    pickle fallback is preserved.  The parent owns the block and must
-    call :meth:`close` after the pool map returns (workers attach
-    untracked, so the parent's unlink is the single owner of cleanup).
-    """
-
-    def __init__(self, specs) -> None:
-        self._block = None
-        self._refs: dict[int, tuple] = {}
-        if _shared_memory is None:
-            return
-        blobs: dict[int, bytes] = {}
-        for spec in specs:
-            if id(spec) in blobs:
-                continue
-            blob = pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(blob) >= _SPEC_BROADCAST_THRESHOLD:
-                blobs[id(spec)] = blob
-        if not blobs:
-            return
-        total = sum(len(blob) for blob in blobs.values())
-        try:
-            self._block = _shared_memory.SharedMemory(create=True, size=total)
-        except Exception:
-            return
-        token = _next_broadcast_token()
-        offset = 0
-        for spec_id, blob in blobs.items():
-            self._block.buf[offset : offset + len(blob)] = blob
-            self._refs[spec_id] = (
-                _SPEC_REF_TAG,
-                token,
-                self._block.name,
-                offset,
-                len(blob),
-            )
-            offset += len(blob)
-
-    def ref_for(self, spec: ScenarioSpec):
-        """The payload stand-in for ``spec``: a ref tuple, or spec itself."""
-        return self._refs.get(id(spec), spec)
-
-    @property
-    def broadcast_count(self) -> int:
-        """How many distinct specs travel via shared memory."""
-        return len(self._refs)
-
-    def close(self) -> None:
-        """Release and unlink the block (idempotent; parent-only)."""
-        if self._block is None:
-            return
-        block, self._block = self._block, None
-        self._refs = {}
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _resolve_spec(spec):
-    """Worker-side inverse of :meth:`SpecBroadcast.ref_for` (memoized)."""
-    if not (isinstance(spec, tuple) and spec and spec[0] == _SPEC_REF_TAG):
-        return spec
-    _, token, shm_name, offset, size = spec
-    memo_key = (token, offset)
-    cached = _SPEC_CACHE.get(memo_key)
-    if cached is not None:
-        return cached
-    block = _attach_shm_untracked(shm_name)
-    try:
-        resolved = pickle.loads(bytes(block.buf[offset : offset + size]))
-    finally:
-        block.close()
-    _SPEC_CACHE[memo_key] = resolved
-    return resolved
+    return [
+        encode_result_block(
+            scenario, spec, part, *_record_widths(scenario, spec, variant)
+        )
+        for (spec, _, _), part in zip(segments, _cut(results, sizes))
+    ]
 
 
 def _chunked(seeds: list, batch_size: int) -> list[list]:
@@ -322,7 +156,7 @@ class WorkUnit:
     A packed unit's segments run as ONE :class:`PackedChunk` lockstep
     call; any other unit holds exactly one segment.  ``runner`` is what
     :meth:`Scenario.run_chunk` takes in this process, ``variant`` the
-    name a pool or socket worker re-resolves.
+    name a socket worker re-resolves.
     """
 
     scenario: Scenario
@@ -378,9 +212,10 @@ class UnitResult(NamedTuple):
     """What every executor driver returns for one unit, in unit order.
 
     ``parts`` holds one result list per segment, ``seconds`` the unit's
-    kernel time, ``worker`` the socket worker that ran it (``None`` in
-    this host's processes) and ``served`` whether that worker answered
-    it from its own store instead of simulating.
+    kernel time, ``worker`` the remote worker that ran it (``None`` in
+    this process and on the local workers of the process executor) and
+    ``served`` whether that worker answered it from its own store
+    instead of simulating.
     """
 
     parts: list[list]
@@ -555,7 +390,7 @@ def run_ensemble(
     This is the historical free-function entry point; it now delegates
     to the module-level default session
     (:meth:`repro.engine.Engine.ensemble`), so repeated calls in one
-    process share the session's persistent executor pool and cache
+    process share the session's local worker processes and cache
     handle.  Results are bit-identical to the pre-session engine at
     fixed seeds.
 
@@ -576,8 +411,8 @@ def run_ensemble(
         Non-USD scenarios map ``"batched"`` to their vectorized variant
         when they have one and fall back to the reference otherwise.
     executor:
-        ``"serial"``, ``"process"`` (the session's persistent
-        ``multiprocessing`` pool) or ``"remote"`` (socket-connected
+        ``"serial"``, ``"process"`` (``jobs`` local worker processes
+        the session forks and keeps) or ``"remote"`` (socket-connected
         ``repro worker`` processes); defaults to the session's executor
         (its explicit selection, else ``"process"`` when its worker
         count exceeds one, else ``"serial"``).

@@ -117,8 +117,8 @@ def _option(
 
     ``serve``: the flag is ``repro serve``'s alone.  ``rebind``: what
     :meth:`Engine.configure` rebuilds when the value changes ("pool", the
-    process pool; "workers", the remote worker pool; "cache", the cache
-    handle).
+    process executor's local workers; "workers", the remote worker pool;
+    "cache", the cache handle).
     """
     metadata = {
         "check": check,
@@ -161,8 +161,9 @@ class EngineOptions:
         _executor,
         flag="--executor",
         choices=EXECUTORS,
-        help="serial, process (multiprocessing pool) or remote ('repro worker' "
-        "processes); never changes results (default: process if --jobs > 1)",
+        help="serial, process (--jobs local worker processes) or remote "
+        "('repro worker' processes); never changes results (default: process "
+        "if --jobs > 1)",
     )
     workers: str | None = _option(
         None,

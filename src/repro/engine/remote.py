@@ -1,15 +1,14 @@
 """Remote executor: shard ensembles and sweeps across socket workers.
 
-The engine saturates one box — compiled kernels, a cost-model scheduler
-and a persistent process pool — so the next order of magnitude has to
-come from more machines.  This module generalizes the executor seam to
-TCP: an :class:`~repro.engine.session.Engine` session owns a
-:class:`WorkerPool` that listens on ``host:port``, any number of
-``repro worker`` processes (:func:`serve_worker`) connect to it, and the
-session feeds them from the **same** flattened longest-first
-cost-scheduled unit queue the process executor drains — packed lockstep
+Every out-of-process worker speaks one protocol, local or not.  An
+:class:`~repro.engine.session.Engine` session owns a :class:`WorkerPool`
+that listens on ``host:port``, any number of ``repro worker`` processes
+(:func:`serve_worker`) connect to it, and the session feeds them from
+the flattened longest-first cost-scheduled unit queue — packed lockstep
 units included, one unit in flight per worker, so dispatch is
-work-stealing and no per-cell barrier exists.
+work-stealing and no per-cell barrier exists.  The process executor is
+the same pool on loopback, fed by ``jobs`` forked local workers
+(:class:`LocalFleet`).
 
 Wire format
 -----------
@@ -27,10 +26,14 @@ length, a header that is not a JSON object, a field of the wrong type,
 a block of the wrong size or a spec its scenario's ``validate`` refuses
 is a :class:`ProtocolError`, and the pool drops that connection.  Specs
 travel as :meth:`ScenarioSpec.to_json` (the object ``key()`` hashes),
-seeds as :func:`~repro.engine.cache.seed_token` values and results as
-record blocks whose widths both ends derive from the cell
-(:func:`cell_codec`), so a cell without a record codec cannot run
-remotely.  The conversation (``<-`` marks pool -> worker):
+once per connection per run: a chunk segment names its spec by
+``spec_key`` and carries the spec object only the first time that
+connection sees the key in the run, so a graph cell cut into many
+chunks costs one spec decode per worker.  Seeds travel as
+:func:`~repro.engine.cache.seed_token` values and results as record
+blocks whose widths both ends derive from the cell (:func:`cell_codec`),
+so a cell without a record codec runs only in the session's process.
+The conversation (``<-`` marks pool -> worker):
 
 ``hello``                 name, pid, host, protocol, cache-store token
 ``challenge`` <- ``auth`` optional HMAC-SHA256 of a hex nonce under the
@@ -44,12 +47,18 @@ remotely.  The conversation (``<-`` marks pool -> worker):
                           ``cache-miss`` and the pool requeues it cold
 ``cache-push`` <-         a cold cell's key, spec, variant and block;
                           fire-and-forget, kept under the store's LRU cap
-``chunk`` <-              one work unit: variant and ``segments``, a list
-                          of ``{spec, seeds, max_interactions}``; several
-                          segments only for a variant that packs, all of
-                          one scenario, run as ONE lockstep kernel call
-``result``                kernel seconds, and the segments' record blocks
-                          back to back as the body (exact total size)
+``chunk`` <-              one work unit: ``run``, variant and ``segments``,
+                          a list of ``{spec_key, seeds, max_interactions}``
+                          plus ``spec`` on a key's first segment per run on
+                          that connection (a new ``run`` clears the
+                          worker's specs; an unknown or resent key is a
+                          protocol error); several segments only for a
+                          variant that packs, all of one scenario, run as
+                          ONE lockstep kernel call
+``result``                the chunk's ``id`` and ``run``, kernel seconds,
+                          and the segments' record blocks back to back as
+                          the body (exact total size); a result of an
+                          earlier run is dropped
 ``error``                 a traceback; the pool aborts the run
 ``bye``                   clean shutdown, either direction
 
@@ -61,8 +70,7 @@ ship inside the chunk, so any replicate is reproducible in isolation on
 any machine.  Worker death mid-chunk therefore costs nothing but time:
 the pool requeues the chunk and whichever worker re-runs it regenerates
 bit-identical results.  The executor moves only wall time, never bits —
-the same invariant the ensemble cache and the process executor already
-rely on.
+the same invariant the ensemble cache relies on.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ import hashlib
 import hmac
 import json
 import math
+import multiprocessing
 import os
 import re
 import selectors
@@ -118,8 +127,9 @@ __all__ = [
 #: registration instead of corrupting a run halfway through.  v2 added
 #: the cache fabric and the shared-secret handshake, v3 dropped the
 #: per-chunk kernel knobs, v4 made every frame JSON plus a record block,
-#: v5 made a chunk a list of segments (packed lockstep units).
-PROTOCOL_VERSION = 5
+#: v5 made a chunk a list of segments (packed lockstep units), v6 sends
+#: each spec once per connection per run.
+PROTOCOL_VERSION = 6
 
 #: Environment variable of the optional shared worker secret (the
 #: ``worker_secret`` engine option, read by both ends).
@@ -146,6 +156,11 @@ _KEY_SHAPE = re.compile(r"[0-9a-f]{64}")
 #: How long :meth:`WorkerPool.run` waits for at least one registered
 #: worker before giving up on a non-empty queue.
 DEFAULT_WORKER_TIMEOUT = 60.0
+
+#: The same wait on a :class:`LocalFleet`'s pool: its workers are forked
+#: before the run and connect within milliseconds, so a call whose local
+#: workers have all died fails after this many seconds.
+LOCAL_WORKER_TIMEOUT = 5.0
 
 
 class ProtocolError(RuntimeError):
@@ -347,15 +362,17 @@ def cell_codec(spec: ScenarioSpec, variant: str) -> tuple:
 
     Results cross the socket only as record blocks, and both ends derive
     the widths from the cell; a cell whose scenario has no record codec
-    for ``variant`` raises ``ValueError`` naming both.
+    for ``variant`` raises ``ValueError`` naming both.  The process and
+    remote executors check every pending cell here before they start or
+    send anything.
     """
     scenario = get_scenario(spec.scenario)
     widths = _record_widths(scenario, spec, variant)
     if widths is None:
         raise ValueError(
             f"scenario {spec.scenario!r} has no record codec for variant "
-            f"{variant!r}, and the remote executor returns results only as "
-            "record blocks; run it on the serial or process executor"
+            f"{variant!r}, and workers return results only as record "
+            "blocks; run it on the serial executor"
         )
     return scenario, widths
 
@@ -413,19 +430,44 @@ def _decode_cell(message: dict, variant: str) -> tuple:
     return scenario, spec, widths
 
 
-def _decode_chunk(message: dict) -> WorkUnit:
+def _segment_cell(item: dict, variant: str, specs: dict) -> tuple:
+    """``(scenario, spec)`` of a chunk segment, by its ``spec_key``.
+
+    ``specs`` holds the specs this connection received in the current
+    run, by key.  A segment that carries ``spec`` adds it there; one
+    that does not must name a key already there.  The key is the
+    coordinator's name for the spec, not checked against its hash.
+    """
+    key = item.get("spec_key")
+    if not _is_key(key):
+        raise ProtocolError("chunk segment spec_key is not a spec key")
+    if "spec" in item:
+        if key in specs:
+            raise ProtocolError(f"spec {key} sent twice in one run")
+        scenario, specs[key], _ = _decode_cell(item, variant)
+        return scenario, specs[key]
+    if key not in specs:
+        raise ProtocolError(f"chunk segment names unknown spec {key}")
+    with _decoding("spec"):
+        scenario, _ = cell_codec(specs[key], variant)
+    return scenario, specs[key]
+
+
+def _decode_chunk(message: dict, specs: dict) -> WorkUnit:
     """The :class:`WorkUnit` a ``chunk`` frame carries.
 
     A variant that packs runs its segments as one :class:`PackedChunk`,
     the rule the coordinator plans by; several segments for a variant
     that does not pack, or segments of different scenarios, are refused.
+    ``specs`` is the connection's specs of this run (see
+    :func:`_segment_cell`).
     """
     variant = _field(message, "variant", str)
     segments = []
     for index, item in enumerate(_field(message, "segments", list)):
         if not isinstance(item, dict):
             raise ProtocolError("chunk segments must be JSON objects")
-        scenario, spec, _ = _decode_cell(item, variant)
+        scenario, spec = _segment_cell(item, variant, specs)
         tokens = _field(item, "seeds", list)
         if not tokens:
             raise ProtocolError("chunk segment has no seeds")
@@ -545,20 +587,21 @@ def decode_segment(segment: Segment, variant: str, block: bytes) -> list:
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _execute_chunk(message: dict) -> dict:
+def _execute_chunk(message: dict, specs: dict) -> dict:
     """Run one dispatched chunk and build its result message."""
-    unit = _decode_chunk(message)
+    unit = _decode_chunk(message, specs)
     work, budget = unit.work()
     results, seconds = run_unit(unit.scenario, unit.runner, work, budget, unit.seeds)
     return {
         "type": "result",
         "id": message["id"],
+        "run": message["run"],
         "seconds": seconds,
         "block": b"".join(encode_parts(unit.scenario, unit.variant, work, results)),
     }
 
 
-def _serve_cached_reply(store, message: dict) -> dict:
+def _serve_cached_reply(store, message: dict, specs: dict) -> dict:
     """Answer one ``serve-cached`` dispatch from the worker's own store.
 
     The frame is a ``chunk`` of one whole cell plus its ensemble ``key``.
@@ -570,8 +613,10 @@ def _serve_cached_reply(store, message: dict) -> dict:
     key = message.get("key")
     if not _is_key(key):
         raise ProtocolError("serve-cached key is not an ensemble key")
-    unit = _decode_chunk(message)
-    miss = {"type": "cache-miss", "id": message["id"], "key": key}
+    unit = _decode_chunk(message, specs)
+    miss = {
+        "type": "cache-miss", "id": message["id"], "run": message["run"], "key": key
+    }
     if store is None:
         return miss
     started = time.perf_counter()
@@ -586,6 +631,7 @@ def _serve_cached_reply(store, message: dict) -> dict:
     return {
         "type": "result",
         "id": message["id"],
+        "run": message["run"],
         "served": True,
         "seconds": time.perf_counter() - started,
         "block": block,
@@ -693,6 +739,8 @@ def serve_worker(
             raise ProtocolError(f"expected welcome, got {welcome!r}")
         if on_connect is not None:
             on_connect(welcome)
+        # The specs received in the current run, by key.
+        run, specs = None, {}
         while max_chunks is None or served < max_chunks:
             message = next(reader)
             if message is _DRAINED:
@@ -732,10 +780,12 @@ def serve_worker(
                 return served
             try:
                 _field(message, "id", int)
+                if _field(message, "run", int) != run:
+                    run, specs = message["run"], {}
                 if kind == "serve-cached":
-                    reply = _serve_cached_reply(store, message)
+                    reply = _serve_cached_reply(store, message, specs)
                 else:
-                    reply = _execute_chunk(message)
+                    reply = _execute_chunk(message, specs)
             except Exception:
                 send_frame(
                     sock,
@@ -756,25 +806,35 @@ def serve_worker(
 # ----------------------------------------------------------------------
 # Session side
 # ----------------------------------------------------------------------
-def _chunk_frame(index: int, unit: WorkUnit, spec_json: dict, key: str | None) -> dict:
+def _chunk_frame(
+    index: int, unit: WorkUnit, run: int, specs: dict, sent: set, key: str | None
+) -> dict:
     """The frame that dispatches ``unit``: a ``chunk``, or with a cache
     ``key`` a ``serve-cached`` of the same shape (one whole cell).
 
-    ``spec_json`` maps ``id(spec)`` to :meth:`ScenarioSpec.to_json`, so
-    a large spec is encoded once per run, not once per dispatch.
+    ``specs`` maps ``id(spec)`` to ``(spec.key(), spec.to_json())``,
+    encoded once per run.  A segment carries the spec object only when
+    its key is not in ``sent``, the keys the connection has received in
+    run ``run``, and adds it there.
     """
+    segments = []
+    for segment in unit.segments:
+        spec_key, spec_json = specs[id(segment.spec)]
+        item = {
+            "spec_key": spec_key,
+            "seeds": [seed_token(seed) for seed in segment.seeds],
+            "max_interactions": segment.max_interactions,
+        }
+        if spec_key not in sent:
+            item["spec"] = spec_json
+            sent.add(spec_key)
+        segments.append(item)
     frame = {
         "type": "chunk" if key is None else "serve-cached",
         "id": index,
+        "run": run,
         "variant": unit.variant,
-        "segments": [
-            {
-                "spec": spec_json[id(segment.spec)],
-                "seeds": [seed_token(seed) for seed in segment.seeds],
-                "max_interactions": segment.max_interactions,
-            }
-            for segment in unit.segments
-        ],
+        "segments": segments,
     }
     if key is not None:
         frame["key"] = key
@@ -797,6 +857,7 @@ class _WorkerConn:
         "cache_entries",
         "inflight",
         "chunks_done",
+        "specs_sent",
     )
 
     def __init__(self, sock: socket.socket) -> None:
@@ -815,6 +876,8 @@ class _WorkerConn:
         self.cache_entries: int | None = None
         self.inflight: int | None = None
         self.chunks_done = 0
+        #: Spec keys this worker has received in the current run.
+        self.specs_sent: set[str] = set()
 
 
 class WorkerPool:
@@ -855,6 +918,7 @@ class WorkerPool:
         #: pinned to a live-but-busy cache owner (serves are near-instant).
         self._steal_grace = 0.5
         self._probe_seq = 0
+        self._run_seq = 0
         self._last_register = 0.0
         self._closed = False
         #: Cumulative transport counters (frame bytes, both directions).
@@ -1327,8 +1391,9 @@ class WorkerPool:
         """Drain ``units`` across the connected workers; return in order.
 
         Each unit goes out as one ``chunk`` (:func:`_chunk_frame`), in
-        schedule order: idle workers take the queue front-first, one
-        unit each, so the cost scheduler's longest-first order holds.
+        schedule order, and each distinct spec once per worker per run:
+        idle workers take the queue front-first, one unit each, so the
+        cost scheduler's longest-first order holds.
         ``serve[j] = (key, owners)`` marks unit ``j`` as one whole cell
         whose ensemble key the ``owners`` (workers whose probe advertised
         it) hold: it goes to an owner as ``serve-cached``, and owner
@@ -1351,8 +1416,14 @@ class WorkerPool:
         for unit in units:
             for segment in unit.segments:
                 cell_codec(segment.spec, unit.variant)  # refuse before sending
-                specs[id(segment.spec)] = segment.spec
-        spec_json = {key: spec.to_json() for key, spec in specs.items()}
+                if id(segment.spec) not in specs:
+                    specs[id(segment.spec)] = (
+                        segment.spec.key(),
+                        segment.spec.to_json(),
+                    )
+        self._run_seq += 1
+        for conn in self._conns:
+            conn.specs_sent = set()
         outputs: list[UnitResult | None] = [None] * len(units)
         queue = deque(range(len(units)))
         owners = [set(serve[j][1]) if j in serve else set() for j in range(len(units))]
@@ -1381,7 +1452,12 @@ class WorkerPool:
                 if index is None:
                     continue
                 message = _chunk_frame(
-                    index, units[index], spec_json, serve[index][0] if cached else None
+                    index,
+                    units[index],
+                    self._run_seq,
+                    specs,
+                    conn.specs_sent,
+                    serve[index][0] if cached else None,
                 )
                 try:
                     self._send(conn, message)
@@ -1415,6 +1491,16 @@ class WorkerPool:
                 starving_since = None
             for conn, message in self._poll(0.05):
                 kind = message.get("type")
+                if kind in ("result", "cache-miss") and (
+                    message.get("run") != self._run_seq
+                ):
+                    if inflight.get(conn.inflight) is conn:
+                        self._drop(conn)  # out of protocol; its unit requeues
+                    else:
+                        # The late answer to a unit of an earlier run that
+                        # raised: the worker is free, the answer void.
+                        conn.inflight = None
+                    continue
                 if kind == "result":
                     index = message.get("id")
                     if index != conn.inflight:
@@ -1498,3 +1584,69 @@ class WorkerPool:
     def __repr__(self) -> str:
         state = "closed" if self._closed else self.endpoint
         return f"WorkerPool({state}, workers={self.worker_count()})"
+
+
+class LocalFleet:
+    """``jobs`` forked :func:`serve_worker` processes on a private pool.
+
+    The process executor's workers: the :class:`WorkerPool` listens on
+    loopback and challenges every connection with a random secret of
+    its own, and the workers have no store and no TLS.  Forking (as
+    ``multiprocessing`` does on Linux) hands each worker the parent's
+    scenario and backend registries as they are at the fork, so the
+    session respawns the fleet when they grow.  :meth:`close` says
+    ``bye`` and joins every worker.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        secret = os.urandom(16).hex()
+        self.pool = WorkerPool(secret=secret, worker_timeout=LOCAL_WORKER_TIMEOUT)
+        fork = multiprocessing.get_context("fork")
+        self.processes = [
+            fork.Process(target=self._serve, args=(f"local-{i}", secret), daemon=True)
+            for i in range(1, jobs + 1)
+        ]
+        try:
+            for process in self.processes:
+                process.start()
+        except BaseException:
+            self.close()
+            raise
+
+    def _serve(self, name: str, secret: str) -> None:
+        """A worker's body: drop the parent's listener, then serve."""
+        endpoint = self.pool.endpoint
+        self.pool._listener.close()
+        serve_worker(endpoint, name=name, secret=secret)
+
+    def pids(self) -> tuple[int, ...]:
+        """The worker processes' PIDs, sorted."""
+        return tuple(sorted(process.pid for process in self.processes))
+
+    def alive(self) -> bool:
+        """Whether every worker process is still running."""
+        return all(process.is_alive() for process in self.processes)
+
+    def run(self, units: list[WorkUnit]) -> list[UnitResult]:
+        """:meth:`WorkerPool.run`, naming the local workers when all died."""
+        try:
+            return self.pool.run(units)
+        except RuntimeError as exc:
+            if self.pool.worker_count():
+                raise
+            codes = [process.exitcode for process in self.processes]
+            raise RuntimeError(
+                f"every local worker died (exit codes {codes}) with "
+                f"{len(units)} units queued; the next call starts new ones"
+            ) from exc
+
+    def close(self) -> None:
+        """Say ``bye``, stop listening and join every worker."""
+        self.pool.close()
+        for process in self.processes:
+            if process.pid is None:
+                continue  # never started
+            process.join(timeout=LOCAL_WORKER_TIMEOUT)
+            if process.is_alive():
+                process.kill()
+                process.join()

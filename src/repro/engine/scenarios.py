@@ -57,13 +57,12 @@ them and degrades to ``batched`` otherwise, so it is equally universal.
 Adding a scenario is a registry entry, not a new subsystem: subclass
 :class:`Scenario`, implement ``reference`` (and optionally ``batched``),
 and call :func:`register_scenario`.  ``run_ensemble`` then gives the new
-dynamics serial/multiprocessing executors, deterministic per-replicate
-seeding, and result caching for free.  Scenarios that additionally opt
-into the fixed-width **result-record codec** (``record_transport``,
-:meth:`Scenario.encode_record` / :meth:`Scenario.decode_record`) let the
-process and remote executors return their results as compact record
-blocks; without it the process executor falls back to pickling and the
-remote executor refuses the cell.
+dynamics the serial executor, deterministic per-replicate seeding, and
+result caching for free.  Scenarios that additionally opt into the
+fixed-width **result-record codec** (``record_transport``,
+:meth:`Scenario.encode_record` / :meth:`Scenario.decode_record`) also
+run on the process and remote executors, whose workers return results
+only as compact record blocks; without it both refuse the cell.
 """
 
 from __future__ import annotations
@@ -375,7 +374,7 @@ class Scenario:
     def check_process_safe(
         self, variant: str, backend: str | Backend | None = None
     ) -> None:
-        """Raise if ``variant`` cannot be re-resolved inside a pool worker."""
+        """Raise if ``variant`` cannot be re-resolved inside a worker process."""
 
     def packs(self, runner) -> bool:
         """Whether :meth:`run_chunk` takes a :class:`PackedChunk` for ``runner``."""
@@ -385,8 +384,8 @@ class Scenario:
     #: Whether this scenario's results round-trip through the
     #: fixed-width record codec below.  Off by default: a scenario whose
     #: result type the base codec does not describe must not be silently
-    #: mis-encoded, so custom scenarios keep the process pool's pickle
-    #: transport, and stay off the remote executor, until they opt in.
+    #: mis-encoded, so custom scenarios run on the serial executor only
+    #: until they opt in.
     record_transport: bool = False
 
     #: Extra ``float64`` slots per record beyond the integer layout
@@ -470,9 +469,9 @@ class Scenario:
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, Scenario] = {}
 
-#: Bumped on every registration.  Forked pool workers snapshot the
-#: registry at spawn time, so a persistent session pool keys on this
-#: epoch and respawns when a scenario is registered after the fork.
+#: Bumped on every registration.  Forked local workers snapshot the
+#: registry at fork time, so a session's local workers key on this
+#: epoch and are forked anew when a scenario is registered after.
 _REGISTRY_EPOCH = 0
 
 
@@ -611,7 +610,7 @@ class UsdScenario(LockstepScenario):
         # Only the built-in backends are known to return plain
         # RunResults; a custom registered backend may return a subclass
         # whose extra fields the fixed-width record would silently drop,
-        # so those keep the process pool's pickle transport.
+        # so those run on the serial executor only.
         from .backends import AgentsBackend, JumpBackend
         from .batched import BatchedBackend, CompiledBackend
 

@@ -2,22 +2,23 @@
 
 Four subsystems grew around :func:`~repro.engine.run_ensemble` — the
 backend/scenario registries, batched kernels, the sweep scheduler and
-the ensemble cache — but their *resources* were still per-call: every
-process-executor invocation spawned a fresh ``multiprocessing`` pool and
-tore it down, and configuration was a mutable global blob re-read on
-every call.  This module makes the session the unit of ownership:
+the ensemble cache — and this module makes the session the unit that
+owns their *resources* and configuration:
 
 :class:`Engine`
     A session object constructed from fully-resolved, **frozen**
     :class:`~repro.engine.options.EngineOptions` (environment variables
     and CLI flags are resolved once, at construction).  It owns
 
-    * a **persistent executor pool**, lazily spawned on the first
+    * the process executor's **local workers**: ``jobs`` forked socket
+      workers on a private loopback pool
+      (:class:`~repro.engine.remote.LocalFleet`), started on the first
       process-executor call and reused by every later
       :meth:`Engine.ensemble` / :meth:`Engine.sweep` in the session —
-      respawned automatically when the worker count or the
-      backend/scenario registries change (forked workers snapshot the
-      registries at spawn time);
+      started anew when the worker count or the backend/scenario
+      registries change (forked workers snapshot the registries at fork
+      time), when a worker has died, or after a failed call;
+    * the remote executor's :class:`~repro.engine.remote.WorkerPool`;
     * an open :class:`~repro.engine.cache.EnsembleCache` handle shared
       by every ensemble and sweep of the session;
     * the resolution of names against the backend and scenario
@@ -26,8 +27,8 @@ every call.  This module makes the session the unit of ownership:
       options, so scenario variant resolution sees the session's
       configuration without any global mutation).
 
-    Context-manager lifecycle: ``with Engine(jobs=4) as eng: ...`` tears
-    the pool down on exit; :meth:`Engine.stats` reports pool reuse
+    Context-manager lifecycle: ``with Engine(jobs=4) as eng: ...`` joins
+    the workers on exit; :meth:`Engine.stats` reports worker reuse
     counts, cache hits and replicates executed.
 
 :func:`engine`
@@ -44,27 +45,28 @@ every call.  This module makes the session the unit of ownership:
     scoped session when one is active, else a module-level default
     session that mirrors the process-level defaults — rebuilt
     automatically whenever the environment changes them, while still
-    profiting from pool reuse.
+    profiting from worker reuse.
 
 One cell pipeline serves both workloads: an ensemble is a one-cell
 sweep.  :meth:`Engine.ensemble` and :meth:`Engine.sweep` each call
 ``Engine._run_cells``, which resolves every cell's variant and cache
 key in one place, takes what the cache holds, plans the pending cells
 with :func:`~repro.engine.executors.plan_units` (lockstep cells pack on
-every executor; a cell a socket worker's store holds is one whole-cell
-serve unit instead), and drains the units on the serial, process or
-remote executor (``_run_serial``, ``_run_on_pool``,
-:meth:`~repro.engine.remote.WorkerPool.run`).  Every driver returns one
+every executor; a cell a remote worker's store holds is one whole-cell
+serve unit instead), and drains the units in this process
+(``_run_serial``) or through :meth:`~repro.engine.remote.WorkerPool.run`
+on the local or the remote workers, which speak one protocol and take
+only cells with a record codec.  Every driver returns one
 :class:`~repro.engine.executors.UnitResult` per unit, in unit order;
 ``_run_cells`` alone demuxes them into cells, builds the per-cell
 timing records, pushes fresh cells to the fleet, stores the results and
 counts the replicates.  Only two things stay per caller: how a cell
-that does not pack is cut on the pool and the fleet (a sweep asks its
+that does not pack is cut out of process (a sweep asks its
 cost model, an ensemble takes four chunks per worker), and the sweep's
 own report, cost-model refinement and sweep index.
 
 Results are bit-identical to the pre-session engine at fixed seeds: the
-session changes who *owns* the pool and the configuration, never how
+session changes who *owns* the workers and the configuration, never how
 replicates are seeded or executed.
 """
 
@@ -72,9 +74,7 @@ from __future__ import annotations
 
 import atexit
 import copy
-import multiprocessing
 import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import fields
 from typing import NamedTuple
@@ -91,20 +91,18 @@ from .costmodel import CostModel, cost_signature
 from .executors import (
     DEFAULT_BATCH_SIZE,
     Segment,
-    SpecBroadcast,
     UnitResult,
     WorkUnit,
-    _worker,
     plan_units,
     replicate_seeds,
     run_unit,
 )
 from .options import EngineOptions, _executor
 from .remote import (
+    LocalFleet,
     WorkerPool,
     cache_token,
     cell_codec,
-    decode_segment,
     make_server_tls_context,
 )
 from .scenarios import Scenario, ScenarioSpec, coerce_spec, get_scenario
@@ -114,7 +112,7 @@ __all__ = ["Engine", "engine", "current_engine"]
 
 
 def _registry_epoch() -> int:
-    """Combined backend+scenario registration counter (pool-staleness key)."""
+    """Combined backend+scenario registration counter (fleet-staleness key)."""
     return _backends.registry_epoch() + _scenarios.registry_epoch()
 
 
@@ -145,7 +143,7 @@ def current_engine() -> "Engine":
     The innermost scoped session (``with engine(...):`` / an activated
     :class:`Engine` method) wins; otherwise a module-level default
     session mirroring the process-level defaults is returned.  The
-    default session is rebuilt — its pool torn down and respawned on
+    default session is rebuilt — its workers joined and started anew on
     next use — whenever those defaults (the ``REPRO_ENGINE_*``
     environment variables) have changed since it was built.
     """
@@ -245,7 +243,7 @@ class _CellsRun(NamedTuple):
 # The session object
 # ----------------------------------------------------------------------
 class Engine:
-    """One engine session: frozen options + persistent pool + cache handle.
+    """One engine session: frozen options + persistent workers + cache handle.
 
     Construct from an explicit :class:`EngineOptions` or from keyword
     overrides over the process-level defaults (resolved **once**, here):
@@ -258,8 +256,8 @@ class Engine:
     16
 
     Every :meth:`ensemble` / :meth:`sweep` call in the session reuses
-    one lazily-spawned executor pool (worker spawn and teardown are paid
-    once, not per call) and one open ensemble-cache handle.  The session
+    one lazily-forked set of local workers (worker start and teardown are
+    paid once, not per call) and one open ensemble-cache handle.  The session
     is also a context manager; :meth:`close` is idempotent.
     """
 
@@ -276,8 +274,8 @@ class Engine:
         self._cache: EnsembleCache | None = None
         if options.cache:
             self._cache = self._new_cache_handle(options)
-        self._pool = None
-        self._pool_key: tuple | None = None
+        self._fleet: LocalFleet | None = None
+        self._fleet_key: tuple | None = None
         self._worker_pool: WorkerPool | None = None
         self._closed = False
         self._cost_model: CostModel | None = None
@@ -290,12 +288,13 @@ class Engine:
             "replicates_served_remote": 0,
             "pool_spawns": 0,
             "pool_reuses": 0,
+            "pool_requeued": 0,
         }
         #: Cache-fabric counters folded in from closed worker pools.
         self._cache_fabric: dict | None = None
-        #: Bytes/chunks moved per result transport: "pickle" counts what
-        #: process-pool workers return through the pool pipe, "socket"
-        #: the worker-pool frames (closed pools' totals folded in).
+        #: Units and frame bytes moved per executor: "pickle" counts the
+        #: local workers' (see :meth:`stats`), "socket" the remote
+        #: worker pool's (closed pools' totals folded in).
         self._transport = {
             "pickle": {"chunks": 0, "bytes": 0},
             "socket": {"chunks": 0, "bytes": 0},
@@ -309,8 +308,8 @@ class Engine:
         self.close()
 
     def close(self) -> None:
-        """Tear down the executor pool; the session refuses further work."""
-        self._shutdown_pool()
+        """Join the local workers; the session refuses further work."""
+        self._shutdown_fleet()
         self._shutdown_worker_pool()
         self._closed = True
 
@@ -336,8 +335,8 @@ class Engine:
         """Replace the session's options in place (``None`` values ignored).
 
         Each changed option rebuilds what its declaration's ``rebind``
-        names: "pool" tears the persistent pool down (it respawns on the
-        next process-executor call), "workers" unbinds the worker pool and
+        names: "pool" joins the local workers (new ones start on the next
+        process-executor call), "workers" unbinds the worker pool and
         "cache" re-opens the cache handle.  Returns the new options.
         """
         self._check_open()
@@ -348,7 +347,7 @@ class Engine:
             if vars(old)[option.name] != vars(new)[option.name]
         }
         if "pool" in rebind:
-            self._shutdown_pool()
+            self._shutdown_fleet()
         if "workers" in rebind:
             self._shutdown_worker_pool()
         if "cache" in rebind:
@@ -409,7 +408,7 @@ class Engine:
     @staticmethod
     def _chunk_cap(trials: int, jobs: int, batch_size: int) -> int:
         # An ensemble's chunk size for a cell that does not pack: several
-        # chunks per worker keep the pool busy when replicate durations
+        # chunks per worker keep the workers busy when replicate durations
         # vary, without giving up batching within a chunk.
         return max(1, min(batch_size, -(-trials // (jobs * 4))))
 
@@ -549,78 +548,58 @@ class Engine:
             "workers": workers,
         }
 
-    # -- persistent pool -----------------------------------------------
-    def _acquire_pool(self, jobs: int):
-        key = (jobs, _registry_epoch())
-        if self._pool is not None and self._pool_key == key:
-            self._stats["pool_reuses"] += 1
-            return self._pool
-        self._shutdown_pool()
-        self._pool = multiprocessing.Pool(processes=jobs)
-        self._pool_key = key
-        self._stats["pool_spawns"] += 1
-        return self._pool
+    # -- local workers -------------------------------------------------
+    def _acquire_fleet(self, jobs: int) -> LocalFleet:
+        """The session's :class:`~repro.engine.remote.LocalFleet` of ``jobs``.
 
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-            self._pool_key = None
-
-    def _run_on_pool(self, jobs: int, units: list[WorkUnit]) -> list[UnitResult]:
-        """Drain ``units``, in order, through the process pool.
-
-        Each unit is one ``Pool.map`` item (``chunksize=1`` keeps
-        distribution dynamic: a worker that finishes a unit immediately
-        takes the next one).  A packed unit carries its specs by value
-        inside its :class:`PackedChunk`; the spec of any other unit
-        ships through :class:`SpecBroadcast`, which sends large specs
-        (graph edge arrays) to the pool once per call instead of with
-        every unit.
-
-        A worker returns one output per segment: a record block when the
-        scenario has a codec for the variant, else the result list.
-        Either way the pool pipe pickles it, so the ``"pickle"``
-        transport row counts each unit and the byte length of what came
-        back.
+        Reused while its worker count and the registries are unchanged
+        and every worker is alive; otherwise the old fleet is joined and
+        a new one forked.
         """
-        broadcast = SpecBroadcast(
-            [unit.segments[0].spec for unit in units if not unit.packed]
-        )
+        key = (jobs, _registry_epoch())
+        fleet = self._fleet
+        if fleet is not None and self._fleet_key == key and fleet.alive():
+            self._stats["pool_reuses"] += 1
+            return fleet
+        self._shutdown_fleet()
+        self._fleet = LocalFleet(jobs)
+        self._fleet_key = key
+        self._stats["pool_spawns"] += 1
+        return self._fleet
+
+    def _shutdown_fleet(self) -> None:
+        if self._fleet is not None:
+            fleet, self._fleet, self._fleet_key = self._fleet, None, None
+            fleet.close()
+
+    def _run_locally(self, jobs: int, units: list[WorkUnit]) -> list[UnitResult]:
+        """Drain ``units``, in order, on ``jobs`` local socket workers.
+
+        The same :meth:`WorkerPool.run` as the remote executor, on the
+        session's :class:`~repro.engine.remote.LocalFleet`.  Its units
+        and frame bytes count under the ``"pickle"`` transport row, a
+        unit a dying worker left requeues bit-identically, and results
+        carry no worker name.  A failed call joins the fleet, so the
+        next one starts from fresh workers, not from one that is exiting
+        after its error report or is still busy with a unit of the
+        failed call.
+        """
+        fleet = self._acquire_fleet(jobs)
+        pool = fleet.pool
+        nbytes, requeued = pool.bytes_sent + pool.bytes_received, pool.chunks_requeued
         try:
-            payloads = []
-            for unit in units:
-                work, budget = unit.work()
-                if not unit.packed:
-                    work = broadcast.ref_for(work)
-                scenario_name = unit.segments[0].spec.scenario
-                payloads.append(
-                    (scenario_name, work, unit.variant, unit.seeds, budget)
-                )
-            outputs = self._acquire_pool(jobs).map(_worker, payloads, chunksize=1)
-        finally:
-            broadcast.close()
-        outcomes = []
-        nbytes = 0
-        for unit, (blocks, seconds) in zip(units, outputs):
-            parts = []
-            for segment, block in zip(unit.segments, blocks):
-                if isinstance(block, bytes):
-                    nbytes += len(block)
-                    block = decode_segment(segment, unit.variant, block)
-                else:
-                    nbytes += len(pickle.dumps(block, pickle.HIGHEST_PROTOCOL))
-                parts.append(block)
-            outcomes.append(UnitResult(parts, seconds))
-        self._count_transport("pickle", len(payloads), nbytes)
-        return outcomes
+            outcomes = fleet.run(units)
+        except BaseException:
+            self._shutdown_fleet()
+            raise
+        nbytes = pool.bytes_sent + pool.bytes_received - nbytes
+        self._count_transport("pickle", len(units), nbytes)
+        self._stats["pool_requeued"] += pool.chunks_requeued - requeued
+        return [outcome._replace(worker=None) for outcome in outcomes]
 
     def worker_pids(self) -> tuple[int, ...]:
-        """PIDs of the live pool workers (empty before the first spawn)."""
-        if self._pool is None:
-            return ()
-        return tuple(sorted(p.pid for p in self._pool._pool))
+        """PIDs of the local workers (empty before the first spawn)."""
+        return () if self._fleet is None else self._fleet.pids()
 
     # -- remote worker pool --------------------------------------------
     def worker_pool(self) -> WorkerPool:
@@ -632,7 +611,7 @@ class Engine:
         for the address ``repro worker`` processes should connect to.
         The pool lives for the whole session, so workers stay attached
         across every ``ensemble()``/``sweep()`` call, exactly like the
-        persistent process pool.
+        process executor's local workers.
         """
         self._check_open()
         if self._worker_pool is None:
@@ -704,7 +683,15 @@ class Engine:
 
     # -- diagnostics ---------------------------------------------------
     def stats(self) -> dict:
-        """Session counters: pool reuse, cache traffic, replicates executed."""
+        """Session counters: local workers, cache traffic, replicates executed.
+
+        ``pool`` describes the process executor's local workers (fleets
+        forked, reused, alive, their PIDs and units requeued off a dead
+        worker).  ``transport["pickle"]`` counts their units and frame
+        bytes: the row kept the name of the pipe they once came back
+        through because the declared benchmark reads it, and renaming
+        it is a change to that benchmark.
+        """
         snapshot = {
             key: value
             for key, value in self._stats.items()
@@ -714,8 +701,9 @@ class Engine:
         snapshot["pool"] = {
             "spawns": self._stats["pool_spawns"],
             "reuses": self._stats["pool_reuses"],
-            "alive": self._pool is not None,
+            "alive": self._fleet is not None,
             "worker_pids": list(self.worker_pids()),
+            "requeued": self._stats["pool_requeued"],
         }
         snapshot["remote"] = (
             {
@@ -747,7 +735,7 @@ class Engine:
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else (
-            "pool up" if self._pool is not None else "idle"
+            "workers up" if self._fleet is not None else "idle"
         )
         return (
             f"Engine(backend={self._options.backend!r}, "
@@ -853,26 +841,28 @@ class Engine:
         cells into work units with
         :func:`~repro.engine.executors.plan_units` (lockstep cells pack
         on every executor), and drains them on ``executor`` (a resolved
-        name): :meth:`_run_serial`, :meth:`_run_on_pool` or the session's
-        :class:`WorkerPool`.  Each returns one :class:`UnitResult` per
-        unit; this method alone demuxes their parts into cells, builds
-        the per-cell timing records (:meth:`WorkUnit.cell_stats`),
-        stores the results and counts the replicates.  Every unit lands
+        name): :meth:`_run_serial`, :meth:`_run_locally` or the session's
+        remote :class:`WorkerPool`.  Out of process, a cell without a
+        record codec raises ``ValueError`` before anything starts.  Each
+        driver returns one :class:`UnitResult` per unit; this method
+        alone demuxes their parts into cells, builds the per-cell timing
+        records (:meth:`WorkUnit.cell_stats`), stores the results and
+        counts the replicates.  Every unit lands
         in ONE shared queue, so there is no per-cell barrier.
 
         The serial executor cuts cells that do not pack into
-        ``batch_size`` chunks.  On the pool and the fleet,
+        ``batch_size`` chunks.  On the local and remote workers,
         ``size(i, variant, workers, pool)`` gives pending cell ``i``'s
         chunk cap and predicted seconds (groups run longest-first, and a
         lockstep group with at least ``workers`` cells is bin-packed by
         them into units of whole cells unless a unit would be too wide,
         see :func:`~repro.engine.executors.plan_units`): ``workers`` is
-        the worker count to share the queue between (``jobs`` on the
-        pool, the attached workers, at least one, on the fleet) and
-        ``pool`` the :class:`WorkerPool` on the remote executor, else
-        ``None``.  A cell some worker's store holds skips the planner:
-        it is one whole-cell unit that an owner serves from its store
-        (or, failing that, any worker runs cold).  Every simulated cell
+        the worker count to share the queue between (``jobs`` locally,
+        the attached workers, at least one, remotely) and ``pool`` the
+        :class:`WorkerPool` on the remote executor, else ``None``.  A
+        cell some remote worker's store holds skips the planner: it is
+        one whole-cell unit that an owner serves from its store (or,
+        failing that, any worker runs cold).  Every simulated cell
         is then pushed to the workers whose store differs.  Units only
         move wall time: replicate seeds are derived per cell before any
         cutting and results are assembled by cell index.
@@ -899,9 +889,8 @@ class Engine:
         if pending and executor != "serial":
             for i in pending:
                 scenarios[i].check_process_safe(variants[i], backend)
+                cell_codec(cells[i].spec, variants[i])  # records only
             if executor == "remote":
-                for i in pending:
-                    cell_codec(cells[i].spec, variants[i])  # records only
                 # Cache-first dispatch: ask the fleet which pending cells
                 # somebody's store can serve.
                 pool = self.worker_pool()
@@ -946,7 +935,7 @@ class Engine:
         elif pool is not None:
             outcomes = pool.run(units, serve=serve)
         else:
-            outcomes = self._run_on_pool(workers, units) if units else []
+            outcomes = self._run_locally(workers, units) if units else []
 
         chunk_stats: list[dict] = []
         served: set[int] = set()
@@ -1043,8 +1032,9 @@ class Engine:
         An ensemble is a one-cell sweep: ``SweepCell(spec, trials,
         max_interactions)`` with ``seed`` as its cell seed, through the
         pipeline :meth:`sweep` uses, on the ``"serial"``, ``"process"``
-        (the session's persistent pool) or ``"remote"`` (the session's
-        socket :class:`~repro.engine.remote.WorkerPool`) executor.
+        (``jobs`` local worker processes the session forks and keeps) or
+        ``"remote"`` (the session's socket
+        :class:`~repro.engine.remote.WorkerPool`) executor.
         Results match the historical free function
         (:func:`repro.engine.run_ensemble`) bit for bit at fixed seeds,
         on every executor, because replicate seeds are derived before
@@ -1108,13 +1098,13 @@ class Engine:
         share and 64 columns, is split into one equal-width unit per
         worker.  Every other cell keeps its own
         chunks: the session cost model cuts them into fixed wall-time
-        slices on the pool and the fleet, longest-predicted cells first.
-        The process executor drains the units from one shared queue on
-        the session's persistent pool (workers return one fixed-width
-        record block per cell segment, or the pickled result list for
-        scenarios without a record codec); ``executor="remote"`` plans
-        the same units, refuses cells without a record codec, and drains
-        the queue through socket-connected ``repro worker`` processes.
+        slices out of process, longest-predicted cells first.  The
+        process executor drains the units from one shared queue on the
+        session's ``jobs`` local socket workers, and ``executor="remote"``
+        drains the same plan through socket-connected ``repro worker``
+        processes; both speak one protocol, whose workers return one
+        fixed-width record block per cell segment, so both refuse a cell
+        without a record codec before they start.
         Results are bit-identical across all of them: replicate seeds
         are derived per cell before any cutting or packing.
         """

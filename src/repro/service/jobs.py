@@ -92,8 +92,11 @@ class RequestError(ValueError):
 
 
 def _require_int(payload: dict, name: str, default=None, minimum=None):
+    """``payload[name]`` as an int; ``null`` only where the default is one."""
     value = payload.get(name, default)
     if value is None:
+        if default is not None:
+            raise RequestError(f"{name!r} must be an integer, got null")
         return None
     if isinstance(value, bool) or not isinstance(value, int):
         raise RequestError(f"{name!r} must be an integer, got {value!r}")
@@ -165,7 +168,7 @@ def _build_scenario(config: Configuration, scenario) -> object:
 
 def _builder(payload: dict):
     workload = payload.get("workload", "uniform")
-    if workload not in WORKLOADS:
+    if not isinstance(workload, str) or workload not in WORKLOADS:
         raise RequestError(
             f"unknown workload {workload!r}; available: {tuple(WORKLOADS)}"
         )

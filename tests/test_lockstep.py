@@ -675,23 +675,12 @@ class TestResultTransport:
                         result, field, None
                     ), (spec.scenario, field)
 
-    def test_fallback_without_shared_memory(self, monkeypatch):
-        # Shared memory only carries large specs (SpecBroadcast); the
-        # process executor must work the same without it.
-        from repro.engine import executors
-
-        monkeypatch.setattr(executors, "_shared_memory", None)
-        config = uniform_configuration(150, 2)
-        got = run_ensemble(config, 4, seed=3, executor="process", jobs=2)
-        want = run_ensemble(config, 4, seed=3, executor="serial")
-        assert results_equal(want, got)
-
     def test_fallback_without_record_codec(self):
-        # A scenario without a record codec comes back as pickled result
-        # lists from process-pool workers, also next to a record-codec
-        # cell in the same sweep queue.  Socket workers return record
-        # blocks only, so the remote executor refuses such a cell before
-        # it probes the fleet or dispatches anything.
+        # Workers, local or remote, return record blocks only, so a
+        # scenario without a record codec runs on the serial executor,
+        # also next to a record-codec cell in one sweep; the process and
+        # remote executors refuse such a cell before they fork a worker,
+        # probe the fleet or dispatch anything.
         import threading
 
         from repro.engine import (
@@ -720,9 +709,6 @@ class TestResultTransport:
             spec = ScenarioSpec.create(
                 "no-codec", Configuration.from_supports([30, 20])
             )
-            got = run_ensemble(spec, 3, seed=5, executor="process", jobs=2)
-            want = run_ensemble(spec, 3, seed=5, executor="serial")
-            assert results_equal(want, got)
             sweep = SweepSpec(
                 cells=(
                     SweepCell(spec=spec, trials=3),
@@ -731,7 +717,12 @@ class TestResultTransport:
             )
             with Engine(cache=False) as eng:
                 serial = eng.sweep(sweep, seed=7, executor="serial")
-                process = eng.sweep(sweep, seed=7, executor="process", jobs=2)
+                with pytest.raises(ValueError, match="'no-codec'.*'reference'"):
+                    eng.ensemble(spec, 3, seed=5, executor="process", jobs=2)
+                with pytest.raises(ValueError, match="on the serial executor$"):
+                    eng.sweep(sweep, seed=7, executor="process", jobs=2)
+                assert eng.worker_pids() == ()
+                assert eng.stats()["transport"]["pickle"]["chunks"] == 0
                 pool = eng.worker_pool()
                 threading.Thread(
                     target=serve_worker,
@@ -746,15 +737,15 @@ class TestResultTransport:
                     eng.sweep(sweep, seed=7, executor="remote")
                 assert pool.chunks_dispatched == 0
                 assert pool.cache_stats()["probed"] == 0
-            for a, b in zip(serial.cells, process.cells):
-                assert results_equal(a.results, b.results)
+            assert [len(cell.results) for cell in serial.cells] == [3, 3]
         finally:
             _REGISTRY.pop("no-codec", None)
 
     def test_custom_backend_subclass_results_survive_process_runs(self):
         # A custom registered backend may return a RunResult subclass;
-        # the record codec would flatten it, so the USD scenario must
-        # veto record blocks for that variant and keep the pickle path.
+        # the record codec would flatten it, so the USD scenario vetoes
+        # record blocks for that variant: it runs whole on the serial
+        # executor, and the process executor refuses it.
         from repro.engine import get_scenario, register_backend
         from repro.engine.backends import _REGISTRY as _BACKENDS
 
@@ -766,9 +757,14 @@ class TestResultTransport:
             assert get_scenario("usd").record_transport_for("batched")
             results = run_ensemble(
                 uniform_configuration(60, 2), 3, seed=2,
-                backend="tracing-test-backend", executor="process", jobs=2,
+                backend="tracing-test-backend", executor="serial",
             )
             assert all(r.trace_marker == "kept" for r in results)
+            with pytest.raises(ValueError, match="no record codec"):
+                run_ensemble(
+                    uniform_configuration(60, 2), 3, seed=2,
+                    backend="tracing-test-backend", executor="process", jobs=2,
+                )
         finally:
             _BACKENDS.pop("tracing-test-backend", None)
 

@@ -420,13 +420,62 @@ class TestWorkerPool:
         finally:
             _REGISTRY.pop("always-fails", None)
 
+    def test_late_result_of_a_failed_run_is_not_taken_for_the_next(self):
+        # One worker fails its unit while the other is still running a
+        # slow one; that slow result arrives during the next run and
+        # once decoded as the next run's unit 0 (same record width).
+        from repro.engine import Scenario, ScenarioSpec, register_scenario
+        from repro.engine.executors import run_unit
+        from repro.engine.scenarios import _REGISTRY
+
+        class Fails(Scenario):
+            name = "fails-at-once"
+            record_transport = True
+
+            def reference(self, spec, *, rng, max_interactions=None):
+                raise RuntimeError("deliberate failure")
+
+        class Slow(Scenario):
+            name = "slow-usd"
+            record_transport = True
+
+            def reference(self, spec, *, rng, max_interactions=None):
+                from repro.core.fastsim import simulate
+
+                time.sleep(1.0)
+                return simulate(spec.config, rng=rng, max_interactions=max_interactions)
+
+        config = uniform_configuration(60, 2)
+        register_scenario(Fails())
+        register_scenario(Slow())
+        try:
+            with WorkerPool() as pool:
+                for name in ("a", "b"):
+                    start_worker_thread(pool.endpoint, name=name)
+                pool.wait_for_workers(2, timeout=15)
+                failing = [
+                    unit_of(ScenarioSpec.create(name, config), "reference", [seed])
+                    for name, seed in (
+                        ("slow-usd", np.random.SeedSequence(1)),
+                        ("fails-at-once", np.random.SeedSequence(2)),
+                    )
+                ]
+                with pytest.raises(RuntimeError, match="deliberate failure"):
+                    pool.run(failing)
+                spec, seeds = usd_spec(config), np.random.SeedSequence(3).spawn(1)
+                (output,) = pool.run([unit_of(spec, "jump", seeds)], timeout=15)
+        finally:
+            _REGISTRY.pop("fails-at-once", None)
+            _REGISTRY.pop("slow-usd", None)
+        want, _ = run_unit(get_scenario("usd"), "jump", spec, None, seeds)
+        assert results_key(output.parts[0]) == results_key(want)
+
     def test_spec_refs_are_rejected_by_workers(self):
-        # Only a JSON spec object decodes: a shared-memory ref tuple (a
-        # list on the wire) or any other value is a protocol error.
-        from repro.engine.executors import _SPEC_REF_TAG
+        # Only a JSON spec object decodes: a reference tuple (a list on
+        # the wire) or any other value is a protocol error.
         from repro.engine.remote import _execute_chunk
 
-        for spec in ([_SPEC_REF_TAG, "block", 0, 10], "usd", None):
+        for spec in (["__ref__", "block", 0, 10], "usd", None):
             with pytest.raises(ProtocolError, match="JSON spec object"):
                 _execute_chunk(
                     {
@@ -434,9 +483,15 @@ class TestWorkerPool:
                         "id": 0,
                         "variant": "reference",
                         "segments": [
-                            {"spec": spec, "seeds": [], "max_interactions": None}
+                            {
+                                "spec_key": "ab" * 32,
+                                "spec": spec,
+                                "seeds": [],
+                                "max_interactions": None,
+                            }
                         ],
-                    }
+                    },
+                    {},
                 )
 
     def test_counters_move(self):
@@ -730,19 +785,19 @@ class TestPackedRemote:
 
     @staticmethod
     def chunk(variant, *specs):
-        return {
-            "type": "chunk",
-            "id": 0,
-            "variant": variant,
-            "segments": [
-                {
-                    "spec": spec.to_json(),
-                    "seeds": [seed_token(np.random.SeedSequence(i))],
-                    "max_interactions": 20_000,
-                }
-                for i, spec in enumerate(specs)
-            ],
-        }
+        """A chunk frame whose segments carry each spec on its first use."""
+        segments = []
+        for i, spec in enumerate(specs):
+            segment = {
+                "spec_key": spec.key(),
+                "seeds": [seed_token(np.random.SeedSequence(i))],
+                "max_interactions": 20_000,
+            }
+            if spec not in specs[:i]:
+                segment["spec"] = spec.to_json()
+            segments.append(segment)
+        return {"type": "chunk", "id": 0, "run": 1, "variant": variant,
+                "segments": segments}
 
     def test_worker_refuses_segments_that_do_not_pack(self):
         from repro.engine import graph_spec
@@ -755,13 +810,36 @@ class TestPackedRemote:
         zealots = zealot_spec(uniform_configuration(60, 3), [0, 1, 3])
         for variant, spec in (("jump", usd), ("batched", graph)):
             with pytest.raises(ProtocolError, match="does not pack"):
-                _execute_chunk(self.chunk(variant, spec, spec))
+                _execute_chunk(self.chunk(variant, spec, spec), {})
             # One segment of the same cell is a plain chunk.
-            assert not _decode_chunk(self.chunk(variant, spec)).packed
+            assert not _decode_chunk(self.chunk(variant, spec), {}).packed
         with pytest.raises(ProtocolError, match="mix scenarios"):
-            _execute_chunk(self.chunk("batched", usd, zealots))
-        packed = _decode_chunk(self.chunk("batched", usd, usd))
+            _execute_chunk(self.chunk("batched", usd, zealots), {})
+        packed = _decode_chunk(self.chunk("batched", usd, usd), {})
         assert packed.packed and len(packed.seeds) == 2
+
+    def test_a_spec_is_named_by_key_after_its_first_segment(self):
+        from repro.engine.remote import _decode_chunk
+
+        usd = usd_spec(uniform_configuration(60, 2))
+        first = self.chunk("batched", usd)
+        specs = {}
+        assert _decode_chunk(first, specs).segments[0].spec == usd
+        assert set(specs) == {usd.key()}
+        by_key = json.loads(json.dumps(first))
+        del by_key["segments"][0]["spec"]
+        assert _decode_chunk(by_key, specs).segments[0].spec is specs[usd.key()]
+        # A key the connection never received in this run, and a spec
+        # sent twice in one run, are both protocol errors.
+        with pytest.raises(ProtocolError, match="unknown spec"):
+            _decode_chunk(by_key, {})
+        with pytest.raises(ProtocolError, match="sent twice"):
+            _decode_chunk(first, specs)
+        for key in (None, 7, "ab", usd.key().upper()):
+            bad = json.loads(json.dumps(first))
+            bad["segments"][0]["spec_key"] = key
+            with pytest.raises(ProtocolError, match="spec_key"):
+                _decode_chunk(bad, {})
 
 
 # ----------------------------------------------------------------------
@@ -835,19 +913,22 @@ class TestPerWorkerCostModel:
 # ----------------------------------------------------------------------
 class TestTransportCounters:
     def test_process_pickle_sweep_counts_pickle_bytes(self):
-        # Process workers return record blocks through the pool pipe:
-        # each chunk and the bytes it sent back count as "pickle".
+        # The local workers' units and every frame byte their private
+        # pool moved count under "pickle"; "socket" is remote only.
         spec = small_sweep(trials=4)
         with Engine(cache=False, jobs=2) as eng:
             eng.sweep(spec, seed=29, executor="process")
             transport = eng.stats()["transport"]
+            pool = eng._fleet.pool
+            frame_bytes = pool.bytes_sent + pool.bytes_received
+            units = eng.stats()["scheduler"]["last_sweep"]["units"]
         # One usd record is k + 4 int64 slots.
         record_bytes = sum(
             cell.trials * 8 * (cell.spec.config.k + 4) for cell in spec.cells
         )
         assert set(transport) == {"pickle", "socket"}
-        assert transport["pickle"]["chunks"] >= len(spec.cells)
-        assert transport["pickle"]["bytes"] == record_bytes
+        assert transport["pickle"]["chunks"] == units >= len(spec.cells)
+        assert transport["pickle"]["bytes"] == frame_bytes > record_bytes
         assert transport["socket"]["chunks"] == 0
 
     def test_socket_counters_survive_pool_shutdown(self):
@@ -911,6 +992,23 @@ class TestHandshakeHardening:
                 sock.close()
         assert pool.worker_count() == 0
         assert not GADGET_FIRED
+
+    def test_protocol_5_worker_gets_version_skew_reject(self):
+        # A protocol-5 worker expects every segment to carry its spec;
+        # it is told the version skew instead of failing mid-run.
+        with WorkerPool() as pool, pool_poller(pool):
+            sock = socket.create_connection(pool.address, timeout=10)
+            try:
+                sock.settimeout(10)
+                send_frame(sock, {"type": "hello", "protocol": 5, "name": "v5"})
+                frames = _read_frames(sock)
+                reject = next(frames)
+                assert reject["type"] == "reject"
+                assert f"protocol version 5 != {PROTOCOL_VERSION}" in reject["error"]
+                assert next(frames) is None  # then a clean close
+            finally:
+                sock.close()
+        assert pool.worker_count() == 0
 
     def test_correct_secret_round_trips(self):
         with WorkerPool(secret="hunter2") as pool, pool_poller(pool):
@@ -1313,11 +1411,21 @@ def seed_tokens():
     )
 
 
+#: The spec the fuzzers' worker already holds (by key) in half the runs.
+KNOWN_SPEC = usd_spec(uniform_configuration(60, 2))
+
+
+def spec_keys():
+    """The known spec's key, a well-formed unknown key, or any JSON."""
+    return st.sampled_from([KNOWN_SPEC.key(), "ab" * 32]) | json_values()
+
+
 def segment_lists():
     """Chunk ``segments``: lists of near-valid segment objects, or any JSON."""
     segment = st.fixed_dictionaries(
         {},
         optional={
+            "spec_key": spec_keys(),
             "spec": spec_objects(),
             "seeds": seed_tokens() | json_values(),
             "max_interactions": json_values(),
@@ -1332,6 +1440,7 @@ def messages():
         {"type": st.sampled_from(["chunk", "result", "cache-push"])},
         optional={
             "id": json_values(),
+            "run": json_values(),
             "spec": spec_objects(),
             "segments": segment_lists(),
             "variant": st.sampled_from(["batched", "reference", "jump"])
@@ -1395,7 +1504,11 @@ def bodies():
 
 
 def decode_all(message):
-    """Every message decoder on ``message``; only ProtocolError may escape."""
+    """Every message decoder on ``message``; only ProtocolError may escape.
+
+    Chunks decode against an empty spec memo and against one that holds
+    :data:`KNOWN_SPEC`, so both unknown and resent spec keys are tried.
+    """
     from repro.engine.remote import (
         _decode_cache_push,
         _decode_chunk,
@@ -1403,7 +1516,8 @@ def decode_all(message):
     )
 
     for decode in (
-        _decode_chunk,
+        lambda m: _decode_chunk(m, {}),
+        lambda m: _decode_chunk(m, {KNOWN_SPEC.key(): KNOWN_SPEC}),
         _decode_cache_push,
         lambda m: _decode_result(m, FUZZ_UNIT),
     ):
@@ -1491,7 +1605,77 @@ class TestHostilePeers:
         decode_all(decoded)
 
 
+class TestSpecOncePerConnection:
+    def test_requeue_onto_a_worker_without_the_spec_sends_it_in_full(
+        self, monkeypatch
+    ):
+        from repro.engine.executors import run_unit
+
+        spec = usd_spec(uniform_configuration(60, 2))
+        seeds = [np.random.SeedSequence(s).spawn(2) for s in (1, 2)]
+        units = [unit_of(spec, "jump", unit_seeds) for unit_seeds in seeds]
+        frames = []
+        send = WorkerPool._send
+
+        def spy(pool, conn, message):
+            if message.get("type") == "chunk":
+                frames.append((conn.name, json.loads(json.dumps(message))))
+            send(pool, conn, message)
+
+        monkeypatch.setattr(WorkerPool, "_send", spy)
+        outcome = {}
+        with WorkerPool() as pool:
+            # Serves the first unit, then drops the second on receipt.
+            start_worker_thread(pool.endpoint, name="first", abort_after=1)
+            pool.wait_for_workers(1, timeout=15)
+            runner = threading.Thread(
+                target=lambda: outcome.update(outputs=pool.run(units))
+            )
+            runner.start()
+            deadline = time.monotonic() + 15
+            while pool.chunks_requeued == 0 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            start_worker_thread(pool.endpoint, name="second")
+            runner.join(timeout=30)
+        assert not runner.is_alive()
+        assert [(name, frame["id"]) for name, frame in frames] == [
+            ("first", 0),
+            ("first", 1),
+            ("second", 1),
+        ]
+        carried = [
+            ["spec" in item for item in frame["segments"]] for _, frame in frames
+        ]
+        assert carried == [[True], [False], [True]]
+        assert {frame["segments"][0]["spec_key"] for _, frame in frames} == {
+            spec.key()
+        }
+        scenario = get_scenario("usd")
+        assert [results_key(output.parts[0]) for output in outcome["outputs"]] == [
+            results_key(run_unit(scenario, "jump", spec, None, unit_seeds)[0])
+            for unit_seeds in seeds
+        ]
+
+
 class TestNothingUnpickledOnTheRemotePath:
+    def test_no_executor_module_imports_pickle(self):
+        import ast
+
+        engine = Path(SRC_DIR) / "repro" / "engine"
+        for name in ("executors.py", "session.py", "remote.py"):
+            tree = ast.parse((engine / name).read_text(encoding="utf-8"))
+            imported = {
+                alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                for alias in node.names
+            } | {
+                (node.module or "").split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+            }
+            assert "pickle" not in imported, name
+
     def test_remote_runs_with_unpickling_disabled(self, monkeypatch, tmp_path):
         config = uniform_configuration(80, 3)
         spec = small_sweep(trials=4)

@@ -581,6 +581,31 @@ class TestHttpEdges:
         assert final["status"] == "done"
         assert final["results"] is not None
 
+    @pytest.mark.parametrize("route", ["/v1/ensemble", "/v1/sweep"])
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"workload": ["uniform"]},
+            {"workload": {"name": "uniform"}},
+            {"seed": None},
+            {"trials": None},
+        ],
+        ids=["workload-list", "workload-object", "seed-null", "trials-null"],
+    )
+    def test_ill_typed_field_is_400_and_service_stays_healthy(
+        self, endpoint, route, field
+    ):
+        # A list or object workload used to raise TypeError (unhashable)
+        # and an explicit null seed one in the job key: both were 500s.
+        status, body = raw_request(
+            endpoint, "POST", route, json.dumps({**SPEC, **field}).encode()
+        )
+        assert status == 400, body
+        assert next(iter(field)).encode() in body
+        status, body = raw_request(endpoint, "GET", "/healthz")
+        assert status == 200
+        assert json.loads(body)["status"] == "ok"
+
     def test_negative_seed_is_400(self, endpoint):
         status, body = raw_request(
             endpoint,

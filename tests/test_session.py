@@ -12,6 +12,7 @@ restores the previous configuration on exit and on exceptions.
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -208,23 +209,41 @@ class TestBitIdentity:
         # Decoded results keep their scenario-specific types.
         assert type(process.cells[0].results[0]).__name__ == "ZealotRunResult"
 
-    def test_sweep_shared_falls_back_without_shared_memory(self, monkeypatch):
-        # Without shared memory, large specs travel inline with every
-        # chunk (SpecBroadcast falls back); results do not change.
-        from repro.engine import executors
-
-        monkeypatch.setattr(executors, "_shared_memory", None)
-        spec = small_sweep(trials=4)
-        with Engine(jobs=2) as eng:
-            got = eng.sweep(spec, seed=9, executor="process")
-            want = eng.sweep(spec, seed=9, executor="serial")
-        assert sweep_key(got) == sweep_key(want)
 
 
 def coerce_usd(config):
     from repro.engine import usd_spec
 
     return usd_spec(config)
+
+
+def register_fastsim_scenario(name, config, before_run=None):
+    """Register scenario ``name`` (plain USD runs, the base record codec)
+    and return a spec of it at ``config``.
+
+    ``before_run()`` is called at the top of every kernel call, in
+    whichever process runs it.
+    """
+    from repro.engine import Scenario, register_scenario
+    from repro.engine.scenarios import ScenarioSpec
+
+    class FastsimScenario(Scenario):
+        description = "plain USD for session tests"
+        record_transport = True
+
+        def reference(self, spec, *, rng, max_interactions=None):
+            from repro.core.fastsim import simulate
+
+            return simulate(spec.config, rng=rng, max_interactions=max_interactions)
+
+        def run_chunk(self, spec, variant, rngs, max_interactions):
+            if before_run is not None:
+                before_run()
+            return super().run_chunk(spec, variant, rngs, max_interactions)
+
+    FastsimScenario.name = name
+    register_scenario(FastsimScenario())
+    return ScenarioSpec.create(name, config)
 
 
 class TestPersistentPool:
@@ -292,37 +311,33 @@ class TestPersistentPool:
         assert root == str(tmp_path / "b")
 
     def test_respawn_when_registry_grows(self):
-        # Forked workers snapshot the registries; registering a backend
-        # after the fork must respawn the pool so workers can resolve it.
-        from repro.engine import register_backend
-        from repro.engine.backends import _REGISTRY
-
-        class EpochBackend:
-            name = "session-epoch-test"
-
-            def simulate(self, config, *, rng, max_interactions=None,
-                         observer=None):
-                from repro.core.fastsim import simulate
-
-                return simulate(
-                    config, rng=rng, max_interactions=max_interactions
-                )
+        # Forked workers snapshot the registries; registering a scenario
+        # after the fork must respawn the workers so they can resolve it.
+        from repro.engine.scenarios import _REGISTRY
 
         with Engine(jobs=2) as eng:
             eng.ensemble(self.CONFIG, 4, seed=3, executor="process")
             before = eng.worker_pids()
-            register_backend(EpochBackend())
+            spec = register_fastsim_scenario("session-epoch-test", self.CONFIG)
             try:
-                got = eng.ensemble(
-                    self.CONFIG, 4, seed=3, executor="process",
-                    backend="session-epoch-test",
-                )
+                got = eng.ensemble(spec, 4, seed=3, executor="process")
+                want = eng.ensemble(spec, 4, seed=3, executor="serial")
             finally:
                 _REGISTRY.pop("session-epoch-test", None)
             after = eng.worker_pids()
+            stats = eng.stats()
         assert not set(before) & set(after)
-        want = run_ensemble(self.CONFIG, 4, seed=3, executor="serial")
+        assert stats["pool"]["spawns"] == 2
         assert results_key(got) == results_key(want)
+
+    def test_close_reaps_every_worker(self):
+        with Engine(jobs=2) as eng:
+            eng.ensemble(self.CONFIG, 4, seed=3, executor="process")
+            pids = eng.worker_pids()
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)  # a zombie would still answer
 
     def test_closed_engine_refuses_work(self):
         eng = Engine()
@@ -331,6 +346,76 @@ class TestPersistentPool:
             eng.ensemble(self.CONFIG, 2, seed=1)
         with pytest.raises(RuntimeError):
             eng.sweep(small_sweep(trials=2), seed=1)
+
+
+class TestLocalWorkerDeath:
+    """A local worker that dies costs time or fails the call, never hangs it."""
+
+    CONFIG = Configuration.from_supports([60, 30])
+
+    def test_worker_exiting_mid_unit_requeues_bit_identically(self, tmp_path):
+        from repro.engine.scenarios import _REGISTRY
+
+        parent, marker = os.getpid(), str(tmp_path / "died")
+
+        def first_worker_unit_exits():
+            if os.getpid() == parent:
+                return
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return
+            os._exit(3)
+
+        spec = register_fastsim_scenario(
+            "dies-once", self.CONFIG, first_worker_unit_exits
+        )
+        sweep = SweepSpec(
+            cells=(SweepCell(spec=spec, trials=4), SweepCell(spec=spec, trials=3))
+        )
+        try:
+            with Engine(jobs=2, cache=False) as eng:
+                want = eng.sweep(sweep, seed=5, executor="serial")
+                got = eng.sweep(sweep, seed=5, executor="process")
+                stats = eng.stats()
+                again = eng.sweep(sweep, seed=5, executor="process")
+                spawns = eng.stats()["pool"]["spawns"]
+        finally:
+            _REGISTRY.pop("dies-once", None)
+        assert os.path.exists(marker)
+        assert stats["pool"]["requeued"] == 1
+        assert sweep_key(got) == sweep_key(want) == sweep_key(again)
+        # The fleet lost a worker, so the next call forked a new one.
+        assert spawns == stats["pool"]["spawns"] + 1 == 2
+
+    def test_every_worker_dying_fails_fast_and_the_next_call_respawns(self):
+        from repro.engine.remote import LOCAL_WORKER_TIMEOUT
+        from repro.engine.scenarios import _REGISTRY
+
+        parent = os.getpid()
+
+        def every_worker_unit_exits():
+            if os.getpid() != parent:
+                os._exit(4)
+
+        spec = register_fastsim_scenario(
+            "always-dies", self.CONFIG, every_worker_unit_exits
+        )
+        want = run_ensemble(self.CONFIG, 6, seed=3, executor="serial")
+        try:
+            with Engine(jobs=2, cache=False) as eng:
+                started = time.monotonic()
+                with pytest.raises(RuntimeError, match="every local worker died"):
+                    eng.ensemble(spec, 4, seed=1, executor="process")
+                elapsed = time.monotonic() - started
+                spawns = eng.stats()["pool"]["spawns"]
+                got = eng.ensemble(self.CONFIG, 6, seed=3, executor="process")
+                stats = eng.stats()
+        finally:
+            _REGISTRY.pop("always-dies", None)
+        assert elapsed < LOCAL_WORKER_TIMEOUT + 10
+        assert stats["pool"]["spawns"] == spawns + 1
+        assert results_key(got) == results_key(want)
 
 
 class TestScopedOverrides:
@@ -893,28 +978,25 @@ class TestProcessPacking:
 
     @staticmethod
     def spy_pool(monkeypatch):
-        """Record every ``Pool.map`` payload and output the session sends."""
-        seen = {"payloads": [], "outputs": []}
-        acquire = Engine._acquire_pool
+        """Record every unit, output and frame byte ``WorkerPool.run`` moves."""
+        from repro.engine.remote import WorkerPool
 
-        class SpyPool:
-            def __init__(self, pool):
-                self.pool = pool
+        seen = {"units": [], "outputs": [], "bytes": 0, "received": 0}
+        run = WorkerPool.run
 
-            def map(self, fn, payloads, chunksize=1):
-                outputs = self.pool.map(fn, payloads, chunksize=chunksize)
-                seen["payloads"].extend(payloads)
-                seen["outputs"].extend(outputs)
-                return outputs
+        def spy(pool, units, **kwargs):
+            sent, received = pool.bytes_sent, pool.bytes_received
+            outputs = run(pool, units, **kwargs)
+            seen["units"].extend(units)
+            seen["outputs"].extend(outputs)
+            seen["received"] += pool.bytes_received - received
+            seen["bytes"] += pool.bytes_sent - sent + pool.bytes_received - received
+            return outputs
 
-        monkeypatch.setattr(
-            Engine, "_acquire_pool", lambda self, jobs: SpyPool(acquire(self, jobs))
-        )
+        monkeypatch.setattr(WorkerPool, "run", spy)
         return seen
 
     def test_one_unit_per_worker_with_exact_transport(self, monkeypatch):
-        from repro.engine.scenarios import PackedChunk
-
         seen = self.spy_pool(monkeypatch)
         with Engine(backend="batched", cache=False) as eng:
             run = eng.sweep(self.SPEC, seed=3, executor="process", jobs=2)
@@ -925,22 +1007,27 @@ class TestProcessPacking:
         assert transport["chunks"] == 2
         # Two cells for two workers: one whole cell per unit, the cell
         # with the longer prediction (the larger n) first.
-        assert all(isinstance(p[1], PackedChunk) for p in seen["payloads"])
+        assert all(unit.packed for unit in seen["units"])
         assert [
-            [(spec.config.n, reps) for spec, reps, _ in p[1].segments]
-            for p in seen["payloads"]
+            [(segment.spec.config.n, len(segment.seeds)) for segment in unit.segments]
+            for unit in seen["units"]
         ] == [[(150, 6)], [(90, 5)]]
         assert [entry["segments"] for entry in report["plan"]] == [[(1, 6)], [(0, 5)]]
         assert [entry["measured_seconds"] for entry in report["plan"]] == [
-            seconds for _, seconds in seen["outputs"]
+            outcome.seconds for outcome in seen["outputs"]
         ]
         assert all(entry["predicted_seconds"] > 0 for entry in report["plan"])
-        # One record block per segment: k + 4 int64 slots per replicate.
-        assert transport["bytes"] == sum(
+        # Local results name no worker, so no per-worker cost rows.
+        assert all(entry["worker"] is None for entry in report["plan"])
+        assert report["workers"] is None
+        # The row counts whole frames both ways; the result frames carry
+        # one record block per segment, k + 4 int64 slots per replicate.
+        assert transport["bytes"] == seen["bytes"]
+        assert seen["received"] > sum(
             cell.trials * 8 * (cell.spec.config.k + 4) for cell in self.SPEC.cells
         )
         # The units' kernel seconds are split across the cells, none lost.
-        unit_seconds = sum(seconds for _, seconds in seen["outputs"])
+        unit_seconds = sum(outcome.seconds for outcome in seen["outputs"])
         measured = [cell["measured_seconds"] for cell in report["cells"]]
         assert all(seconds > 0 for seconds in measured)
         assert sum(measured) == pytest.approx(unit_seconds)
@@ -963,6 +1050,8 @@ class TestProcessPacking:
             )
 
     def test_replacement_batched_backend_runs_per_cell(self, monkeypatch):
+        # A replacement registered as "batched" neither packs nor has the
+        # record codec, so it runs per cell and only in this process.
         from repro.engine import backends
         from repro.engine.batched import BatchedBackend
 
@@ -973,11 +1062,14 @@ class TestProcessPacking:
             want = sweep_key(eng.sweep(self.SPEC, seed=8, executor="serial"))
         monkeypatch.setitem(backends._REGISTRY, "batched", Replacement())
         with Engine(backend="batched", cache=False) as eng:
-            got = eng.sweep(self.SPEC, seed=8, executor="process", jobs=2)
+            got = eng.sweep(self.SPEC, seed=8, executor="serial", batch_size=4)
             report = eng.stats()["scheduler"]["last_sweep"]
+            with pytest.raises(ValueError, match="run it on the serial executor"):
+                eng.sweep(self.SPEC, seed=8, executor="process", jobs=2)
+            assert eng.worker_pids() == ()
         assert sweep_key(got) == want
         assert report["packed_units"] == 0
-        assert report["units"] >= len(self.SPEC.cells)
+        assert report["units"] == 4  # 5 and 6 replicates in chunks of 4
 
 
 class TestEnsembleIsOneCellSweep:

@@ -542,7 +542,7 @@ class TestCostModel:
 
 
 class TestSpecBroadcast:
-    """Shared-memory broadcast of large constant spec payloads."""
+    """A large spec travels to each worker once per run, not per chunk."""
 
     def big_graph_spec(self, n=600, extra=9000):
         rng = np.random.default_rng(0)
@@ -550,39 +550,14 @@ class TestSpecBroadcast:
         chords = [tuple(map(int, pair)) for pair in rng.integers(0, n, (extra, 2))]
         return graph_spec(ring + chords, config=uniform_configuration(n, 2))
 
-    def test_large_spec_goes_through_shared_memory(self):
-        import pickle
+    def test_broadcast_sweep_bit_identical_to_serial(self, monkeypatch):
+        from repro.engine.remote import WorkerPool
 
-        from repro.engine import executors as ex
-
-        spec = self.big_graph_spec()
-        assert len(pickle.dumps(spec)) >= ex._SPEC_BROADCAST_THRESHOLD
-        broadcast = ex.SpecBroadcast([spec])
-        try:
-            ref = broadcast.ref_for(spec)
-            assert broadcast.broadcast_count == 1
-            assert isinstance(ref, tuple) and ref[0] == ex._SPEC_REF_TAG
-            resolved = ex._resolve_spec(ref)
-            assert resolved.key() == spec.key()
-        finally:
-            broadcast.close()
-
-    def test_small_spec_passes_through_unwrapped(self):
-        from repro.engine import executors as ex
-
-        spec = usd_spec(uniform_configuration(50, 2))
-        broadcast = ex.SpecBroadcast([spec])
-        try:
-            assert broadcast.ref_for(spec) is spec
-            assert broadcast.broadcast_count == 0
-        finally:
-            broadcast.close()
-
-    def test_broadcast_sweep_bit_identical_to_serial(self):
+        graph = self.big_graph_spec()
         spec = SweepSpec(
             cells=(
                 SweepCell(
-                    spec=self.big_graph_spec(),
+                    spec=graph,
                     trials=3,
                     max_interactions=100_000,
                     label=(("n", 600),),
@@ -594,9 +569,36 @@ class TestSpecBroadcast:
                 ),
             )
         )
+        # (run, connection) -> [graph segments, graph segments with the spec]
+        graph_segments: dict[tuple, list[int]] = {}
+        send = WorkerPool._send
+
+        def spy(pool, conn, message):
+            if message.get("type") == "chunk":
+                for item in message["segments"]:
+                    if item["spec_key"] == graph.key():
+                        counts = graph_segments.setdefault(
+                            (message["run"], id(conn)), [0, 0]
+                        )
+                        counts[0] += 1
+                        counts[1] += "spec" in item
+            send(pool, conn, message)
+
+        monkeypatch.setattr(WorkerPool, "_send", spy)
         serial = run_sweep(spec, seed=11)
-        process = run_sweep(spec, seed=11, executor="process", jobs=2)
-        assert flat_key(serial) == flat_key(process)
+        with Engine(cache=False) as eng:
+            # batch_size=1 cuts the graph cell into three chunks per run.
+            runs = [
+                eng.sweep(spec, seed=11, executor="process", jobs=2, batch_size=1)
+                for _ in range(2)
+            ]
+        for process in runs:
+            assert flat_key(serial) == flat_key(process)
+        per_run: dict[int, int] = {}
+        for (run, _), (segments, bodies) in graph_segments.items():
+            per_run[run] = per_run.get(run, 0) + segments
+            assert bodies == 1  # once per connection per run
+        assert sorted(per_run.values()) == [3, 3]
 
 
 class TestCostScheduler:
