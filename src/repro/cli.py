@@ -21,7 +21,8 @@ Commands
 ``sweep --param name=v1,v2,... [--param ...] [--workload W] [--trials T]``
     Run a whole parameter grid as ONE engine workload
     (:func:`repro.engine.run_sweep`): the cross product of every
-    ``--param`` flag (or the grid from ``--spec-file sweep.json``) is
+    ``--param`` flag (or the grid of ``--spec-file sweep.json``, the
+    service's ``/v1/sweep`` document, parsed by the same code) is
     frozen into a :class:`repro.engine.SweepSpec` and all cells'
     replicates are scheduled across one flattened executor pool — no
     per-cell barrier — with optional per-cell caching under a
@@ -64,7 +65,7 @@ cell of a ``sweep`` — shares one persistent worker pool and one open
 cache handle.  ``--backend {agents,jump,batched}`` picks the simulation
 backend (for non-USD scenarios, ``batched`` selects the scenario's
 vectorized variant when it has one), ``--jobs J`` enables the
-multiprocessing executor with ``J`` workers, and
+process executor with ``J`` local workers, and
 ``--cache``/``--no-cache`` turns the on-disk ensemble cache on or off
 (``--cache-dir`` relocates it) for every ensemble the command runs (see
 :mod:`repro.engine`).  Flags are frozen into the session's options at
@@ -74,6 +75,7 @@ startup; nothing mutates process-wide state.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import fields
 
@@ -82,11 +84,9 @@ import numpy as np
 from .analysis.report import build_markdown_report
 from .core.phases import PhaseTracker
 from .engine import (
-    SEED_DERIVATIONS,
     Engine,
     EngineOptions,
     EnsembleCache,
-    SweepSpec,
     available_scenarios,
     derive_cell_seeds,
     engine,
@@ -100,6 +100,7 @@ from .engine import (
     zealot_spec,
 )
 from .experiments import EXPERIMENTS, run_all, run_experiment
+from .service import jobs
 from .workloads import (
     additive_bias_configuration,
     multiplicative_bias_configuration,
@@ -108,13 +109,6 @@ from .workloads import (
 )
 
 __all__ = ["main", "build_parser"]
-
-#: Workload builders the ``sweep`` subcommand can feed a grid into.
-_SWEEP_WORKLOADS = {
-    "uniform": uniform_configuration,
-    "additive": additive_bias_configuration,
-    "multiplicative": multiplicative_bias_configuration,
-}
 
 
 def _positive_int(raw: str) -> int:
@@ -282,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--workload",
-        choices=tuple(_SWEEP_WORKLOADS),
+        choices=tuple(jobs.WORKLOADS),
         default=None,
         help="workload builder the grid parameters feed "
         "(default: uniform; uniform takes n,k; additive n,k,beta; "
@@ -291,8 +285,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument(
         "--spec-file",
         default=None,
-        help="JSON sweep spec: {workload, params: {name: [values]} or "
-        "grid: [{...}], trials, max_interactions, seed}; flags override",
+        help="JSON submission, the schema of 'repro serve' /v1/sweep: "
+        "{workload, params: {name: [values]} or grid: [{...}], scenario, "
+        "trials, seed, max_interactions, seed_derivation}; a flag that is "
+        "set overrides its field, --param axes replace params and grid, "
+        "and unknown fields are rejected",
     )
     sweep_cmd.add_argument(
         "--trials",
@@ -309,10 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_cmd.add_argument(
         "--seed-derivation",
-        choices=SEED_DERIVATIONS,
-        default="spawn",
-        help="per-cell seed derivation: spawn = full-entropy SeedSequence "
-        "children (default), legacy = historical 32-bit collapse",
+        choices=jobs.FIELDS["seed_derivation"].choices,
+        default=None,
+        help="per-cell seed derivation (default: the spec file's, else "
+        "spawn): spawn = full-entropy SeedSequence children, legacy = "
+        "historical 32-bit collapse",
     )
     sweep_cmd.add_argument(
         "--resume",
@@ -580,12 +578,12 @@ def _parse_param_axes(flags: list[str]) -> dict[str, list]:
         name, sep, raw = flag.partition("=")
         name = name.strip()
         if not sep or not name or not raw.strip():
-            raise SystemExit(
-                f"error: --param must look like NAME=V1,V2,..., got {flag!r}"
+            raise jobs.RequestError(
+                f"--param must look like NAME=V1,V2,..., got {flag!r}"
             )
         if name in axes:
-            raise SystemExit(
-                f"error: --param axis {name!r} given twice; put every value "
+            raise jobs.RequestError(
+                f"--param axis {name!r} given twice; put every value "
                 f"in one flag: --param {name}=V1,V2,..."
             )
         values = [
@@ -594,61 +592,53 @@ def _parse_param_axes(flags: list[str]) -> dict[str, list]:
             if part.strip() != ""
         ]
         if not values:
-            raise SystemExit(
-                f"error: --param {name!r} needs at least one value, got {flag!r}"
+            raise jobs.RequestError(
+                f"--param {name!r} needs at least one value, got {flag!r}"
             )
         axes[name] = values
     return axes
 
 
-def _grid_from_axes(axes: dict[str, list]) -> list[dict]:
-    import itertools
+def _load_submission(path: str | None, command: str) -> dict:
+    """The JSON object in ``path`` (stdin when ``None``)."""
+    try:
+        if path:
+            with open(path, "r", encoding="utf-8") as handle:
+                payload = json.load(handle)
+        else:
+            payload = json.load(sys.stdin)
+    except ValueError as exc:
+        raise _usage_error(command, f"{path or 'stdin'} is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise _usage_error(command, f"{path or 'stdin'} must hold a JSON object")
+    return payload
 
-    names = list(axes)
-    return [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(axes[name] for name in names))
-    ]
+
+def _usage_error(command: str, message: str) -> SystemExit:
+    """Print a one-line usage error; the caller raises the exit."""
+    print(f"repro {command}: error: {message}", file=sys.stderr)
+    return SystemExit(2)
 
 
 def _command_sweep(args) -> int:
-    import json
-
-    spec_file: dict = {}
-    if args.spec_file:
-        with open(args.spec_file, "r", encoding="utf-8") as handle:
-            spec_file = json.load(handle)
-        if not isinstance(spec_file, dict):
-            raise SystemExit(f"error: {args.spec_file} must hold a JSON object")
-
-    workload = args.workload or spec_file.get("workload", "uniform")
-    if workload not in _SWEEP_WORKLOADS:
-        raise SystemExit(
-            f"error: unknown workload {workload!r}; "
-            f"available: {tuple(_SWEEP_WORKLOADS)}"
-        )
-    builder = _SWEEP_WORKLOADS[workload]
-    trials = args.trials if args.trials is not None else spec_file.get("trials", 8)
-    seed = args.seed if args.seed is not None else spec_file.get("seed", 20230224)
-    budget = (
-        args.max_interactions
-        if args.max_interactions is not None
-        else spec_file.get("max_interactions")
+    # One document from the file and the flags, parsed exactly as the
+    # service parses a POST /v1/sweep body.
+    doc = _load_submission(args.spec_file, "sweep") if args.spec_file else {}
+    # A flag that is set overrides the field of the same name.
+    doc.update(
+        (name, getattr(args, name))
+        for name in jobs.FIELDS
+        if getattr(args, name, None) is not None
     )
-
-    if args.param:
-        grid = _grid_from_axes(_parse_param_axes(args.param))
-    elif "grid" in spec_file:
-        grid = [dict(point) for point in spec_file["grid"]]
-    elif "params" in spec_file:
-        grid = _grid_from_axes(dict(spec_file["params"]))
-    else:
-        raise SystemExit(
-            "error: sweep needs at least one --param axis or a --spec-file "
-            "with a 'params'/'grid' entry"
-        )
-
-    spec = SweepSpec.from_grid(grid, builder, trials=trials, max_interactions=budget)
+    try:
+        if args.param:
+            doc.pop("grid", None)
+            doc["params"] = _parse_param_axes(args.param)
+        job = jobs.parse_sweep(doc)
+    except jobs.RequestError as exc:
+        raise _usage_error("sweep", str(exc)) from None
+    spec, seed, derivation = job.spec, job.seed, job.seed_derivation
+    workload = doc.get("workload", jobs.FIELDS["workload"].default)
 
     if args.resume and args.cache is None:
         args.cache = True  # the resume table lives in the cache's sweep index
@@ -665,19 +655,13 @@ def _command_sweep(args) -> int:
                 f"(connect with: repro worker {eng.worker_pool().endpoint})"
             )
         if args.resume:
-            resume_lines = _sweep_resume_preflight(
-                store, spec, seed, args.seed_derivation
-            )
-        outcome = eng.sweep(
-            spec,
-            seed=seed,
-            seed_derivation=args.seed_derivation,
-        )
+            resume_lines = _sweep_resume_preflight(store, spec, seed, derivation)
+        outcome = eng.sweep(spec, seed=seed, seed_derivation=derivation)
         session_stats = eng.stats()
 
     print(
         f"sweep:            {len(spec)} cells, {spec.total_trials} replicates "
-        f"({workload} workload, seed {seed}, {args.seed_derivation} seeds)"
+        f"({workload} workload, seed {seed}, {derivation} seeds)"
     )
     print(f"sweep key:        {spec.key()}")
     for line in resume_lines:
@@ -910,46 +894,24 @@ def _command_serve(args) -> int:
     return 0
 
 
-def _submission_kind(kind: str, payload: dict) -> str:
-    if kind != "auto":
-        return kind
-    if "grid" in payload:
-        return "sweep"
-    params = payload.get("params", {})
-    if isinstance(params, dict) and any(
-        isinstance(v, list) for v in params.values()
-    ):
-        return "sweep"
-    return "ensemble"
-
-
 def _command_submit(args) -> int:
-    import json as _json
-
     from .service import ServiceClient, ServiceConfig
 
-    if args.spec_file:
-        with open(args.spec_file, "r", encoding="utf-8") as handle:
-            payload = _json.load(handle)
-    else:
-        payload = _json.load(sys.stdin)
-    if not isinstance(payload, dict):
-        print("submit: spec must be a JSON object", file=sys.stderr)
-        return 2
-    kind = _submission_kind(args.kind, payload)
+    payload = _load_submission(args.spec_file, "submit")
+    kind = args.kind
+    if kind == "auto":
+        kind = "sweep" if jobs.is_sweep(payload) else "ensemble"
     config = (
         ServiceConfig.builder(args.endpoint).timeout(args.timeout).build()
     )
     with ServiceClient(config) as client:
         submit = client.sweep if kind == "sweep" else client.ensemble
         answer = submit(payload, wait=not args.no_wait)
-    print(_json.dumps(answer, indent=2, sort_keys=True))
+    print(json.dumps(answer, indent=2, sort_keys=True))
     return 0 if answer.get("status") != "failed" else 1
 
 
 def _command_poll(args) -> int:
-    import json as _json
-
     from .service import ServiceClient, ServiceConfig
 
     config = (
@@ -957,7 +919,7 @@ def _command_poll(args) -> int:
     )
     with ServiceClient(config) as client:
         answer = client.poll(args.key, wait=args.wait)
-    print(_json.dumps(answer, indent=2, sort_keys=True))
+    print(json.dumps(answer, indent=2, sort_keys=True))
     return 0 if answer.get("status") != "failed" else 1
 
 

@@ -547,8 +547,9 @@ def encode_result_block(
     """Results -> one contiguous record block (ints plane, floats plane).
 
     The record codec *is* the result format of every out-of-process
-    executor: socket workers always, and process-pool workers whenever
-    the scenario has a codec for the variant, return these bytes.
+    executor: remote socket workers and the process executor's local
+    workers both return these bytes (the process executor refuses a
+    cell whose scenario has no codec for the variant).
     """
     trials = len(results)
     buffer = bytearray(_block_bytes(trials, int_width, float_width))

@@ -15,8 +15,8 @@ generalizes the backend protocol to *any* parameterized dynamics:
   jitted kernel exists (:mod:`repro.kernels`) a **compiled** variant
   that transparently falls back to the batched tier without numba;
 * a registry maps stable names to scenario instances, exactly like the
-  backend registry, so experiments, sweeps, the CLI and the process-pool
-  workers select dynamics by name.
+  backend registry, so experiments, sweeps, the CLI and the local and
+  remote workers select dynamics by name.
 
 Built-in scenarios
 ------------------
@@ -152,7 +152,8 @@ class ScenarioSpec:
     """One frozen workload: dynamics name + parameters + initial state.
 
     Specs are immutable, hashable and picklable, so they can key caches
-    and dictionaries and travel to process-pool workers unchanged.
+    and dictionaries; they travel to local and remote workers as JSON
+    (:meth:`to_json`) unchanged.
     Build them with :meth:`create` (or the per-scenario helpers below),
     which canonicalizes the parameter values.
     """
@@ -194,7 +195,7 @@ class ScenarioSpec:
     def __getstate__(self) -> dict:
         # Drop scenario-side memos (e.g. GraphScenario's ndarray cache):
         # the frozen params are the source of truth, and shipping both
-        # forms would multiply process-pool payload sizes.
+        # forms would multiply the size of every pickled spec.
         state = dict(self.__dict__)
         state.pop("_array_cache", None)
         return state

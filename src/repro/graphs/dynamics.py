@@ -9,7 +9,7 @@ same kernel, so the two paths are bit-identical by construction.
 
 Keeping this module free of ``networkx`` lets :mod:`repro.engine`
 execute graph workloads without pulling the graph-construction
-dependency into numpy-only entry points (the engine smoke, process-pool
+dependency into numpy-only entry points (the engine smoke, local
 workers).
 """
 

@@ -1,7 +1,8 @@
 """Service request schema: JSON submissions <-> engine values.
 
-The wire schema deliberately mirrors ``repro sweep --spec-file`` so one
-JSON document drives both the CLI and the service::
+One JSON document drives both ``repro sweep --spec-file`` and the
+service's ``POST /v1/ensemble`` / ``POST /v1/sweep``; this module is the
+only parser of it::
 
     {
       "workload": "uniform",              // uniform | additive | multiplicative
@@ -15,12 +16,16 @@ JSON document drives both the CLI and the service::
       "seed_derivation": "spawn"          // sweeps only
     }
 
-The scenario overlay wraps every built configuration in a registered
-dynamics variant: ``usd`` (the default), ``zealots`` (``zealots``:
-per-opinion counts), ``noise`` (``rho``, ``horizon``, optional
-``tail_fraction``) or ``gossip`` (``rule``, optional ``max_rounds``).
-The ``graph`` scenario is CLI/API-only — its spec embeds an explicit
-edge list, which does not belong in a service request.
+:data:`FIELDS` declares every top-level field once (JSON type, default,
+lower bound, choices, and which endpoints accept it), and
+:data:`SCENARIOS` declares the overlays: ``usd`` (the default),
+``zealots`` (``zealots``: per-opinion counts), ``noise`` (``rho``,
+``horizon``, optional ``tail_fraction``) and ``gossip`` (optional
+``rule`` and ``max_rounds``).  A field or overlay parameter that is not
+declared for the endpoint is rejected with the accepted names, so a
+typo never silently falls back to a default.  The ``graph`` scenario is
+CLI/API-only — its spec embeds an explicit edge list, which does not
+belong in a service request.
 
 Identity is content-addressed end to end: an ensemble request maps to
 exactly the :func:`repro.engine.ensemble_key` a direct
@@ -48,8 +53,8 @@ import numpy as np
 
 from ..core.config import Configuration
 from ..engine import (
+    SEED_DERIVATIONS,
     SweepSpec,
-    coerce_spec,
     ensemble_key,
     get_scenario,
     gossip_spec,
@@ -58,7 +63,6 @@ from ..engine import (
     usd_spec,
     zealot_spec,
 )
-from ..engine.sweep import SEED_DERIVATIONS
 from ..workloads import (
     additive_bias_configuration,
     multiplicative_bias_configuration,
@@ -66,9 +70,14 @@ from ..workloads import (
 )
 
 __all__ = [
+    "FIELDS",
+    "Field",
     "RequestError",
+    "SCENARIOS",
+    "WORKLOADS",
     "EnsembleJob",
     "SweepJob",
+    "is_sweep",
     "parse_ensemble",
     "parse_sweep",
     "result_to_jsonable",
@@ -77,9 +86,8 @@ __all__ = [
     "sweep_job_key",
 ]
 
-#: Workload builders a request's ``params`` feed (same table the CLI
-#: sweep command uses: uniform takes n,k; additive n,k,beta;
-#: multiplicative n,k,alpha).
+#: Workload builders a request's ``params`` feed (uniform takes n,k;
+#: additive n,k,beta; multiplicative n,k,alpha).
 WORKLOADS = {
     "uniform": uniform_configuration,
     "additive": additive_bias_configuration,
@@ -91,113 +99,166 @@ class RequestError(ValueError):
     """A submission the schema rejects (the server answers 400)."""
 
 
-def _require_int(payload: dict, name: str, default=None, minimum=None):
-    """``payload[name]`` as an int; ``null`` only where the default is one."""
-    value = payload.get(name, default)
-    if value is None:
-        if default is not None:
-            raise RequestError(f"{name!r} must be an integer, got null")
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise RequestError(f"{name!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise RequestError(f"{name!r} must be >= {minimum}, got {value}")
-    return value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _build_scenario(config: Configuration, scenario) -> object:
-    """Apply the optional scenario overlay to one built configuration."""
-    if scenario is None:
-        return usd_spec(config)
-    if not isinstance(scenario, dict):
+#: JSON types a field may declare, by the phrase error messages use.
+_KINDS = {
+    "an integer": _is_int,
+    "a number": lambda v: _is_int(v) or isinstance(v, float),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a list of integers": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
+
+ENSEMBLE, SWEEP = "/v1/ensemble", "/v1/sweep"
+
+
+@dataclasses.dataclass(frozen=True)
+class Field:
+    """One declared field: a submission's top level or an overlay's.
+
+    ``null`` reads as the default where the default is ``None`` (an
+    optional field) and is rejected everywhere else.
+    """
+
+    name: str
+    kind: str
+    default: object = None
+    minimum: int | None = None
+    choices: tuple = ()
+    endpoints: tuple = (ENSEMBLE, SWEEP)
+    required: bool = False
+
+    def read(self, payload: dict, prefix: str = ""):
+        value = payload.get(self.name, self.default)
+        label = prefix + self.name
+        if value is None:
+            if self.required:
+                raise RequestError(f"{label!r} is required")
+            if self.default is not None:
+                raise RequestError(f"{label!r} must be {self.kind}, got null")
+            return None
+        if not _KINDS[self.kind](value):
+            raise RequestError(f"{label!r} must be {self.kind}, got {value!r}")
+        if self.minimum is not None and value < self.minimum:
+            raise RequestError(f"{label!r} must be >= {self.minimum}, got {value}")
+        if self.choices and value not in self.choices:
+            raise RequestError(
+                f"{label!r} must be one of {self.choices}, got {value!r}"
+            )
+        return value
+
+
+#: Every top-level field of a submission, declared once.
+FIELDS = {
+    field.name: field
+    for field in (
+        Field("workload", "a string", "uniform", choices=tuple(WORKLOADS)),
+        Field("params", "an object", {}),
+        Field("grid", "a list", endpoints=(SWEEP,)),
+        Field("scenario", "an object"),
+        Field("trials", "an integer", 8, minimum=1),
+        Field("seed", "an integer", 20230224, minimum=0),
+        Field("max_interactions", "an integer", minimum=1),
+        Field(
+            "seed_derivation",
+            "a string",
+            "spawn",
+            choices=SEED_DERIVATIONS,
+            endpoints=(SWEEP,),
+        ),
+    )
+}
+
+#: Scenario overlays: name -> (spec builder, its declared parameters).
+SCENARIOS = {
+    "usd": (usd_spec, ()),
+    "zealots": (zealot_spec, (Field("zealots", "a list of integers", required=True),)),
+    "noise": (
+        noise_spec,
+        (
+            Field("rho", "a number", required=True),
+            Field("horizon", "an integer", required=True),
+            Field("tail_fraction", "a number", 0.5),
+        ),
+    ),
+    "gossip": (
+        gossip_spec,
+        (
+            Field("rule", "a string", "usd", choices=get_scenario("gossip").RULES),
+            Field("max_rounds", "an integer"),
+        ),
+    ),
+}
+
+_SCENARIO_NAME = Field("name", "a string", "usd", choices=tuple(SCENARIOS))
+
+
+def _read(fields, payload: dict, where: str, prefix: str = "") -> dict:
+    """Every declared field of ``payload``; undeclared names are errors."""
+    names = [field.name for field in fields]
+    unknown = sorted(str(name) for name in payload if name not in names)
+    if unknown:
         raise RequestError(
-            f"'scenario' must be an object with a 'name', got {scenario!r}"
+            f"{where} does not accept {unknown}; accepted fields: {names}"
         )
-    params = dict(scenario)
-    name = params.pop("name", "usd")
-    if name == "usd":
-        if params:
-            raise RequestError(
-                f"scenario 'usd' takes no parameters, got {sorted(params)}"
-            )
-        return usd_spec(config)
-    if name == "zealots":
-        zealots = params.pop("zealots", None)
-        if params:
-            raise RequestError(
-                f"unknown scenario parameter(s) for 'zealots': {sorted(params)}"
-            )
-        if not isinstance(zealots, list) or not all(
-            isinstance(z, int) and not isinstance(z, bool) for z in zealots
-        ):
-            raise RequestError(
-                "'scenario.zealots' must be a list of per-opinion integer "
-                f"counts, got {zealots!r}"
-            )
-        return zealot_spec(config, zealots)
-    if name == "noise":
-        rho = params.pop("rho", None)
-        horizon = params.pop("horizon", None)
-        tail_fraction = params.pop("tail_fraction", 0.5)
-        if params:
-            raise RequestError(
-                f"unknown scenario parameter(s) for 'noise': {sorted(params)}"
-            )
-        if not isinstance(rho, (int, float)) or isinstance(rho, bool):
-            raise RequestError(f"'scenario.rho' must be a number, got {rho!r}")
-        if not isinstance(horizon, int) or isinstance(horizon, bool):
-            raise RequestError(
-                f"'scenario.horizon' must be an integer, got {horizon!r}"
-            )
-        return noise_spec(
-            config, float(rho), horizon, tail_fraction=float(tail_fraction)
-        )
-    if name == "gossip":
-        rule = params.pop("rule", "usd")
-        max_rounds = params.pop("max_rounds", None)
-        if params:
-            raise RequestError(
-                f"unknown scenario parameter(s) for 'gossip': {sorted(params)}"
-            )
-        return gossip_spec(config, rule=rule, max_rounds=max_rounds)
-    raise RequestError(
-        f"unknown scenario {name!r}; service scenarios: "
-        "usd, zealots, noise, gossip"
+    return {field.name: field.read(payload, prefix) for field in fields}
+
+
+def _read_submission(payload, endpoint: str) -> dict:
+    if not isinstance(payload, dict):
+        raise RequestError("submission must be a JSON object")
+    fields = [field for field in FIELDS.values() if endpoint in field.endpoints]
+    return _read(fields, payload, f"a {endpoint} submission")
+
+
+def is_sweep(payload) -> bool:
+    """A ``grid`` or a list-valued param makes a submission a sweep.
+
+    ``repro submit --kind auto`` routes on this rule, and
+    :func:`parse_ensemble` rejects a sweep by the same rule.
+    """
+    if not isinstance(payload, dict):
+        return False
+    params = payload.get("params")
+    return "grid" in payload or (
+        isinstance(params, dict)
+        and any(isinstance(value, list) for value in params.values())
     )
 
 
-def _builder(payload: dict):
-    workload = payload.get("workload", "uniform")
-    if not isinstance(workload, str) or workload not in WORKLOADS:
-        raise RequestError(
-            f"unknown workload {workload!r}; available: {tuple(WORKLOADS)}"
-        )
-    return WORKLOADS[workload]
+def _build_scenario(config: Configuration, overlay: dict | None):
+    """Apply the optional scenario overlay to one built configuration."""
+    if overlay is None:
+        return usd_spec(config)
+    name = _SCENARIO_NAME.read(overlay, "scenario.")
+    build, fields = SCENARIOS[name]
+    values = _read(
+        (_SCENARIO_NAME, *fields), overlay, f"scenario {name!r}", "scenario."
+    )
+    del values["name"]
+    return build(config, **values)
 
 
-def _build_point(payload: dict, params: dict):
-    """One grid point -> a coerced, validated ScenarioSpec."""
-    builder = _builder(payload)
+def _build_point(doc: dict, params: dict):
+    """One grid point of a read submission -> a validated ScenarioSpec."""
+    workload = doc["workload"]
     try:
-        config = builder(**params)
-    except TypeError as exc:
+        config = WORKLOADS[workload](**params)
+    except (TypeError, ValueError) as exc:
         raise RequestError(
-            f"workload {payload.get('workload', 'uniform')!r} rejected "
-            f"params {params!r}: {exc}"
+            f"workload {workload!r} rejected params {params!r}: {exc}"
         ) from None
-    except ValueError as exc:
-        raise RequestError(f"invalid workload params {params!r}: {exc}") from None
     try:
-        spec = coerce_spec(_build_scenario(config, payload.get("scenario")))
+        spec = _build_scenario(config, doc["scenario"])
+        get_scenario(spec.scenario).validate(spec)
+    except RequestError:
+        raise
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, RequestError):
-            raise
         raise RequestError(f"invalid scenario overlay: {exc}") from None
-    scenario = get_scenario(spec.scenario)
-    try:
-        scenario.validate(spec)
-    except (TypeError, ValueError) as exc:
-        raise RequestError(f"invalid {spec.scenario!r} spec: {exc}") from None
     return spec
 
 
@@ -230,23 +291,17 @@ class EnsembleJob:
 
 def parse_ensemble(payload: dict) -> EnsembleJob:
     """Validate one ensemble submission (raises :class:`RequestError`)."""
-    if not isinstance(payload, dict):
-        raise RequestError("submission must be a JSON object")
-    params = payload.get("params", {})
-    if not isinstance(params, dict):
-        raise RequestError(f"'params' must be an object, got {params!r}")
-    for name, value in params.items():
-        if isinstance(value, (list, dict)):
-            raise RequestError(
-                f"ensemble params must be scalars ({name!r} is a "
-                f"{type(value).__name__}); submit lists to /v1/sweep"
-            )
-    trials = _require_int(payload, "trials", default=8, minimum=1)
-    seed = _require_int(payload, "seed", default=20230224, minimum=0)
-    budget = _require_int(payload, "max_interactions", minimum=1)
-    spec = _build_point(payload, params)
+    if is_sweep(payload):
+        raise RequestError(
+            "a 'grid' or a list-valued param makes a sweep; submit it to "
+            f"{SWEEP}"
+        )
+    doc = _read_submission(payload, ENSEMBLE)
     return EnsembleJob(
-        spec=spec, trials=trials, seed=seed, max_interactions=budget
+        spec=_build_point(doc, doc["params"]),
+        trials=doc["trials"],
+        seed=doc["seed"],
+        max_interactions=doc["max_interactions"],
     )
 
 
@@ -289,88 +344,53 @@ def sweep_job_key(spec: SweepSpec, seed, seed_derivation: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _grid_from_axes(axes: dict) -> list[dict]:
-    names = list(axes)
-    for name in names:
-        values = axes[name]
-        if not isinstance(values, list) or not values:
-            raise RequestError(
-                f"sweep axis {name!r} must be a non-empty list, "
-                f"got {values!r}"
-            )
-    return [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(axes[name] for name in names))
-    ]
-
-
-def parse_sweep(payload: dict) -> SweepJob:
-    """Validate one sweep submission (raises :class:`RequestError`)."""
-    if not isinstance(payload, dict):
-        raise RequestError("submission must be a JSON object")
-    trials = _require_int(payload, "trials", default=8, minimum=1)
-    seed = _require_int(payload, "seed", default=20230224, minimum=0)
-    budget = _require_int(payload, "max_interactions", minimum=1)
-    derivation = payload.get("seed_derivation", "spawn")
-    if derivation not in SEED_DERIVATIONS:
-        raise RequestError(
-            f"'seed_derivation' must be one of {SEED_DERIVATIONS}, "
-            f"got {derivation!r}"
-        )
-    if "grid" in payload:
-        grid = payload["grid"]
-        if not isinstance(grid, list) or not all(
-            isinstance(point, dict) for point in grid
-        ):
+def _sweep_grid(params: dict, grid: list | None) -> list[dict]:
+    """The grid points of a sweep: explicit rows, or the axes' product."""
+    if grid is not None:
+        if not all(isinstance(point, dict) for point in grid):
             raise RequestError("'grid' must be a list of parameter objects")
         # Shared scalar params become per-row defaults (the row wins),
         # so {"params": {"k": 3}, "grid": [{"n": 100}, {"n": 200}]}
         # reads the way it looks.
-        base = payload.get("params", {})
-        if not isinstance(base, dict):
-            raise RequestError(f"'params' must be an object, got {base!r}")
-        for name, value in base.items():
+        for name, value in params.items():
             if isinstance(value, (list, dict)):
                 raise RequestError(
                     f"'params' alongside 'grid' must hold scalars "
                     f"({name!r} is a {type(value).__name__}); put axes in "
                     "'grid' rows instead"
                 )
-        grid = [{**base, **point} for point in grid]
-    elif "params" in payload:
-        axes = payload["params"]
-        if not isinstance(axes, dict):
-            raise RequestError(f"'params' must be an object, got {axes!r}")
-        # Scalars are promoted to one-value axes, so the same document
-        # works whether the caller meant a point or a degenerate grid.
-        grid = _grid_from_axes(
-            {
-                name: values if isinstance(values, list) else [values]
-                for name, values in axes.items()
-            }
-        )
-    else:
+        return [{**params, **point} for point in grid]
+    # Scalars are promoted to one-value axes, so the same document works
+    # whether the caller meant a point or a degenerate grid.
+    axes = {
+        name: values if isinstance(values, list) else [values]
+        for name, values in params.items()
+    }
+    for name, values in axes.items():
+        if not values:
+            raise RequestError(f"sweep axis {name!r} must be a non-empty list")
+    return [
+        dict(zip(axes, combo)) for combo in itertools.product(*axes.values())
+    ]
+
+
+def parse_sweep(payload: dict) -> SweepJob:
+    """Validate one sweep submission (raises :class:`RequestError`)."""
+    doc = _read_submission(payload, SWEEP)
+    if doc["grid"] is None and "params" not in payload:
         raise RequestError("sweep submission needs a 'params' or 'grid' entry")
+    grid = _sweep_grid(doc["params"], doc["grid"])
     if not grid:
         raise RequestError("sweep grid must be non-empty")
-    cells = []
-    for point in grid:
-        spec = _build_point(payload, point)
-        cells.append((spec, tuple(point.items())))
-    from ..engine.sweep import SweepCell
-
-    sweep = SweepSpec(
-        cells=tuple(
-            SweepCell(
-                spec=spec,
-                trials=trials,
-                max_interactions=budget,
-                label=label,
-            )
-            for spec, label in cells
-        )
+    spec = SweepSpec.from_grid(
+        grid,
+        lambda **point: _build_point(doc, point),
+        trials=doc["trials"],
+        max_interactions=doc["max_interactions"],
     )
-    return SweepJob(spec=sweep, seed=seed, seed_derivation=derivation)
+    return SweepJob(
+        spec=spec, seed=doc["seed"], seed_derivation=doc["seed_derivation"]
+    )
 
 
 # ----------------------------------------------------------------------

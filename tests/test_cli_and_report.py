@@ -1,10 +1,13 @@
 """Unit tests for the CLI and the markdown report generator."""
 
+import json
+
 import pytest
 
 from repro.analysis.report import build_markdown_report, write_markdown_report
 from repro.analysis.results import ExperimentResult
 from repro.cli import build_parser, main
+from repro.service.jobs import parse_sweep
 
 
 def make_result(experiment_id="E1", passed=True):
@@ -100,7 +103,11 @@ class TestSweepCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["sweep", "--param", "n=100,200"])
         assert args.param == ["n=100,200"]
-        assert args.seed_derivation == "spawn"
+        # Unset, so a spec file's seed_derivation holds; the schema's
+        # default applies when neither sets it.
+        assert args.seed_derivation is None
+        job = parse_sweep({"params": {"n": [100, 200], "k": 2}})
+        assert job.seed_derivation == "spawn"
 
     def test_rejects_bad_derivation(self):
         with pytest.raises(SystemExit):
@@ -185,6 +192,70 @@ class TestSweepCommand:
                                          "params": {"n": [50], "k": [2]}}))
         with pytest.raises(SystemExit):
             main(["sweep", "--spec-file", str(spec_path)])
+
+
+def write_spec(tmp_path, doc) -> str:
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestSpecFileParity:
+    """``repro sweep --spec-file`` runs what ``POST /v1/sweep`` parses."""
+
+    DOCUMENTS = {
+        "zealots-overlay": {
+            "params": {"n": 60, "k": 2},
+            "scenario": {"name": "zealots", "zealots": [2, 0]},
+            "trials": 4,
+            "max_interactions": 20_000,
+        },
+        "params-beside-grid": {"params": {"k": 3}, "grid": [{"n": 60}, {"n": 90}]},
+        "scalar-params": {"params": {"n": 60, "k": 2}},
+        "legacy-seeds": {
+            "params": {"n": [60], "k": [2]},
+            "seed_derivation": "legacy",
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOCUMENTS))
+    def test_same_sweep_key_and_seed_derivation(self, name, tmp_path, capsys):
+        doc = self.DOCUMENTS[name]
+        job = parse_sweep(doc)
+        assert main(["sweep", "--spec-file", write_spec(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        assert f"sweep key:        {job.spec.key()}" in out
+        assert f", {job.seed_derivation} seeds)" in out
+
+    def test_set_flags_override_the_file(self, tmp_path, capsys):
+        doc = {
+            "grid": [{"n": 60, "k": 2}, {"n": 90, "k": 2}],
+            "trials": 5,
+            "seed": 4,
+            "seed_derivation": "legacy",
+        }
+        argv = [
+            "sweep", "--spec-file", write_spec(tmp_path, doc),
+            "--param", "n=70", "--param", "k=2",
+            "--trials", "2", "--seed-derivation", "spawn",
+        ]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        expected = parse_sweep(
+            {"params": {"n": [70], "k": [2]}, "trials": 2, "seed": 4}
+        )
+        assert f"sweep key:        {expected.spec.key()}" in out
+        assert "1 cells, 2 replicates" in out
+        assert "seed 4, spawn seeds" in out
+
+    def test_unknown_field_is_a_one_line_usage_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"params": {"n": [60], "k": [2]}, "trails": 16})
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--spec-file", spec])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "'trails'" in err and "'trials'" in err
 
 
 class TestCacheCommand:

@@ -20,6 +20,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine, run_ensemble, run_sweep, SweepSpec
 from repro.service import (
@@ -30,6 +32,7 @@ from repro.service import (
     ServiceError,
     ServiceRejection,
 )
+from repro.service import jobs
 from repro.service.jobs import (
     RequestError,
     parse_ensemble,
@@ -179,6 +182,173 @@ class TestSchema:
              "scenario": {"name": "zealots", "zealots": [0, 5]}}
         )
         assert job.spec.scenario == "zealots"
+
+    @pytest.mark.parametrize(
+        "parse, field",
+        [
+            (parse_ensemble, {"trails": 16}),
+            (parse_sweep, {"trails": 16}),
+            (parse_ensemble, {"seed_derivation": "legacy"}),
+        ],
+        ids=["ensemble-typo", "sweep-typo", "ensemble-seed-derivation"],
+    )
+    def test_undeclared_field_names_the_accepted_ones(self, parse, field):
+        # A typo used to fall back to the default (8 trials), and
+        # /v1/ensemble ignored sweep-only fields.
+        with pytest.raises(RequestError, match="accepted fields") as info:
+            parse({**SPEC, **field})
+        assert repr(next(iter(field))) in str(info.value)
+        assert "'trials'" in str(info.value)
+
+    def test_ensemble_sends_a_grid_to_the_sweep_endpoint(self):
+        doc = {**SPEC, "grid": [{"n": 60}]}
+        assert jobs.is_sweep(doc)
+        with pytest.raises(RequestError, match="/v1/sweep"):
+            parse_ensemble(doc)
+
+    def test_undeclared_overlay_parameter_rejected(self):
+        with pytest.raises(RequestError, match="'zealots'.*accepted"):
+            parse_ensemble(
+                {**SPEC, "scenario": {"name": "zealots", "zealots": [0, 5, 1],
+                                      "zealot": [1, 0, 0]}}
+            )
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"name": "noise", "rho": 0.1, "horizon": 200},
+            {"name": "noise", "rho": 1, "horizon": 200, "tail_fraction": 0.25},
+            {"name": "gossip"},
+            {"name": "gossip", "rule": "usd", "max_rounds": 30},
+        ],
+    )
+    def test_overlay_table_builds_the_scenario_spec(self, scenario):
+        from repro.engine import gossip_spec, noise_spec
+
+        job = parse_ensemble({**SPEC, "scenario": scenario})
+        params = {k: v for k, v in scenario.items() if k != "name"}
+        config = uniform_configuration(120, 3)
+        expected = {"noise": noise_spec, "gossip": gossip_spec}[
+            scenario["name"]
+        ](config, **params)
+        assert job.spec.key() == expected.key()
+
+
+# Hypothesis strategies built from the declared schema: a document of
+# well-typed fields (jobs.FIELDS, and jobs.SCENARIOS for the overlay),
+# then up to two corruptions, each setting a declared or an unknown
+# field to any JSON value (ill-typed, null or well-typed).
+_ANY_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_BIAS = {
+    "uniform": {},
+    "additive": {"beta": st.integers(0, 6)},
+    "multiplicative": {"alpha": st.floats(1, 3)},
+}
+
+
+def _workload(axes: bool):
+    """A workload with params it builds from (lists where ``axes``)."""
+    def value(values):
+        return values | st.lists(values, min_size=1, max_size=2) if axes else values
+
+    def point(workload):
+        required = {"n": st.integers(2, 200), "k": st.integers(1, 4)}
+        required.update(_BIAS[workload])
+        return st.fixed_dictionaries(
+            {name: value(values) for name, values in required.items()},
+            optional={"undecided_fraction": value(st.floats(0, 0.5))},
+        ).map(lambda params: {"workload": workload, "params": params})
+
+    return st.sampled_from(sorted(_BIAS)).flatmap(point)
+
+
+def _well_typed(field, shapes):
+    if field.name in shapes:
+        return shapes[field.name]
+    if field.choices:
+        return st.sampled_from(field.choices)
+    return {
+        "an integer": st.integers(field.minimum or 0, 10**6),
+        "a number": st.floats(0, 1),
+        "a string": st.text(max_size=8),
+        "a list of integers": st.lists(st.integers(0, 5), min_size=1, max_size=4),
+    }[field.kind]
+
+
+def _document(fields, names, shapes=None, base=st.just({})):
+    """``base`` plus well-typed ``fields`` (each maybe omitted), then
+    corruptions of the declared ``names`` or of unknown ones."""
+    valid = st.fixed_dictionaries(
+        {},
+        optional={field.name: _well_typed(field, shapes or {}) for field in fields},
+    )
+    corruption = st.tuples(st.sampled_from(names) | st.text(max_size=6), _ANY_JSON)
+    return st.tuples(base, valid, st.lists(corruption, max_size=2)).map(
+        lambda parts: {**parts[0], **parts[1], **dict(parts[2])}
+    )
+
+
+def _overlay(name):
+    params = jobs.SCENARIOS[name][1]
+    names = ["name", *(field.name for field in params)]
+    return _document(params, names).map(lambda doc: {"name": name, **doc})
+
+
+_OVERLAY = st.sampled_from(sorted(jobs.SCENARIOS)).flatmap(_overlay)
+
+
+def _submissions(endpoint):
+    """Submissions to ``endpoint``: workload and params always, the
+    endpoint's other fields maybe; any declared field may be corrupted."""
+    fields = [
+        field
+        for field in jobs.FIELDS.values()
+        if endpoint in field.endpoints and field.name not in ("workload", "params")
+    ]
+    shapes = {
+        "grid": st.lists(
+            _workload(axes=False).map(lambda doc: doc["params"]),
+            min_size=1,
+            max_size=3,
+        ),
+        "scenario": _OVERLAY,
+    }
+    base = _workload(axes=endpoint == jobs.SWEEP)
+    return _document(fields, list(jobs.FIELDS), shapes, base)
+
+
+class TestSchemaProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_submissions(jobs.ENSEMBLE))
+    def test_parse_ensemble_returns_a_job_or_raises_request_error(self, doc):
+        from repro.engine.scenarios import get_scenario
+
+        try:
+            job = parse_ensemble(doc)
+        except RequestError:
+            return
+        assert isinstance(job, jobs.EnsembleJob)
+        job.key(get_scenario(job.spec.scenario).variant("batched"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_submissions(jobs.SWEEP))
+    def test_parse_sweep_returns_a_job_or_raises_request_error(self, doc):
+        try:
+            job = parse_sweep(doc)
+        except RequestError:
+            return
+        assert isinstance(job, jobs.SweepJob)
+        assert job.seed_derivation in jobs.FIELDS["seed_derivation"].choices
+        job.key()
 
 
 # ----------------------------------------------------------------------
