@@ -68,6 +68,7 @@ from .batched import (
     simulate_batch_single_event,
 )
 from .cache import EnsembleCache, ensemble_key, seed_token
+from .codec import ProtocolError
 from .costmodel import CostModel, cost_signature
 from .executors import DEFAULT_BATCH_SIZE, EXECUTORS, replicate_seeds, run_ensemble
 from .options import (
@@ -79,7 +80,6 @@ from .options import (
 from .remote import (
     DEFAULT_WORKER_TIMEOUT,
     PROTOCOL_VERSION,
-    ProtocolError,
     WorkerPool,
     parse_address,
     serve_worker,

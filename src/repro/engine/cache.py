@@ -9,13 +9,19 @@ content-hashes the scenario name, its parameters and the initial
 configuration), so across branches and backends a stale entry cannot be
 *wrong*, only absent.
 
-Entries are pickle files named by their key under a flat directory.
-Because loading a pickle executes code, the cache directory must be
-**trusted** — point it only at locations written by your own runs, and
-do not consume cache directories from untrusted sources (a crafted
-entry runs arbitrary code at load time).  Corrupt or unreadable entries
-are treated as misses (and removed on a best-effort basis) so a torn
-write degrades to a recompute, never to an error.  Enable caching per
+An entry is one frame of the worker socket's format
+(:mod:`repro.engine.codec`), named by its key under a flat directory:
+a JSON header naming the ensemble (the spec as
+:meth:`~repro.engine.scenarios.ScenarioSpec.to_json`, variant, trials,
+seed token, budget and the SHA-256 of the body) and the cell's record
+block as the body.  The same bytes travel as a ``cache-push`` frame, so
+a worker that receives one checks it exactly as :meth:`EnsembleCache.load`
+checks a file (:func:`read_entry`) and writes it unchanged.  A cell
+whose scenario has no record codec for its variant is never stored.
+An entry that is not exactly one frame, whose header does not derive
+its file name, or whose body has the wrong size or digest is a miss
+(and is removed on a best-effort basis), so a torn write or a foreign
+file degrades to a recompute, never to an error.  Enable caching per
 call (``run_ensemble(..., cache=True)``), per session
 (``Engine(cache=True)`` / the CLI's ``--cache`` flag) or per
 environment (``REPRO_ENGINE_CACHE=1``); the directory defaults to
@@ -27,18 +33,39 @@ aggregate per session (``Engine.stats()``).
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import pickle
 import re
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
+from .codec import (
+    ProtocolError,
+    _decoding,
+    block_bytes,
+    cell_codec,
+    decode_cell_block,
+    decode_frame,
+    decode_spec,
+    encode_frame,
+    encode_result_block,
+)
+from .scenarios import ScenarioSpec
 
-__all__ = ["EnsembleCache", "ensemble_key", "seed_from_token", "seed_token"]
+__all__ = [
+    "Entry",
+    "EnsembleCache",
+    "encode_entry",
+    "ensemble_key",
+    "read_entry",
+    "seed_from_token",
+    "seed_token",
+]
 
 #: Bumped whenever the on-disk format or the engine's sampling changes
 #: incompatibly; old entries then simply miss.  Format 2: the multi-event
@@ -53,6 +80,13 @@ CACHE_FORMAT = 3
 #: Format tag for sweep-level index entries (``*.sweep.json``); bumped
 #: independently of the ensemble entry format.
 SWEEP_INDEX_FORMAT = 1
+
+#: Suffix of an entry file.  Entries of the pickle era (``*.pkl``) are
+#: never read; :meth:`EnsembleCache.clear` and eviction still remove them.
+ENTRY_SUFFIX = ".entry"
+
+#: File patterns eviction and :meth:`EnsembleCache.clear` remove.
+_STORED = ("*" + ENTRY_SUFFIX, "*.sweep.json", "*.pkl")
 
 #: An entry key is one plain file-name component, so no key can name a
 #: file outside the store (``../x``, ``a/b``, an absolute path).
@@ -125,8 +159,134 @@ def ensemble_key(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class Entry(NamedTuple):
+    """One checked cache entry: the ensemble it names and its record block."""
+
+    spec: ScenarioSpec
+    variant: str
+    trials: int
+    block: bytes
+
+    def results(self) -> list:
+        """The entry's result list, decoded from its record block."""
+        return decode_cell_block(self.spec, self.variant, self.block, self.trials)
+
+
+#: Every field of an entry frame and its declared JSON type (``block``
+#: is the body; a bool is no integer).
+_ENTRY = {
+    "type": str,
+    "key": str,
+    "spec": dict,
+    "variant": str,
+    "trials": int,
+    "seed": (int, dict),
+    "max_interactions": (int, type(None)),
+    "sha256": str,
+    "block": bytes,
+}
+
+
+def encode_entry(
+    key: str, spec, variant: str, seed, max_interactions, results: list
+) -> bytes | None:
+    """The entry frame of the ensemble ``key`` names, holding ``results``.
+
+    ``None`` when the cell has no record codec for ``variant`` or its
+    frame would exceed the frame cap: such cells are not stored.
+    """
+    try:
+        scenario, widths = cell_codec(spec, variant)
+    except ValueError:
+        return None
+    block = encode_result_block(scenario, spec, results, *widths)
+    try:
+        return encode_frame(
+            {
+                "type": "cache-push",
+                "key": key,
+                "spec": spec.to_json(),
+                "variant": variant,
+                "trials": len(results),
+                "seed": seed_token(seed),
+                "max_interactions": max_interactions,
+                "sha256": hashlib.sha256(block).hexdigest(),
+                "block": block,
+            }
+        )
+    except ProtocolError:
+        return None
+
+
+def read_entry(message: dict, key: str, spec=None) -> Entry:
+    """The :class:`Entry` an entry frame's ``message`` holds under ``key``.
+
+    The frame must hold exactly the fields :func:`encode_entry` writes,
+    each of its declared type, and its header must re-derive ``key``
+    through :func:`ensemble_key`; the body must be exactly the record
+    block its size and digest name.  Anything else raises
+    :class:`~repro.engine.codec.ProtocolError`.  A caller that holds the
+    cell's ``spec`` has the key derived from it, and the header's spec
+    is not decoded.
+    """
+    if not (
+        set(message) == set(_ENTRY)
+        and all(
+            isinstance(message[name], kind) and not isinstance(message[name], bool)
+            for name, kind in _ENTRY.items()
+        )
+        and (message["type"], message["key"]) == ("cache-push", key)
+        and message["trials"] >= 1
+    ):
+        raise ProtocolError(f"not a cache entry named {key!r}")
+    variant, trials, token = message["variant"], message["trials"], message["seed"]
+    with _decoding("entry header"):
+        seed = token if isinstance(token, int) else seed_from_token(token)
+        spec = decode_spec(message["spec"]) if spec is None else spec
+        _, widths = cell_codec(spec, variant)
+    derived = ensemble_key(
+        spec,
+        trials=trials,
+        seed=seed,
+        variant=variant,
+        max_interactions=message["max_interactions"],
+    )
+    if derived != key:
+        raise ProtocolError(f"entry header derives key {derived}, not {key}")
+    block = message["block"]
+    if (
+        len(block) != block_bytes(trials, *widths)
+        or hashlib.sha256(block).hexdigest() != message["sha256"]
+    ):
+        raise ProtocolError("entry body does not match its size and digest")
+    return Entry(spec, variant, trials, block)
+
+
+def _load_json(path: Path) -> dict | None:
+    """The JSON object in ``path``, or ``None`` when absent or not one."""
+    try:
+        payload = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all (temp file, rename)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 class EnsembleCache:
-    """Flat-directory pickle store for ensemble result lists.
+    """Flat-directory store of ensemble entry frames.
 
     Tracks ``hits`` and ``misses`` so callers (the CLI, tests) can
     report whether an invocation was served from disk.  When
@@ -147,26 +307,8 @@ class EnsembleCache:
         self.misses = 0
         self.evictions = 0
 
-    def key_for(
-        self,
-        spec,
-        *,
-        trials: int,
-        seed: int,
-        variant: str,
-        max_interactions: int | None = None,
-    ) -> str:
-        """Key for one ensemble; see :func:`ensemble_key`."""
-        return ensemble_key(
-            spec,
-            trials=trials,
-            seed=seed,
-            variant=variant,
-            max_interactions=max_interactions,
-        )
-
     def _path(self, key: str) -> Path:
-        return self.root / _entry_name(key, ".pkl")
+        return self.root / _entry_name(key, ENTRY_SUFFIX)
 
     def contains(self, key: str) -> bool:
         """Whether an entry exists on disk (does not validate it).
@@ -178,64 +320,60 @@ class EnsembleCache:
         except ValueError:
             return False
 
-    def load(self, key: str):
+    def load(self, key: str, spec=None):
         """Return the cached result list, or ``None`` on miss/corruption.
 
-        A key that is not one plain file-name component is a miss.
+        ``spec``, when the caller holds the cell's spec, is what the
+        entry is checked against (see :func:`read_entry`); without it
+        the header's spec is decoded.  A key that is not one plain
+        file-name component is a miss.  Nothing raises.
         """
+        return self._read(key, spec, Entry.results)
+
+    def entry(self, key: str, spec) -> Entry | None:
+        """The checked :class:`Entry` under ``key`` (block undecoded), or ``None``."""
+        return self._read(key, spec, lambda entry: entry)
+
+    def _read(self, key: str, spec, finish):
+        path = None
         try:
             path = self._path(key)
-        except ValueError:
-            self.misses += 1
-            return None
-        try:
-            with open(path, "rb") as handle:
-                results = pickle.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
+            value = finish(read_entry(decode_frame(path.read_bytes()), key, spec))
         except Exception:
-            # A torn write or foreign file is a miss, not an error; drop
-            # it so the recomputed ensemble can take its place.
             self.misses += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        if not isinstance(results, list):
-            self.misses += 1
+            if path is not None:
+                # A torn write or foreign file: drop it so the
+                # recomputed ensemble can take its place.
+                with contextlib.suppress(OSError):
+                    path.unlink()
             return None
         self.hits += 1
-        try:
-            # Refresh recency so LRU eviction spares live entries.
-            os.utime(path, None)
-        except OSError:
-            pass
-        return results
+        with contextlib.suppress(OSError):
+            os.utime(path, None)  # recency: LRU eviction spares live entries
+        return value
 
-    def store(self, key: str, results: list) -> None:
-        """Persist a result list atomically (write-to-temp, then rename).
+    def store(self, key: str, entry: bytes) -> None:
+        """Persist an entry frame atomically (write-to-temp, then rename).
 
-        Raises ``ValueError``, writing nothing, when the key is not one
-        plain file-name component (``[A-Za-z0-9_-]+``).
+        ``entry`` is :func:`encode_entry` bytes, or a pushed frame that
+        :func:`read_entry` accepted under ``key``.  Raises
+        ``ValueError``, writing nothing, when the key is not one plain
+        file-name component (``[A-Za-z0-9_-]+``).
         """
         path = self._path(key)
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(results, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._evict(keep=f"{key}.pkl")
+        _write_atomic(path, entry)
+        self._evict(keep=path.name)
 
-    def _evict(self, keep: str | None = None) -> int:
+    def _files(self, patterns=_STORED):
+        """``(path, stat)`` of every file of the store matching ``patterns``."""
+        for pattern in patterns:
+            for path in self.root.glob(pattern):
+                try:
+                    yield path, path.stat()
+                except OSError:
+                    continue
+
+    def _evict(self, keep: str) -> None:
         """Enforce ``max_bytes`` by deleting least-recently-used entries.
 
         The file named by ``keep`` (the one just written) is never
@@ -243,32 +381,20 @@ class EnsembleCache:
         one entry" rather than "cache thrashes on itself".
         """
         if self.max_bytes is None:
-            return 0
-        entries = []
-        total = 0
-        for pattern in ("*.pkl", "*.sweep.json"):
-            for path in self.root.glob(pattern):
-                try:
-                    stat = path.stat()
-                except OSError:
-                    continue
-                entries.append((stat.st_mtime, stat.st_size, path))
-                total += stat.st_size
-        removed = 0
-        entries.sort(key=lambda item: item[0])
-        for _, size, path in entries:
+            return
+        files = sorted(self._files(), key=lambda item: item[1].st_mtime)
+        total = sum(stat.st_size for _, stat in files)
+        for path, stat in files:
             if total <= self.max_bytes:
                 break
-            if keep is not None and path.name == keep:
+            if path.name == keep:
                 continue
             try:
                 path.unlink()
             except OSError:
                 continue
-            total -= size
-            removed += 1
+            total -= stat.st_size
             self.evictions += 1
-        return removed
 
     # -- sweep-level index --------------------------------------------
     def sweep_index_key(self, sweep_key: str, seeds, variants) -> str:
@@ -296,31 +422,18 @@ class EnsembleCache:
         Raises ``ValueError`` on a key :meth:`store` would refuse.
         """
         path = self._sweep_path(key)
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
         # Indexes count toward the size cap like any other entry (they
         # are regenerated by the next run_sweep, so evicting one only
         # costs metadata, never results).
-        self._evict(keep=f"{key}.sweep.json")
+        self._evict(keep=path.name)
 
     def load_sweep_index(self, key: str) -> dict | None:
         """Return a sweep's index payload, or ``None`` on miss/corruption."""
         try:
-            with open(self._sweep_path(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
+            return _load_json(self._sweep_path(key))
+        except ValueError:  # not a key
             return None
-        return payload if isinstance(payload, dict) else None
 
     def sweep_status(self) -> list[dict]:
         """Per-sweep resume state: cells complete vs missing, per index.
@@ -334,28 +447,17 @@ class EnsembleCache:
         reported with ``cells=None`` rather than skipped silently.
         """
         status = []
-        if not self.root.is_dir():
-            return status
         for path in sorted(self.root.glob("*.sweep.json")):
             key = path.name[: -len(".sweep.json")]
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                payload = None
-            if not isinstance(payload, dict) or not isinstance(
-                payload.get("cells"), list
-            ):
+            payload = _load_json(path)
+            if payload is None or not isinstance(payload.get("cells"), list):
                 status.append(
                     {"key": key, "cells": None, "complete": 0, "missing": 0}
                 )
                 continue
             cells = payload["cells"]
-            complete = sum(
-                1
-                for cell_key in cells
-                if isinstance(cell_key, str) and self.contains(cell_key)
-            )
+            # A cell key that is not a string is no entry (see contains).
+            complete = sum(1 for cell_key in cells if self.contains(cell_key))
             status.append(
                 {
                     "key": key,
@@ -373,59 +475,31 @@ class EnsembleCache:
 
         A single well-known file (not content-addressed): the table is a
         performance hint shared by *every* sweep against this store, and
-        its name is outside the ``*.pkl`` / ``*.sweep.json`` globs so
+        its name is outside the entry and ``*.sweep.json`` globs so
         LRU eviction never discards it.
         """
         return self.root / "costmodel.json"
 
     def store_cost_table(self, payload: dict) -> None:
         """Persist the scheduler cost table atomically (JSON)."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp, self.cost_table_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _write_atomic(
+            self.cost_table_path, json.dumps(payload, sort_keys=True).encode("utf-8")
+        )
 
     def load_cost_table(self) -> dict | None:
         """Return the persisted cost table, or ``None`` on miss/corruption."""
-        try:
-            with open(self.cost_table_path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
+        return _load_json(self.cost_table_path)
 
     # -- maintenance ---------------------------------------------------
     def stats(self) -> dict:
         """Directory snapshot for ``repro cache stats`` and diagnostics."""
-        entries = 0
-        total_bytes = 0
-        sweep_indexes = 0
-        if self.root.is_dir():
-            for path in self.root.glob("*.pkl"):
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                entries += 1
-            for path in self.root.glob("*.sweep.json"):
-                try:
-                    total_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                sweep_indexes += 1
+        entries = [stat.st_size for _, stat in self._files(_STORED[:1])]
+        indexes = [stat.st_size for _, stat in self._files(_STORED[1:2])]
         return {
             "root": str(self.root),
-            "entries": entries,
-            "total_bytes": total_bytes,
-            "sweep_indexes": sweep_indexes,
+            "entries": len(entries),
+            "total_bytes": sum(entries) + sum(indexes),
+            "sweep_indexes": len(indexes),
             "max_bytes": self.max_bytes,
             "hits": self.hits,
             "misses": self.misses,
@@ -433,14 +507,13 @@ class EnsembleCache:
         }
 
     def clear(self) -> int:
-        """Delete every entry and sweep index; returns the number removed."""
+        """Delete every entry and sweep index; returns the number removed.
+
+        Entries of the pickle era (``*.pkl``) go too.
+        """
         removed = 0
-        if self.root.is_dir():
-            for pattern in ("*.pkl", "*.sweep.json"):
-                for path in self.root.glob(pattern):
-                    try:
-                        path.unlink()
-                        removed += 1
-                    except OSError:
-                        pass
+        for path, _ in self._files():
+            with contextlib.suppress(OSError):
+                path.unlink()
+                removed += 1
         return removed

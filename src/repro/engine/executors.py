@@ -16,7 +16,7 @@ module keeps the pieces that pipeline composes:
   :meth:`~repro.engine.scenarios.Scenario.run_chunk` here;
 * :func:`encode_parts` — the socket worker's per-segment encoder: each
   cell segment as a fixed-width record block
-  (:func:`~repro.engine.remote.encode_result_block` bytes), so only
+  (:func:`~repro.engine.codec.encode_result_block` bytes), so only
   cells whose scenario has a record codec for the variant leave this
   process;
 * :class:`UnitResult` — what every executor driver returns per unit,
@@ -52,6 +52,7 @@ from ..core.config import Configuration
 from ..core.simulator import RunResult
 from .backends import Backend
 from .cache import EnsembleCache
+from .codec import cell_codec, encode_result_block
 from .options import EXECUTORS
 from .scenarios import PackedChunk, Scenario, ScenarioSpec
 
@@ -106,13 +107,11 @@ def run_unit(scenario, runner, work, budget, seeds) -> tuple[list, float]:
 def encode_parts(scenario, variant: str, work, results: list) -> list[bytes]:
     """A unit's flat results as one record block per segment of ``work``.
 
-    Each block is :func:`~repro.engine.remote.encode_result_block`
-    bytes, widths from the cell by :func:`_record_widths`; the executor
-    refuses a cell without a record codec before it sends anything.
+    Each block is :func:`~repro.engine.codec.encode_result_block`
+    bytes, widths from the cell by :func:`~repro.engine.codec.cell_codec`;
+    the executor refuses a cell without a record codec before it sends
+    anything.
     """
-    # Imported here: the remote module imports this one.
-    from .remote import encode_result_block
-
     segments = (
         work.segments
         if isinstance(work, PackedChunk)
@@ -121,7 +120,7 @@ def encode_parts(scenario, variant: str, work, results: list) -> list[bytes]:
     sizes = [size for _, size, _ in segments]
     return [
         encode_result_block(
-            scenario, spec, part, *_record_widths(scenario, spec, variant)
+            scenario, spec, part, *cell_codec(spec, variant)[1]
         )
         for (spec, _, _), part in zip(segments, _cut(results, sizes))
     ]
@@ -360,17 +359,6 @@ def _whole_cells(group, cells, jobs, predicted) -> list[list[int]]:
     position = {i: p for p, i in enumerate(group)}
     heaviest = sorted(range(jobs), key=lambda b: loads[b], reverse=True)
     return [sorted(bins[b], key=position.__getitem__) for b in heaviest]
-
-
-def _record_widths(scenario, spec: ScenarioSpec, variant: str) -> tuple[int, int] | None:
-    """``(int_width, float_width)`` when the record codec applies, else ``None``."""
-    transport_ok = getattr(scenario, "record_transport_for", None)
-    if transport_ok is not None:
-        if not transport_ok(variant):
-            return None
-    elif not getattr(scenario, "record_transport", False):
-        return None
-    return int(scenario.record_ints(spec)), int(getattr(scenario, "record_floats", 0))
 
 
 def run_ensemble(

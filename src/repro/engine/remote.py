@@ -12,7 +12,7 @@ the same pool on loopback, fed by ``jobs`` forked local workers
 
 Wire format
 -----------
-Every message is one *frame*::
+Every message is one *frame* of :mod:`repro.engine.codec`::
 
     +----------+-------------+-------------+-------------+------------+
     | magic(4) | hlen(4, BE) | blen(4, BE) | JSON header | body bytes |
@@ -20,18 +20,20 @@ Every message is one *frame*::
 
 The header is a UTF-8 JSON object with a string ``type``.  The body is
 a fixed-width record block on ``result`` and ``cache-push`` frames and
-empty on every other frame.  :class:`FrameDecoder` is the one parser
-and reads nothing but JSON and raw bytes.  A wrong magic, an oversized
-length, a header that is not a JSON object, a field of the wrong type,
-a block of the wrong size or a spec its scenario's ``validate`` refuses
-is a :class:`ProtocolError`, and the pool drops that connection.  Specs
+empty on every other frame.  :class:`~repro.engine.codec.FrameDecoder`
+is the one parser and reads nothing but JSON and raw bytes.  A wrong
+magic, an oversized length, a header that is not a JSON object, a field
+of the wrong type, a block of the wrong size or a spec its scenario's
+``validate`` refuses is a :class:`~repro.engine.codec.ProtocolError`,
+and the pool drops that connection.  Specs
 travel as :meth:`ScenarioSpec.to_json` (the object ``key()`` hashes),
 once per connection per run: a chunk segment names its spec by
 ``spec_key`` and carries the spec object only the first time that
 connection sees the key in the run, so a graph cell cut into many
 chunks costs one spec decode per worker.  Seeds travel as
 :func:`~repro.engine.cache.seed_token` values and results as record
-blocks whose widths both ends derive from the cell (:func:`cell_codec`),
+blocks whose widths both ends derive from the cell
+(:func:`~repro.engine.codec.cell_codec`),
 so a cell without a record codec runs only in the session's process.
 The conversation (``<-`` marks pool -> worker):
 
@@ -43,10 +45,16 @@ The conversation (``<-`` marks pool -> worker):
 ``cache-probe`` <-        which of these cell keys does your store hold?
 ``cache-hit``             the subset it holds
 ``serve-cached`` <-       a one-cell ``chunk`` plus its key, answered from
-                          the store: a ``result`` flagged ``served``, or
+                          the store: a ``result`` flagged ``served`` whose
+                          body is the stored block as is, or
                           ``cache-miss`` and the pool requeues it cold
-``cache-push`` <-         a cold cell's key, spec, variant and block;
-                          fire-and-forget, kept under the store's LRU cap
+``cache-push`` <-         a cold cell's cache entry, byte for byte the
+                          session's entry file (key, spec, variant, trials,
+                          seed, budget, body digest and record block); the
+                          worker checks it as its store's loader checks a
+                          file and writes it unchanged, fire-and-forget,
+                          under the store's LRU cap; a push whose header
+                          does not derive its key is a protocol error
 ``chunk`` <-              one work unit: ``run``, variant and ``segments``,
                           a list of ``{spec_key, seeds, max_interactions}``
                           plus ``spec`` on a key's first segment per run on
@@ -75,10 +83,8 @@ the same invariant the ensemble cache relies on.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import hmac
-import json
 import math
 import multiprocessing
 import os
@@ -86,36 +92,31 @@ import re
 import selectors
 import socket
 import ssl
-import struct
 import time
 import traceback
 from collections import deque
 
-import numpy as np
-
-from .cache import EnsembleCache, seed_from_token, seed_token
-from .executors import (
-    Segment,
-    UnitResult,
-    WorkUnit,
-    _cut,
-    _record_widths,
-    encode_parts,
-    run_unit,
+from .cache import EnsembleCache, read_entry, seed_from_token, seed_token
+from .codec import (
+    MAX_FRAME,
+    FrameDecoder,
+    ProtocolError,
+    _decoding,
+    _field,
+    block_bytes,
+    cell_codec,
+    decode_cell_block,
+    decode_spec,
+    encode_frame,
 )
+from .executors import Segment, UnitResult, WorkUnit, _cut, encode_parts, run_unit
 from .options import parse_address
-from .scenarios import ScenarioSpec, get_scenario
 
 __all__ = [
-    "FrameDecoder",
     "PROTOCOL_VERSION",
-    "ProtocolError",
     "WorkerPool",
     "auth_digest",
     "cache_token",
-    "cell_codec",
-    "decode_result_block",
-    "encode_result_block",
     "make_client_tls_context",
     "make_server_tls_context",
     "parse_address",
@@ -128,26 +129,17 @@ __all__ = [
 #: the cache fabric and the shared-secret handshake, v3 dropped the
 #: per-chunk kernel knobs, v4 made every frame JSON plus a record block,
 #: v5 made a chunk a list of segments (packed lockstep units), v6 sends
-#: each spec once per connection per run.
-PROTOCOL_VERSION = 6
+#: each spec once per connection per run, v7 made a ``cache-push`` the
+#: cache entry itself (seed, budget and body digest added).
+PROTOCOL_VERSION = 7
 
 #: Environment variable of the optional shared worker secret (the
 #: ``worker_secret`` engine option, read by both ends).
 WORKER_SECRET_ENV = "REPRO_WORKER_SECRET"
 
-#: First four bytes of every frame.
-FRAME_MAGIC = b"RPRW"
-
-#: Upper bound on one frame's header plus body: room for a 10^6-edge
-#: graph spec or a 10^5-replicate record block, not for terabytes.
-MAX_FRAME = 256 * 1024 * 1024
-
 #: Upper bound on a frame from a connection that has not registered
 #: yet: a hello or an auth is a few hundred bytes.
 HANDSHAKE_FRAME = 64 * 1024
-
-#: Magic, header length and body length.
-_PREFIX = struct.Struct(">4sII")
 
 #: Shape of an ensemble key (a SHA-256 hex digest), the only names a
 #: peer may make a worker's store look up or write.
@@ -161,10 +153,6 @@ DEFAULT_WORKER_TIMEOUT = 60.0
 #: before the run and connect within milliseconds, so a call whose local
 #: workers have all died fails after this many seconds.
 LOCAL_WORKER_TIMEOUT = 5.0
-
-
-class ProtocolError(RuntimeError):
-    """A malformed frame or an out-of-protocol message."""
 
 
 def cache_token(cache_dir) -> str:
@@ -243,78 +231,9 @@ def make_client_tls_context(
 # ----------------------------------------------------------------------
 # Framing
 # ----------------------------------------------------------------------
-def encode_frame(message: dict) -> bytes:
-    """One frame: ``message["block"]`` (bytes) is the body, the rest JSON."""
-    fields = dict(message)
-    body = bytes(fields.pop("block", b""))
-    header = json.dumps(fields, separators=(",", ":")).encode("utf-8")
-    if len(header) + len(body) > MAX_FRAME:
-        raise ProtocolError(
-            f"message of {len(header) + len(body)} bytes exceeds MAX_FRAME"
-        )
-    return _PREFIX.pack(FRAME_MAGIC, len(header), len(body)) + header + body
-
-
 def send_frame(sock: socket.socket, message: dict) -> None:
     """Send one framed message."""
     sock.sendall(encode_frame(message))
-
-
-class FrameDecoder:
-    """The one frame parser: incremental, for blocking and polled reads.
-
-    Feed raw socket bytes, get complete messages back; partial frames
-    wait in the buffer.  A wrong magic, a header plus body longer than
-    ``max_frame`` or a header that is not a JSON object with a string
-    ``type`` raises :class:`ProtocolError` (the stream is unrecoverable
-    after any of them, so the caller drops the connection).
-    """
-
-    def __init__(self, max_frame: int = MAX_FRAME) -> None:
-        self._buffer = bytearray()
-        self.max_frame = max_frame
-
-    def feed(self, data: bytes) -> list[dict]:
-        self._buffer.extend(data)
-        messages = []
-        while len(self._buffer) >= _PREFIX.size:
-            magic, header_length, body_length = _PREFIX.unpack_from(self._buffer)
-            if magic != FRAME_MAGIC:
-                raise ProtocolError(f"bad frame magic {magic!r}")
-            if header_length + body_length > self.max_frame:
-                raise ProtocolError(
-                    f"frame of {header_length + body_length} bytes "
-                    f"exceeds {self.max_frame}"
-                )
-            split = _PREFIX.size + header_length
-            end = split + body_length
-            if len(self._buffer) < end:
-                break
-            header = bytes(self._buffer[_PREFIX.size : split])
-            body = bytes(self._buffer[split:end])
-            del self._buffer[:end]
-            try:
-                message = json.loads(header.decode("utf-8"))
-            except (ValueError, RecursionError) as exc:
-                raise ProtocolError(f"frame header is not JSON: {exc}") from None
-            if not (
-                isinstance(message, dict)
-                and isinstance(message.get("type"), str)
-                and "block" not in message
-            ):
-                raise ProtocolError(
-                    "frame header must be a JSON object with a string "
-                    "'type' and no 'block'"
-                )
-            if body:
-                message["block"] = body
-            messages.append(message)
-        return messages
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered toward an incomplete frame."""
-        return len(self._buffer)
 
 
 #: Yielded by :func:`_read_frames` once the drain event is set.
@@ -357,39 +276,6 @@ def _read_frames(sock: socket.socket, drain=None, poll: float = 0.5):
 # ----------------------------------------------------------------------
 # Message fields
 # ----------------------------------------------------------------------
-def cell_codec(spec: ScenarioSpec, variant: str) -> tuple:
-    """``(scenario, (int_width, float_width))`` of a cell on the socket.
-
-    Results cross the socket only as record blocks, and both ends derive
-    the widths from the cell; a cell whose scenario has no record codec
-    for ``variant`` raises ``ValueError`` naming both.  The process and
-    remote executors check every pending cell here before they start or
-    send anything.
-    """
-    scenario = get_scenario(spec.scenario)
-    widths = _record_widths(scenario, spec, variant)
-    if widths is None:
-        raise ValueError(
-            f"scenario {spec.scenario!r} has no record codec for variant "
-            f"{variant!r}, and workers return results only as record "
-            "blocks; run it on the serial executor"
-        )
-    return scenario, widths
-
-
-def _field(message: dict, name: str, kind, *, optional: bool = False):
-    """``message[name]``, which must be a ``kind`` (a bool is no number)."""
-    value = message.get(name)
-    if optional and value is None:
-        return None
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ProtocolError(
-            f"{message.get('type', 'segment')} field {name!r} has the wrong type "
-            f"({type(value).__name__})"
-        )
-    return value
-
-
 def _is_key(value) -> bool:
     """Whether ``value`` has the shape of an ensemble key (SHA-256 hex)."""
     return isinstance(value, str) and _KEY_SHAPE.fullmatch(value) is not None
@@ -401,33 +287,6 @@ def _keys(message: dict) -> list[str]:
     if not all(map(_is_key, keys)):
         raise ProtocolError(f"{message.get('type')} keys hold a non-key")
     return keys
-
-
-@contextlib.contextmanager
-def _decoding(what: str):
-    """Re-raise any failure to decode the peer's ``what`` as a ProtocolError.
-
-    Decoding is a pure function of the peer's bytes, so whatever it
-    raises (an unknown scenario, a spec ``validate`` refuses, a bad seed
-    token) means the peer sent garbage.
-    """
-    try:
-        yield
-    except ProtocolError:
-        raise
-    except Exception as exc:
-        raise ProtocolError(f"undecodable {what}: {exc!r}") from None
-
-
-def _decode_cell(message: dict, variant: str) -> tuple:
-    """``(scenario, spec, widths)`` of the spec object in ``message``."""
-    if not isinstance(message.get("spec"), dict):
-        raise ProtocolError("spec must be a JSON spec object")
-    with _decoding("spec"):
-        spec = ScenarioSpec.from_json(message["spec"])
-        scenario, widths = cell_codec(spec, variant)
-        scenario.validate(spec)
-    return scenario, spec, widths
 
 
 def _segment_cell(item: dict, variant: str, specs: dict) -> tuple:
@@ -444,9 +303,8 @@ def _segment_cell(item: dict, variant: str, specs: dict) -> tuple:
     if "spec" in item:
         if key in specs:
             raise ProtocolError(f"spec {key} sent twice in one run")
-        scenario, specs[key], _ = _decode_cell(item, variant)
-        return scenario, specs[key]
-    if key not in specs:
+        specs[key] = decode_spec(item["spec"])
+    elif key not in specs:
         raise ProtocolError(f"chunk segment names unknown spec {key}")
     with _decoding("spec"):
         scenario, _ = cell_codec(specs[key], variant)
@@ -496,7 +354,7 @@ def _decode_result(message: dict, unit: WorkUnit) -> UnitResult:
     if not (math.isfinite(seconds) and seconds >= 0):
         raise ProtocolError(f"result seconds {seconds} are not finite and >= 0")
     sizes = [
-        _block_bytes(len(segment.seeds), *cell_codec(segment.spec, unit.variant)[1])
+        block_bytes(len(segment.seeds), *cell_codec(segment.spec, unit.variant)[1])
         for segment in unit.segments
     ]
     body = message.get("block", b"")
@@ -506,83 +364,22 @@ def _decode_result(message: dict, unit: WorkUnit) -> UnitResult:
             f"for {len(sizes)} record blocks"
         )
     parts = [
-        decode_segment(segment, unit.variant, block)
+        decode_cell_block(segment.spec, unit.variant, block, len(segment.seeds))
         for segment, block in zip(unit.segments, _cut(body, sizes))
     ]
     served = bool(_field(message, "served", bool, optional=True))
     return UnitResult(parts, seconds, served=served)
 
 
-def _decode_cache_push(message: dict) -> tuple[str, list]:
-    """``(key, results)`` of a ``cache-push`` frame."""
-    if not _is_key(message.get("key")):
-        raise ProtocolError("cache-push key is not an ensemble key")
-    scenario, spec, widths = _decode_cell(message, _field(message, "variant", str))
-    trials = _field(message, "trials", int)
-    block = message.get("block", b"")
-    return message["key"], decode_result_block(scenario, spec, block, trials, *widths)
-
-
-# ----------------------------------------------------------------------
-# Fixed-width record blocks (the out-of-process result format)
-# ----------------------------------------------------------------------
-def _record_views(buffer, trials: int, int_width: int, float_width: int):
-    """(trials, int_width) int64 + (trials, float_width) float64 views."""
-    int_bytes = trials * int_width * 8
-    ints = np.ndarray((trials, int_width), dtype=np.int64, buffer=buffer)
-    floats = np.ndarray(
-        (trials, float_width), dtype=np.float64, buffer=buffer, offset=int_bytes
-    )
-    return ints, floats
-
-
-def _block_bytes(trials: int, int_width: int, float_width: int) -> int:
-    """Size of one record block (never empty, so every block is a body)."""
-    return max(trials * 8 * (int_width + float_width), 1)
-
-
-def encode_result_block(
-    scenario, spec, results: list, int_width: int, float_width: int
-) -> bytes:
-    """Results -> one contiguous record block (ints plane, floats plane).
-
-    The record codec *is* the result format of every out-of-process
-    executor: remote socket workers and the process executor's local
-    workers both return these bytes (the process executor refuses a
-    cell whose scenario has no codec for the variant).
+def _decode_cache_push(message: dict) -> tuple[str, bytes]:
+    """``(key, entry bytes)`` of a ``cache-push`` frame, checked as the
+    cache's loader checks a file (:func:`~repro.engine.cache.read_entry`).
     """
-    trials = len(results)
-    buffer = bytearray(_block_bytes(trials, int_width, float_width))
-    ints, floats = _record_views(buffer, trials, int_width, float_width)
-    for row, result in enumerate(results):
-        scenario.encode_record(spec, result, ints[row], floats[row])
-    return bytes(buffer)
-
-
-def decode_result_block(
-    scenario, spec, block: bytes, trials: int, int_width: int, float_width: int
-) -> list:
-    """Inverse of :func:`encode_result_block`; raises only ProtocolError."""
-    expected = _block_bytes(trials, int_width, float_width)
-    if trials < 0 or len(block) != expected:
-        raise ProtocolError(
-            f"record block of {len(block)} bytes, expected {expected} "
-            f"({trials} trials x ({int_width} ints + {float_width} floats))"
-        )
-    ints, floats = _record_views(bytearray(block), trials, int_width, float_width)
-    with _decoding("record block"):
-        return [
-            scenario.decode_record(spec, ints[row], floats[row])
-            for row in range(trials)
-        ]
-
-
-def decode_segment(segment: Segment, variant: str, block: bytes) -> list:
-    """A unit segment's results from its record block (widths from the cell)."""
-    scenario, widths = cell_codec(segment.spec, variant)
-    return decode_result_block(
-        scenario, segment.spec, block, len(segment.seeds), *widths
-    )
+    key = message.get("key")
+    if not _is_key(key):
+        raise ProtocolError("cache-push key is not an ensemble key")
+    read_entry(message, key)
+    return key, encode_frame(message)
 
 
 # ----------------------------------------------------------------------
@@ -618,16 +415,9 @@ def _serve_cached_reply(store, message: dict, specs: dict) -> dict:
     miss = {
         "type": "cache-miss", "id": message["id"], "run": message["run"], "key": key
     }
-    if store is None:
-        return miss
     started = time.perf_counter()
-    try:
-        results = store.load(key)
-        if not isinstance(results, list) or len(results) != len(unit.seeds):
-            return miss
-        work, _ = unit.work()
-        block = b"".join(encode_parts(unit.scenario, unit.variant, work, results))
-    except Exception:
+    entry = store.entry(key, unit.segments[0].spec) if store is not None else None
+    if entry is None or entry.trials != len(unit.seeds):
         return miss
     return {
         "type": "result",
@@ -635,7 +425,7 @@ def _serve_cached_reply(store, message: dict, specs: dict) -> dict:
         "run": message["run"],
         "served": True,
         "seconds": time.perf_counter() - started,
-        "block": block,
+        "block": entry.block,
     }
 
 
@@ -767,9 +557,9 @@ def serve_worker(
                 continue
             if kind == "cache-push":
                 if store is not None:
-                    key, results = _decode_cache_push(message)
+                    key, entry = _decode_cache_push(message)
                     try:
-                        store.store(key, results)
+                        store.store(key, entry)
                     except Exception:
                         pass  # replication is best-effort
                 continue
@@ -844,22 +634,6 @@ def _chunk_frame(
 
 class _WorkerConn:
     """One connected worker: socket, decoder, and its in-flight unit."""
-
-    __slots__ = (
-        "sock",
-        "decoder",
-        "registered",
-        "handshake_deadline",
-        "challenge",
-        "name",
-        "pid",
-        "host",
-        "cache_token",
-        "cache_entries",
-        "inflight",
-        "chunks_done",
-        "specs_sent",
-    )
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -1187,8 +961,9 @@ class WorkerPool:
         row.update(cache_token=conn.cache_token, cache_entries=conn.cache_entries)
         return row
 
-    def _send(self, conn: _WorkerConn, message: dict) -> None:
-        frame = encode_frame(message)
+    def _send(self, conn: _WorkerConn, message: dict | bytes) -> None:
+        """Send ``message``, or an already encoded frame, to ``conn``."""
+        frame = message if isinstance(message, bytes) else encode_frame(message)
         conn.sock.setblocking(True)
         try:
             conn.sock.sendall(frame)
@@ -1291,34 +1066,19 @@ class WorkerPool:
         return owners
 
     def push_cache(
-        self,
-        key: str,
-        spec: ScenarioSpec,
-        variant: str,
-        results: list,
-        *,
-        exclude: set | frozenset = frozenset(),
+        self, entry: bytes, *, exclude: set | frozenset = frozenset()
     ) -> int:
-        """Replicate one cell to workers whose store differs.
+        """Replicate one cell's cache entry to workers whose store differs.
 
-        ``results`` (stored under ``key``) travel as the record block of
-        ``spec`` at ``variant``, fire-and-forget, to every registered
-        worker with a store of its own (a token) other than the
-        session's, one copy per token; workers named in ``exclude`` (the
-        cell's advertised owners) are skipped.  Returns the number of
-        pushes sent; each worker's LRU byte cap bounds what it keeps.
+        ``entry`` (:func:`~repro.engine.cache.encode_entry` bytes, which
+        are a ``cache-push`` frame) goes as is, fire-and-forget, to every
+        registered worker with a store of its own (a token) other than
+        the session's, one copy per token; workers named in ``exclude``
+        (the cell's advertised owners) are skipped.  Returns the number
+        of pushes sent; each worker's LRU byte cap bounds what it keeps.
         """
         if self._closed:
             return 0
-        scenario, widths = cell_codec(spec, variant)
-        message = {
-            "type": "cache-push",
-            "key": key,
-            "spec": spec.to_json(),
-            "variant": variant,
-            "trials": len(results),
-            "block": encode_result_block(scenario, spec, results, *widths),
-        }
         pushed = 0
         seen_tokens: set[str] = set()
         if self._session_cache_token is not None:
@@ -1329,7 +1089,7 @@ class WorkerPool:
             if conn.name in exclude or conn.cache_token in seen_tokens:
                 continue
             try:
-                self._send(conn, message)
+                self._send(conn, entry)
             except OSError:
                 self._drop(conn)
                 continue

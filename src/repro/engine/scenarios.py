@@ -245,10 +245,17 @@ class ScenarioSpec:
 
         Two specs have equal keys exactly when they describe the same
         workload; the ensemble cache combines this with the seed and the
-        variant name.
+        variant name.  Computed once per spec object (the spec is frozen),
+        since a 10^5-edge graph spec takes a tenth of a second to hash.
         """
-        canonical = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        key = self.__dict__.get("_key")
+        if key is None:
+            canonical = json.dumps(
+                self.to_json(), sort_keys=True, separators=(",", ":")
+            )
+            key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            self.__dict__["_key"] = key
+        return key
 
     def __repr__(self) -> str:
         keys = ", ".join(f"{k}=..." if isinstance(v, tuple) and len(v) > 6 else f"{k}={v!r}"

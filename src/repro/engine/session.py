@@ -86,7 +86,14 @@ from ..core.simulator import Observer, RunResult
 from . import backends as _backends
 from . import scenarios as _scenarios
 from .backends import Backend, get_backend
-from .cache import SWEEP_INDEX_FORMAT, EnsembleCache, ensemble_key, seed_token
+from .cache import (
+    SWEEP_INDEX_FORMAT,
+    EnsembleCache,
+    encode_entry,
+    ensemble_key,
+    seed_token,
+)
+from .codec import cell_codec
 from .costmodel import CostModel, cost_signature
 from .executors import (
     DEFAULT_BATCH_SIZE,
@@ -98,13 +105,7 @@ from .executors import (
     run_unit,
 )
 from .options import EngineOptions, _executor
-from .remote import (
-    LocalFleet,
-    WorkerPool,
-    cache_token,
-    cell_codec,
-    make_server_tls_context,
-)
+from .remote import LocalFleet, WorkerPool, cache_token, make_server_tls_context
 from .scenarios import Scenario, ScenarioSpec, coerce_spec, get_scenario
 from .sweep import SweepCell, SweepCellRun, SweepRun, SweepSpec, _derive_cell_seeds
 
@@ -878,7 +879,7 @@ class Engine:
             scenarios.append(scenario)
             variants.append(variant)
             keys.append(key)
-            cached = store.load(key) if store is not None else None
+            cached = store.load(key, cell.spec) if store is not None else None
             if cached is not None:
                 results[index] = cached
         pending = [i for i in range(len(cells)) if i not in results]
@@ -949,17 +950,24 @@ class Engine:
                 {**stat, "worker": outcome.worker, "served": outcome.served}
                 for stat in unit.cell_stats(outcome.parts, outcome.seconds)
             )
-        if pool is not None:
-            # Each worker's LRU cap bounds what it keeps.
-            for i in pending:
-                if i not in served:
-                    pool.push_cache(
-                        keys[i], cells[i].spec, variants[i], results[i],
-                        exclude=set(owners.get(i, ())),
-                    )
-        if store is not None:
-            for i in pending:
-                store.store(keys[i], results[i])
+        # Each fresh cell's entry is encoded once: the session's store
+        # writes it and the fleet's stores get the same bytes (each
+        # worker's LRU cap bounds what it keeps).  A cell without a
+        # record codec has no entry and is never stored.
+        for i in pending:
+            push = pool is not None and i not in served
+            if store is None and not push:
+                continue
+            entry = encode_entry(
+                keys[i], cells[i].spec, variants[i], seeds[i],
+                cells[i].max_interactions, results[i],
+            )
+            if entry is None:
+                continue
+            if push:
+                pool.push_cache(entry, exclude=set(owners.get(i, ())))
+            if store is not None:
+                store.store(keys[i], entry)
 
         # Fleet-served cells entered the queue but were answered from a
         # worker's store — cache traffic, not simulation.
@@ -1002,13 +1010,14 @@ class Engine:
         :meth:`_cell_key` yields for these arguments.
         """
         self._check_open()
+        spec = coerce_spec(workload)
         if key is None:
-            cell = SweepCell(coerce_spec(workload), trials, max_interactions)
+            cell = SweepCell(spec, trials, max_interactions)
             _, _, key = self._cell_key(cell, seed, backend)
         store = self._resolve_cache(None)
         if store is None:
             return None
-        results = store.load(key)
+        results = store.load(key, spec)
         if results is not None:
             self._stats["ensembles"] += 1
             self._stats["replicates_from_cache"] += trials

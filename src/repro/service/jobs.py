@@ -48,6 +48,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -84,6 +85,7 @@ __all__ = [
     "results_to_jsonable",
     "summarize_results",
     "sweep_job_key",
+    "sweep_replicates",
 ]
 
 #: Workload builders a request's ``params`` feed (uniform takes n,k;
@@ -372,6 +374,30 @@ def _sweep_grid(params: dict, grid: list | None) -> list[dict]:
     return [
         dict(zip(axes, combo)) for combo in itertools.product(*axes.values())
     ]
+
+
+def sweep_replicates(payload) -> int | None:
+    """A sweep submission's replicate count, read off its shape alone.
+
+    Grid rows (or the product of the ``params`` axes' lengths) times
+    ``trials``; nothing is built, so admission control can refuse an
+    oversized sweep before :func:`parse_sweep` expands it.  ``None``
+    when those fields are malformed: :func:`parse_sweep` names the error.
+    """
+    if not isinstance(payload, dict):
+        return None
+    try:
+        trials = FIELDS["trials"].read(payload)
+    except RequestError:
+        return None
+    grid, params = payload.get("grid"), payload.get("params", {})
+    if isinstance(grid, list):
+        return len(grid) * trials
+    if not isinstance(params, dict):
+        return None
+    return trials * math.prod(
+        len(values) if isinstance(values, list) else 1 for values in params.values()
+    )
 
 
 def parse_sweep(payload: dict) -> SweepJob:

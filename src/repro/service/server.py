@@ -355,6 +355,11 @@ class SimulationService:
                 _, variant = self._engine._scenario_variant(job.spec, None)
                 key = job.key(variant)
             else:
+                # Refused before any grid point or key is built: a sweep
+                # the budget can never hold is cheap to turn away.
+                replicates = _jobs.sweep_replicates(payload)
+                if replicates is not None and replicates > self._max_replicates:
+                    self._refuse_replicates(replicates)
                 job = _jobs.parse_sweep(payload)
                 key = job.key()
         except ValueError as exc:
@@ -438,13 +443,17 @@ class SimulationService:
                 retry_after=self._retry_hint(),
             )
         if self._inflight_replicates + replicates > self._max_replicates:
-            self._counters["rejected"] += 1
-            raise HttpError(
-                429,
-                f"replicate budget exceeded: {self._inflight_replicates} in "
-                f"flight + {replicates} requested > {self._max_replicates}",
-                retry_after=self._retry_hint(),
-            )
+            self._refuse_replicates(replicates)
+
+    def _refuse_replicates(self, replicates: int) -> None:
+        """Answer 429: ``replicates`` more would exceed the budget."""
+        self._counters["rejected"] += 1
+        raise HttpError(
+            429,
+            f"replicate budget exceeded: {self._inflight_replicates} in "
+            f"flight + {replicates} requested > {self._max_replicates}",
+            retry_after=self._retry_hint(),
+        )
 
     def _retry_hint(self) -> int:
         """Seconds a rejected client should back off before resubmitting."""
@@ -569,8 +578,9 @@ class SimulationService:
     async def _cached_results(self, key: str) -> bytes:
         # The key becomes a filename under the cache root, so the shape
         # check is load-bearing: without it '../'-style keys would name
-        # (and unpickle, or on corruption delete) files outside the
-        # cache directory.
+        # (and read, or on corruption delete) files outside the cache
+        # directory.  The request names only the key, so the store
+        # decodes the entry header's spec to check it.
         self._check_key(key, "result")
         store = self._engine.cache
         if store is None:

@@ -36,23 +36,26 @@ from repro.engine import (
     run_ensemble,
     run_sweep,
 )
-from repro.engine.cache import EnsembleCache, ensemble_key, seed_token
+from repro.engine.cache import EnsembleCache, encode_entry, ensemble_key, seed_token
 from repro.engine.costmodel import CostModel, cost_signature
-from repro.engine.executors import Segment, WorkUnit
-from repro.engine.remote import (
+from repro.engine.codec import (
     FRAME_MAGIC,
     MAX_FRAME,
-    PROTOCOL_VERSION,
-    WORKER_SECRET_ENV,
     FrameDecoder,
     ProtocolError,
+    decode_frame,
+    decode_result_block,
+    encode_frame,
+    encode_result_block,
+)
+from repro.engine.executors import Segment, WorkUnit
+from repro.engine.remote import (
+    PROTOCOL_VERSION,
+    WORKER_SECRET_ENV,
     WorkerPool,
     auth_digest,
     cache_token,
-    decode_result_block,
     _read_frames,
-    encode_frame,
-    encode_result_block,
     parse_address,
     send_frame,
     serve_worker,
@@ -1101,16 +1104,13 @@ class TestHandshakeHardening:
 # ----------------------------------------------------------------------
 def warm_entry(store_dir, spec, trials, seed):
     """Precompute an ensemble serially and park it in a worker store."""
-    scenario = get_scenario(spec.scenario)
+    variant = get_scenario(spec.scenario).variant(None)
     results = run_ensemble(spec, trials, seed=seed, executor="serial")
     key = ensemble_key(
-        spec,
-        trials=trials,
-        seed=seed,
-        variant=scenario.variant(None),
-        max_interactions=None,
+        spec, trials=trials, seed=seed, variant=variant, max_interactions=None
     )
-    EnsembleCache(store_dir).store(key, results)
+    entry = encode_entry(key, spec, variant, seed, None, results)
+    EnsembleCache(store_dir).store(key, entry)
     return key, results
 
 
@@ -1273,11 +1273,76 @@ class TestCacheFabricProtocol:
             pool.wait_for_workers(3, timeout=15)
             # owner is excluded by name, twin shares the session's store,
             # so exactly one push goes out — to fresh.
-            variant = get_scenario(spec.scenario).variant(None)
-            pushed = pool.push_cache(
-                key, spec, variant, results, exclude={"owner"}
-            )
+            entry = (tmp_path / "owner" / f"{key}.entry").read_bytes()
+            pushed = pool.push_cache(entry, exclude={"owner"})
             assert pushed == 1
+
+
+class TestOneEntryFormat:
+    def test_pushed_entry_lands_byte_for_byte(self, tmp_path):
+        spec = usd_spec(uniform_configuration(80, 3))
+        with Engine(cache=True, cache_dir=str(tmp_path / "coord")) as eng:
+            pool = eng.worker_pool()
+            thread = start_worker_thread(
+                pool.endpoint, name="w", cache_dir=str(tmp_path / "w")
+            )
+            pool.wait_for_workers(1, timeout=15)
+            eng.ensemble(spec, 6, seed=5, executor="remote")
+            assert pool.cache_stats()["pushed"] == 1
+        thread.join(timeout=15)  # bye follows the push; it lands
+        (session,) = (tmp_path / "coord").glob("*.entry")
+        assert (tmp_path / "w" / session.name).read_bytes() == session.read_bytes()
+
+    def test_serve_cached_sends_the_stored_block_unencoded(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.engine.scenarios import Scenario
+
+        spec = usd_spec(uniform_configuration(80, 3))
+        key, results = warm_entry(tmp_path / "w", spec, 6, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the served cell was re-encoded")
+
+        monkeypatch.setattr(Scenario, "encode_record", refuse)
+        with WorkerPool() as pool:
+            start_worker_thread(
+                pool.endpoint, name="warm", cache_dir=str(tmp_path / "w")
+            )
+            pool.wait_for_workers(1, timeout=15)
+            unit = unit_of(
+                spec, get_scenario("usd").variant(None),
+                np.random.SeedSequence(5).spawn(6),
+            )
+            (output,) = pool.run([unit], serve={0: (key, ["warm"])})
+        assert output.served is True
+        assert results_key(output.parts[0]) == results_key(results)
+
+    def test_push_whose_header_does_not_derive_its_key_is_refused(self, tmp_path):
+        spec = usd_spec(uniform_configuration(80, 3))
+        key, _ = warm_entry(tmp_path / "w", spec, 6, 5)
+        entry = (tmp_path / "w" / f"{key}.entry").read_bytes()
+        forged = decode_frame(entry)
+        forged["seed"] = 6  # the body and key stay those of seed 5
+        before = {p.name: p.read_bytes() for p in (tmp_path / "w").iterdir()}
+        errors = []
+
+        def serve():
+            try:
+                serve_worker(pool.endpoint, name="w", cache_dir=str(tmp_path / "w"))
+            except Exception as exc:
+                errors.append(exc)
+
+        with WorkerPool() as pool:
+            thread = threading.Thread(target=serve, daemon=True)
+            thread.start()
+            pool.wait_for_workers(1, timeout=15)
+            assert pool.push_cache(encode_frame(forged)) == 1
+            thread.join(timeout=15)
+        assert len(errors) == 1 and isinstance(errors[0], ProtocolError)
+        assert "derives key" in str(errors[0])
+        after = {p.name: p.read_bytes() for p in (tmp_path / "w").iterdir()}
+        assert after == before
 
 
 class TestWarmFleet:
@@ -1661,9 +1726,14 @@ class TestNothingUnpickledOnTheRemotePath:
     def test_no_executor_module_imports_pickle(self):
         import ast
 
-        engine = Path(SRC_DIR) / "repro" / "engine"
-        for name in ("executors.py", "session.py", "remote.py"):
-            tree = ast.parse((engine / name).read_text(encoding="utf-8"))
+        modules = sorted(
+            path
+            for package in ("engine", "service")
+            for path in (Path(SRC_DIR) / "repro" / package).glob("*.py")
+        )
+        assert len(modules) > 10
+        for name in modules:
+            tree = ast.parse(name.read_text(encoding="utf-8"))
             imported = {
                 alias.name.split(".")[0]
                 for node in ast.walk(tree)

@@ -519,6 +519,38 @@ class TestAdmission:
                     answer = client.ensemble({**SPEC, "seed": 99})
                     assert answer["status"] == "done"
 
+    def test_oversized_sweep_refused_before_any_point_is_built(
+        self, tmp_path, monkeypatch
+    ):
+        built = []
+        build = jobs._build_point
+        monkeypatch.setattr(
+            jobs, "_build_point", lambda *args: built.append(args) or build(*args)
+        )
+        monkeypatch.setattr(
+            jobs, "sweep_job_key", lambda *args: built.append(args) or "0" * 64
+        )
+        # 10 x 3 x 2 points x 4 trials = 240 replicates > 100.
+        sweep = {
+            "workload": "additive",
+            "params": {"n": list(range(100, 200, 10)), "k": [2, 3, 4],
+                       "beta": [1, 2]},
+            "trials": 4,
+        }
+        with Engine(
+            cache=False, service_max_replicates=100
+        ) as eng:
+            with BackgroundService(eng) as endpoint:
+                status, body = raw_request(
+                    endpoint, "POST", "/v1/sweep", json.dumps(sweep).encode()
+                )
+        assert status == 429
+        assert b"replicate budget exceeded: 0 in flight + 240 requested > 100" in body
+        assert built == []
+        assert jobs.sweep_replicates({**sweep, "trials": 1}) == 60
+        assert jobs.sweep_replicates({"grid": [{"n": 9}] * 7, "trials": 3}) == 21
+        assert jobs.sweep_replicates({"trials": "many"}) is None
+
     def test_oversized_single_submission_rejected_outright(self, tmp_path):
         with Engine(
             cache=True, cache_dir=str(tmp_path), service_max_replicates=4

@@ -1207,7 +1207,7 @@ class TestEnsembleIsOneCellSweep:
         assert stats["ensembles"] == 2 and stats["sweeps"] == 0
         assert stats["replicates_simulated"] == self.TRIALS
         assert stats["replicates_from_cache"] == self.TRIALS
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".pkl"]
+        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".entry"]
 
 
 class TestCustomDefaultBackend:
@@ -1268,7 +1268,7 @@ class TestCliScheduler:
         out = capsys.readouterr().out
         assert "2/2 cells already on disk, recomputing 0" in out
         # delete one ensemble entry -> resume names and recomputes one cell
-        sorted(tmp_path.glob("*.pkl"))[0].unlink()
+        sorted(tmp_path.glob("*.entry"))[0].unlink()
         assert main(args + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "1/2 cells already on disk, recomputing 1" in out

@@ -21,6 +21,7 @@ from repro.engine import (
     SweepCell,
     SweepSpec,
     cost_signature,
+    ensemble_key,
     graph_spec,
     legacy_cell_seed,
     register_scenario,
@@ -51,9 +52,14 @@ def flat_key(outcome):
 
 
 class CountingScenario(Scenario):
-    """Delegates to the jump backend and counts replicate simulations."""
+    """Delegates to the jump backend and counts replicate simulations.
+
+    Its results are plain jump ``RunResult``s, so it opts into the
+    record codec: only cells with one are stored.
+    """
 
     name = "sweep-counting-test"
+    record_transport = True
 
     def __init__(self):
         self.calls = 0
@@ -297,14 +303,14 @@ class TestSweepCache:
 
         # Delete exactly one cell's ensemble entry (an "interrupted"
         # sweep on disk) and re-run: only that cell simulates.
-        victim = store.key_for(
+        victim = ensemble_key(
             spec.cells[1].spec,
             trials=2,
             seed=first.cells[1].seed,
             variant="reference",
             max_interactions=None,
         )
-        (tmp_path / f"{victim}.pkl").unlink()
+        (tmp_path / f"{victim}.entry").unlink()
         third = run_sweep(spec, seed=1, cache=store)
         assert counting_scenario.calls == 8  # one cell × two replicates
         assert third.cached_cells == 2 and third.simulated_cells == 1
